@@ -267,3 +267,7 @@ __all__ = [
     "main",
     "entry",
 ]
+
+
+if __name__ == "__main__":
+    entry()

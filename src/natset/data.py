@@ -10,12 +10,14 @@ puts every track in the same task phase before hulls are built.
 import csv
 import json
 import logging
+import math
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain, islice
 
 import numpy as np
 
-from .geometry import ConvexPolygon, contains, quickhull, to_halfspaces
+from .geometry import ConvexPolygon, contains, quickhull, signed_violations, to_halfspaces
 
 log = logging.getLogger(__name__)
 
@@ -33,6 +35,15 @@ REQUIRED_COLUMNS = (
     "yAcceleration",
     "heading",
 )
+
+# the CSV column behind each Trajectory.data column (p_x, v_x, p_y, v_y,
+# a_x, a_y, heading): position and velocity interleave per axis as in the
+# dynamics state
+_DATA_COLUMNS = ("xCenter", "xVelocity", "yCenter", "yVelocity", "xAcceleration",
+                 "yAcceleration", "heading")
+
+# CSV rows converted per batch; bounds the rows held as strings at once
+CHUNK_ROWS = 4096
 
 
 class ParseError(ValueError):
@@ -75,56 +86,64 @@ class RawActorState:
         return float(np.hypot(self.velocity[0], self.velocity[1]))
 
 
-@dataclass(frozen=True)
 class Trajectory:
-    """Time-ordered states of one actor, sampled at frame_rate Hz."""
+    """Time-ordered states of one actor, sampled at frame_rate Hz, held in
+    `data`: a read-only (T, 7) array of p_x, v_x, p_y, v_y, a_x, a_y, heading.
+    `states` is such an array (copied unless read-only) or RawActorStates."""
 
-    actor_id: str
-    frame_rate: float
-    states: tuple
-
-    def __post_init__(self):
-        object.__setattr__(self, "states", tuple(self.states))
-        if len(self.states) < 2:
-            raise ValueError(f"trajectory {self.actor_id!r} has fewer than 2 states")
-        if not self.frame_rate > 0:
+    def __init__(self, actor_id, frame_rate, states):
+        if not isinstance(states, np.ndarray):
+            states = [(s.position[0], s.velocity[0], s.position[1], s.velocity[1],
+                       *s.acceleration, s.heading) for s in states]
+        data = np.asarray(states, dtype=float)
+        if data is states and data.flags.writeable:
+            data = data.copy()
+        data.setflags(write=False)
+        if len(data) < 2:
+            raise ValueError(f"trajectory {actor_id!r} has fewer than 2 states")
+        if data.ndim != 2 or data.shape[1] != len(_DATA_COLUMNS):
+            raise ValueError(f"trajectory {actor_id!r}: states must be a (T, 7) array")
+        if not np.isfinite(data).all():
+            raise ValueError("actor state contains non-finite entries")
+        if not frame_rate > 0:
             raise ValueError("frame_rate must be positive")
+        self.actor_id = actor_id
+        self.frame_rate = frame_rate
+        self.data = data
 
     def __len__(self):
-        return len(self.states)
+        return self.data.shape[0]
 
     @property
     def horizon(self):
         """Index of the last state (number of steps)."""
-        return len(self.states) - 1
+        return len(self) - 1
 
     @property
     def dt(self):
         return 1.0 / self.frame_rate
 
-    @cached_property
+    @property
     def positions(self):
-        out = np.array([s.position for s in self.states])
-        out.setflags(write=False)
-        return out
+        """(T, 2) view of the (p_x, p_y) columns."""
+        return self.data[:, 0:3:2]
 
-    @cached_property
+    @property
     def speeds(self):
-        out = np.array([s.speed for s in self.states])
-        out.setflags(write=False)
-        return out
+        return np.hypot(self.data[:, 1], self.data[:, 3])
+
+    @property
+    def dyn_states(self):
+        """(H+1, 4) view of the (p_x, v_x, p_y, v_y) columns."""
+        return self.data[:, :4]
 
     @cached_property
-    def dyn_states(self):
-        """(H+1, 4) array of (p_x, v_x, p_y, v_y) rows."""
-        out = np.array(
-            [
-                (s.position[0], s.velocity[0], s.position[1], s.velocity[1])
-                for s in self.states
-            ]
+    def states(self):
+        """The samples as RawActorState values, built on first use."""
+        return tuple(
+            RawActorState((px, py), (vx, vy), (ax, ay), heading)
+            for px, vx, py, vy, ax, ay, heading in self.data.tolist()
         )
-        out.setflags(write=False)
-        return out
 
 
 @dataclass(frozen=True)
@@ -162,6 +181,17 @@ class TaskDataset:
     @property
     def max_horizon(self):
         return max(tr.horizon for tr in self.trajectories)
+
+    @cached_property
+    def _padded(self):
+        """(m, H+1, 4) dynamics states, NaN past each track's end, and horizons."""
+        horizons = np.array([tr.horizon for tr in self.trajectories])
+        out = np.full((len(horizons), horizons.max() + 1, 4), np.nan)
+        for row, tr in zip(out, self.trajectories):
+            row[: len(tr)] = tr.dyn_states
+        out.setflags(write=False)
+        horizons.setflags(write=False)
+        return out, horizons
 
 
 @dataclass(frozen=True)
@@ -202,12 +232,31 @@ class TimeSlice:
         return self.hull_states.shape[0]
 
 
-def _parse_float(row_num, name, value):
-    try:
-        out = float(value)
-    except (TypeError, ValueError):
-        raise ParseError(f"row {row_num}: column {name!r} is not numeric: {value!r}") from None
-    return out
+def _scan(rows, first_row, where):
+    """Raise the ParseError naming the first malformed row of a batch."""
+    for row_num, row in enumerate(rows, start=first_row):
+        # a short row reads None past its end, as csv.DictReader fills it
+        cell = {name: row[i] if i < len(row) else None for name, i in where.items()}
+        if not cell["trackId"]:
+            raise ParseError(f"row {row_num}: empty trackId")
+        try:
+            frame = int(cell["frame"])
+        except (TypeError, ValueError):
+            raise ParseError(f"row {row_num}: frame is not an integer: {cell['frame']!r}") from None
+        if frame < 0:
+            raise ParseError(f"row {row_num}: negative frame {frame}")
+        values = {}
+        for name in REQUIRED_COLUMNS[2:]:
+            try:
+                values[name] = float(cell[name])
+            except (TypeError, ValueError):
+                raise ParseError(f"row {row_num}: column {name!r} is not numeric: "
+                                 f"{cell[name]!r}") from None
+        for name, value in values.items():
+            if not math.isfinite(value):
+                raise ParseError(f"row {row_num}: column {name!r} is not finite: {cell[name]!r}")
+    # every row is well formed, so the batch failed on a frame beyond 64 bits
+    raise ParseError(f"rows {first_row}-{first_row + len(rows) - 1}: frame out of range")
 
 
 def load_trajectories(path, frame_rate=25.0):
@@ -215,44 +264,41 @@ def load_trajectories(path, frame_rate=25.0):
 
     The file must carry at least the REQUIRED_COLUMNS header names; extra
     columns (as in full inD tracks exports) are ignored.  Frames for each
-    actor must form a contiguous range once sorted.
+    actor must form a contiguous range once sorted.  Rows are converted by
+    column in batches; a batch that fails a check is scanned row by row.
     """
-    per_actor = {}
+    codes, parts = {}, []  # trackId -> order of first appearance; batches
     with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames is None:
+        reader = csv.reader(fh)
+        header = next(reader, None)
+        if header is None:
             raise ParseError(f"{path}: empty file, expected a CSV header")
-        missing = [c for c in REQUIRED_COLUMNS if c not in reader.fieldnames]
+        missing = [c for c in REQUIRED_COLUMNS if c not in header]
         if missing:
             raise ParseError(f"{path}: header is missing columns {missing}")
-        for row_num, row in enumerate(reader, start=2):
-            actor = row["trackId"]
-            if actor is None or actor == "":
-                raise ParseError(f"row {row_num}: empty trackId")
+        # a repeated column name reads its last copy, as csv.DictReader does
+        where = {name: i for i, name in enumerate(header) if name in REQUIRED_COLUMNS}
+        rows = filter(None, reader)  # blank lines are skipped and not counted
+        row_num = 2
+        for batch in iter(lambda: list(islice(rows, CHUNK_ROWS)), []):
+            n = len(batch)
             try:
-                frame = int(row["frame"])
-            except (TypeError, ValueError):
-                raise ParseError(
-                    f"row {row_num}: frame is not an integer: {row['frame']!r}"
-                ) from None
-            if frame < 0:
-                raise ParseError(f"row {row_num}: negative frame {frame}")
-            state = RawActorState(
-                position=(
-                    _parse_float(row_num, "xCenter", row["xCenter"]),
-                    _parse_float(row_num, "yCenter", row["yCenter"]),
-                ),
-                velocity=(
-                    _parse_float(row_num, "xVelocity", row["xVelocity"]),
-                    _parse_float(row_num, "yVelocity", row["yVelocity"]),
-                ),
-                acceleration=(
-                    _parse_float(row_num, "xAcceleration", row["xAcceleration"]),
-                    _parse_float(row_num, "yAcceleration", row["yAcceleration"]),
-                ),
-                heading=_parse_float(row_num, "heading", row["heading"]),
-            )
-            per_actor.setdefault(actor, []).append((frame, state))
+                # zip stops at the shortest row, so a short row drops a column
+                fields = list(zip(*batch))
+                ids = fields[where["trackId"]]
+                frames = np.fromiter(map(int, fields[where["frame"]]), np.int64, n)
+                cells = chain.from_iterable(fields[where[c]] for c in _DATA_COLUMNS)
+                states = np.fromiter(map(float, cells), float, 7 * n).reshape(7, n).T
+                valid = "" not in ids and frames.min() >= 0 and np.isfinite(states).all()
+            except (IndexError, ValueError, OverflowError):
+                valid = False
+            if not valid:
+                _scan(batch, row_num, where)
+            code = np.fromiter((codes.setdefault(a, len(codes)) for a in ids), np.int64, n)
+            parts.append((code, frames, states))
+            row_num += n
+    if not parts:
+        return []
 
     def sort_key(actor):
         try:
@@ -260,16 +306,25 @@ def load_trajectories(path, frame_rate=25.0):
         except ValueError:
             return (1, 0, actor)
 
-    out = []
-    for actor in sorted(per_actor, key=sort_key):
-        rows = sorted(per_actor[actor], key=lambda fs: fs[0])
-        frames = [f for f, _ in rows]
-        for prev, nxt in zip(frames, frames[1:]):
-            if nxt == prev:
-                raise ParseError(f"actor {actor}: duplicate frame {nxt}")
-            if nxt != prev + 1:
-                raise GapError(f"actor {actor}: missing frame {prev + 1}")
-        out.append(Trajectory(actor, frame_rate, tuple(s for _, s in rows)))
+    actors = sorted(codes, key=sort_key)
+    rank = np.empty(len(actors), dtype=np.int64)
+    rank[[codes[a] for a in actors]] = np.arange(len(actors))
+    code, frames, states = (np.concatenate(column) for column in zip(*parts))
+    rank = rank[code]
+    order = np.lexsort((frames, rank))
+    rank, frames, states = rank[order], frames[order], states[order]
+    states.setflags(write=False)
+    bad = np.flatnonzero((rank[1:] == rank[:-1]) & (np.diff(frames) != 1))
+    # actors sort before the first bad one build first, so their own errors win
+    stop = rank[bad[0]] if bad.size else len(actors)
+    bounds = np.searchsorted(rank, np.arange(stop + 1))
+    out = [Trajectory(actor, frame_rate, states[bounds[k] : bounds[k + 1]])
+           for k, actor in enumerate(actors[:stop])]
+    if bad.size:
+        prev, nxt = int(frames[bad[0]]), int(frames[bad[0] + 1])
+        if nxt == prev:
+            raise ParseError(f"actor {actors[stop]}: duplicate frame {nxt}")
+        raise GapError(f"actor {actors[stop]}: missing frame {prev + 1}")
     return out
 
 
@@ -286,27 +341,22 @@ def filter_task(trajectories, start, end, min_speed=0.5):
     end = end if isinstance(end, Region) else Region(end)
     kept = []
     for tr in trajectories:
-        inside = [i for i, s in enumerate(tr.states) if start.covers(s.position)]
-        if not inside:
+        inside = np.flatnonzero(signed_violations(start.halfspaces, tr.positions) <= REGION_TOL)
+        if not inside.size:
             continue
-        first = inside[0]
-        segment = tr.states[first:]
-        if len(segment) < 2:
+        first = int(inside[0])
+        if len(tr) - first < 2:
             log.warning(
                 "actor %s: only %d state(s) after start-region entry; dropped",
                 tr.actor_id,
-                len(segment),
+                len(tr) - first,
             )
             continue
-        if not end.covers(segment[-1].position):
+        if not end.covers(tr.positions[-1]):
             continue
-        if max(s.speed for s in segment) < min_speed:
+        if tr.speeds[first:].max() < min_speed:
             continue
-        kept.append(
-            tr
-            if first == 0
-            else Trajectory(tr.actor_id, tr.frame_rate, segment)
-        )
+        kept.append(Trajectory(tr.actor_id, tr.frame_rate, tr.data[first:]))
     if not kept:
         raise EmptyTask("no trajectory satisfies the task predicate")
     return TaskDataset(tuple(kept), Task(start, end, float(min_speed)))
@@ -316,12 +366,10 @@ def slice_at(dataset, t, transform=POSITION_TRANSFORM):
     """Hull states of every trajectory still alive at time t."""
     if t < 0:
         raise ValueError("time index must be non-negative")
-    points = [
-        transform.selector @ tr.dyn_states[t]
-        for tr in dataset.trajectories
-        if tr.horizon >= t
-    ]
-    return TimeSlice(t, np.array(points) if points else np.zeros((0, 2)))
+    states, horizons = dataset._padded
+    if t >= states.shape[1]:
+        return TimeSlice(t, np.zeros((0, 2)))
+    return TimeSlice(t, states[horizons >= t, t] @ transform.selector.T)
 
 
 def load_task(path):

@@ -20,10 +20,6 @@ import numpy as np
 NX = 4  # state dimension
 NU = 2  # control dimension
 
-# Selector extracting planar position (the hull state) from a state vector.
-POSITION_SELECTOR = np.array([[1.0, 0.0, 0.0, 0.0], [0.0, 0.0, 1.0, 0.0]])
-POSITION_SELECTOR.flags.writeable = False
-
 
 class NonPositiveParameter(ValueError):
     """dt and mass must both be strictly positive."""

@@ -4,7 +4,9 @@ For each time t the positions of all trajectories still alive at t form a
 point cloud; its convex hull W_t is one cross-section of the tube.  The
 tube stops at the last t where at least three trajectories remain, so
 every cross-section is a genuine 2-d polygon.  Tubes serialize to JSON
-with 12 significant digits and round-trip bit-exactly.
+with 12 significant digits.  Reading a tube back re-checks each hull's
+vertices against its half-spaces to 1e-9, which that rounding can exceed
+far from the origin, so a written tube does not always read back.
 """
 
 import json

@@ -1,10 +1,15 @@
 """Command line behavior: exit codes, round trips, SVG output."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import natset
 from natset.cli import main
 from natset.natset import read_natset
 from natset.projection import read_projection
@@ -120,6 +125,64 @@ def test_build_exit_2_names_bad_line(tmp_path, scene, capsys):
     )
     assert code == 2
     assert "row 6" in err
+
+
+@pytest.mark.parametrize("bad", ["nan", "inf"])
+def test_build_exit_2_names_non_finite_row(tmp_path, scene, capsys, bad):
+    _, paths, _ = scene
+    lines = paths["tracks"].read_text().splitlines()
+    fields = lines[7].split(",")
+    fields[5] = bad  # yVelocity
+    lines[7] = ",".join(fields)
+    tracks = tmp_path / "nonfinite.csv"
+    tracks.write_text("\n".join(lines) + "\n")
+    code, _, err = run(
+        [
+            "build",
+            "--tracks", str(tracks),
+            "--task", str(paths["task"]),
+            "--out", str(tmp_path / "tube.json"),
+        ],
+        capsys,
+    )
+    assert code == 2
+    assert "row 8" in err and "yVelocity" in err
+
+
+DEMO_OUT = Path(__file__).resolve().parents[1] / "demos" / "out"
+
+
+def test_build_reproduces_committed_demo_tube(tmp_path, capsys):
+    scene_dir = DEMO_OUT / "scene"
+    out = tmp_path / "tube.json"
+    code, _, _ = run(
+        [
+            "build",
+            "--tracks", str(scene_dir / "tracks.csv"),
+            "--task", str(scene_dir / "task.json"),
+            "--out", str(out),
+        ],
+        capsys,
+    )
+    assert code == 0
+    assert out.read_bytes() == (DEMO_OUT / "tube.json").read_bytes()
+
+
+def run_module(*args):
+    env = dict(os.environ, PYTHONPATH=str(Path(natset.__file__).parents[1]))
+    return subprocess.run(
+        [sys.executable, "-m", "natset.cli", *args],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+
+
+def test_python_dash_m_runs_the_cli():
+    shown = run_module("--help")
+    assert shown.returncode == 0
+    assert shown.stdout.startswith("usage: natset")
+    unknown = run_module("frobnicate")
+    assert unknown.returncode == 2
+    assert "invalid choice" in unknown.stderr
 
 
 def test_build_exit_2_on_missing_input(tmp_path, capsys):

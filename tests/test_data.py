@@ -1,12 +1,16 @@
+import csv
+
 import numpy as np
 import pytest
 
+from natset import data
 from natset.data import (
     EmptyTask,
     GapError,
     HullTransform,
     POSITION_TRANSFORM,
     ParseError,
+    REQUIRED_COLUMNS,
     RawActorState,
     Region,
     Trajectory,
@@ -211,3 +215,187 @@ def test_trajectory_requires_two_states():
 def test_raw_state_rejects_nan():
     with pytest.raises(ValueError):
         RawActorState((np.nan, 0.0), (0.0, 0.0), (0.0, 0.0), 0.0)
+
+
+# --- columnar ingest against a per-row reference -------------------------
+
+IND_EXTRA = ("recordingId", "trackLifetime", "width", "length", "lonVelocity", "latVelocity")
+# Trajectory.data columns, by their CSV names
+DATA_ORDER = ("xCenter", "xVelocity", "yCenter", "yVelocity", "xAcceleration",
+              "yAcceleration", "heading")
+
+
+def reference_load(path):
+    """[(trackId, (T, 7) array)] read row by row with csv.DictReader."""
+    per_actor = {}
+    with open(path, newline="", encoding="utf-8") as fh:
+        for rec in csv.DictReader(fh):
+            values = [float(rec[name]) for name in DATA_ORDER]
+            per_actor.setdefault(rec["trackId"], []).append((int(rec["frame"]), values))
+    # integer ids first, by value; then the rest, by text
+    order = sorted(per_actor, key=lambda a: (0, int(a), a) if a.isdigit() else (1, 0, a))
+    return [(a, np.array([v for _, v in sorted(per_actor[a])])) for a in order]
+
+
+def write_shuffled_recording(path, seed):
+    rng = np.random.default_rng(seed)
+    header = list(REQUIRED_COLUMNS) + list(IND_EXTRA)
+    rng.shuffle(header)
+    ids = ["12", "3", "100", "ped_b", "ped_a", "7", "bike"]
+    lines = []
+    for actor in ids:
+        for frame in range(int(rng.integers(2, 40))):
+            rec = {name: repr(float(v)) for name, v in zip(header, rng.normal(0, 30, len(header)))}
+            rec.update(trackId=actor, frame=str(frame), recordingId="0")
+            lines.append(",".join(rec[name] for name in header) + "\n")
+    rng.shuffle(lines)
+    return write_csv(path, lines, header=",".join(header) + "\n")
+
+
+@pytest.mark.parametrize("chunk_rows", [7, 4096])
+@pytest.mark.parametrize("seed", [0, 1])
+def test_load_matches_per_row_reference(tmp_path, monkeypatch, seed, chunk_rows):
+    monkeypatch.setattr(data, "CHUNK_ROWS", chunk_rows)
+    p = write_shuffled_recording(tmp_path / "rec.csv", seed)
+    expected = reference_load(p)
+    trajs = load_trajectories(p, frame_rate=10.0)
+    assert [tr.actor_id for tr in trajs] == [a for a, _ in expected]
+    assert [tr.actor_id for tr in trajs][:4] == ["3", "7", "12", "100"]
+    for tr, (_, ref) in zip(trajs, expected):
+        assert len(tr) == len(ref)
+        assert np.array_equal(tr.data, ref)
+        assert tr.states == tuple(
+            RawActorState((px, py), (vx, vy), (ax, ay), hd)
+            for px, vx, py, vy, ax, ay, hd in ref.tolist()
+        )
+
+
+BAD_ROWS = {
+    "non-integer frame": ("1,2.5,0.0,0.0,1.0,0.0,0.0,0.0,0.0\n", "row 11: frame is not an integer"),
+    "negative frame": ("1,-3,0.0,0.0,1.0,0.0,0.0,0.0,0.0\n", "row 11: negative frame -3"),
+    "empty trackId": (",9,0.0,0.0,1.0,0.0,0.0,0.0,0.0\n", "row 11: empty trackId"),
+    "short row": ("1,9,0.0\n", "row 11: column 'yCenter' is not numeric: None"),
+    "NaN": ("1,9,0.0,nan,1.0,0.0,0.0,0.0,0.0\n", "row 11: column 'yCenter' is not finite"),
+    "inf": ("1,9,0.0,0.0,1.0,0.0,0.0,0.0,-inf\n", "row 11: column 'heading' is not finite"),
+}
+
+
+@pytest.mark.parametrize("later", [row("2", 5, 0.0, 1.0), "1,x,,,,,,,\n"])
+@pytest.mark.parametrize("case", sorted(BAD_ROWS))
+def test_load_names_the_bad_row(tmp_path, monkeypatch, case, later):
+    # batches of four rows: the bad row is the second of the third batch,
+    # after a blank line that is not counted, and before a good or bad row
+    monkeypatch.setattr(data, "CHUNK_ROWS", 4)
+    line, message = BAD_ROWS[case]
+    rows = [row("1", f, 0.1 * f, 0.0) for f in range(5)] + ["\n"]
+    rows += [row("2", f, 0.1 * f, 1.0) for f in range(4)] + [line]
+    rows += [row("2", 4, 0.0, 1.0), later]
+    with pytest.raises(ParseError, match=message):
+        load_trajectories(write_csv(tmp_path / "bad.csv", rows))
+
+
+@pytest.mark.parametrize(
+    "frames, error, message",
+    [
+        ([0, 1, 1, 2], ParseError, "actor car: duplicate frame 1"),
+        ([0, 1, 3], GapError, "actor car: missing frame 2"),
+    ],
+)
+def test_load_names_the_bad_actor(tmp_path, frames, error, message):
+    # "zed" is broken too and comes first in the file, but "car" sorts first
+    rows = [row("car", f, 0.0, 0.0) for f in frames] + [row("zed", f, 0.0, 0.0) for f in (0, 0)]
+    with pytest.raises(error) as err:
+        load_trajectories(write_csv(tmp_path / "frames.csv", rows[::-1]))
+    assert str(err.value) == message
+
+
+def test_load_reports_actors_in_sorted_order(tmp_path):
+    # actor 1 is too short and sorts before actor 2, whose frames have a gap
+    rows = [row("2", f, 0.0, 0.0) for f in (0, 2)] + [row("1", 0, 0.0, 0.0)]
+    with pytest.raises(ValueError, match="'1' has fewer than 2 states"):
+        load_trajectories(write_csv(tmp_path / "short.csv", rows))
+
+
+def test_load_repeated_column_reads_its_last_copy(tmp_path):
+    header = HEADER.rstrip("\n") + ",xCenter\n"
+    lines = [row("1", f, 0.0, 0.0).rstrip("\n") + f",{f + 10.0}\n" for f in range(2)]
+    (tr,) = load_trajectories(write_csv(tmp_path / "twice.csv", lines, header))
+    assert tr.positions[:, 0].tolist() == [10.0, 11.0]
+
+
+# --- array-backed trajectories --------------------------------------------
+
+
+def test_trajectory_is_array_backed():
+    tr = walk("a", [(0.0, 1.0), (2.0, 3.0), (4.0, 5.0)], speed=2.0)
+    assert tr.data.shape == (3, 7) and not tr.data.flags.writeable
+    assert np.shares_memory(tr.dyn_states, tr.data)
+    assert np.array_equal(tr.dyn_states[2], [4.0, 2.0, 5.0, 0.0])
+    assert np.array_equal(tr.positions, [[0.0, 1.0], [2.0, 3.0], [4.0, 5.0]])
+    again = Trajectory("a", 25.0, tr.data)
+    assert again.data is tr.data and again.states == tr.states
+
+
+def test_trajectory_copies_a_writable_array():
+    arr = np.zeros((3, 7))
+    tr = Trajectory("a", 25.0, arr)
+    arr[0, 0] = 9.0
+    assert tr.data[0, 0] == 0.0
+    assert arr.flags.writeable
+
+
+def test_trajectory_rejects_bad_arrays():
+    with pytest.raises(ValueError, match="non-finite"):
+        Trajectory("a", 25.0, np.array([[0.0] * 7, [np.inf] + [0.0] * 6]))
+    with pytest.raises(ValueError, match="7"):
+        Trajectory("a", 25.0, np.zeros((3, 4)))
+
+
+def test_filter_trims_without_copying():
+    start, end = square(0.0, 0.0), square(8.0, 0.0)
+    tr = walk("a", [(-2.0, 0.5), (-1.0, 0.5), (0.5, 0.5), (4.0, 0.5), (8.5, 0.5)])
+    (kept,) = filter_task([tr], start, end).trajectories
+    assert np.shares_memory(kept.data, tr.data)
+    assert np.array_equal(kept.data, tr.data[2:])
+
+
+def reference_filter(trajectories, start, end, min_speed):
+    """The task predicate, one sample at a time."""
+    kept = []
+    for tr in trajectories:
+        entry = next((i for i, s in enumerate(tr.states) if start.covers(s.position)), None)
+        if entry is None or len(tr) - entry < 2 or not end.covers(tr.states[-1].position):
+            continue
+        if max(s.speed for s in tr.states[entry:]) >= min_speed:
+            kept.append((tr.actor_id, tr.data[entry:]))
+    return kept
+
+
+def test_filter_matches_per_sample_reference():
+    rng = np.random.default_rng(11)
+    start, end = square(0.0, 0.0, side=2.0), square(6.0, 0.0, side=2.0)
+    trajs = []
+    for i in range(200):
+        n = int(rng.integers(2, 12))
+        p0, p1 = rng.uniform(-1.0, 3.0, 2), rng.uniform([5.0, -0.5], [8.5, 2.5])
+        trajs.append(walk(str(i), np.linspace(p0, p1, n), speed=float(rng.uniform(0.0, 1.5))))
+    expected = reference_filter(trajs, start, end, 0.5)
+    got = filter_task(trajs, start, end, 0.5).trajectories
+    assert 0 < len(got) < len(trajs)
+    assert [tr.actor_id for tr in got] == [a for a, _ in expected]
+    for tr, (_, ref) in zip(got, expected):
+        assert np.array_equal(tr.data, ref)
+
+
+def test_slice_matches_per_trajectory_reference():
+    start, end = square(0.0, 0.0), square(8.0, 0.0)
+    rng = np.random.default_rng(5)
+    trajs = [walk(str(i), np.linspace(rng.uniform(0.1, 0.9, 2), [8.5, 0.5], n), speed=n)
+             for i, n in enumerate([4, 9, 2, 7, 9, 5])]
+    ds = filter_task(trajs, start, end)
+    velocity = HullTransform([[0.0, 1.0, 0.0, 0.0], [0.0, 0.0, 0.0, 1.0]])
+    for transform in (POSITION_TRANSFORM, velocity):
+        for t in range(ds.max_horizon + 2):
+            ref = [transform.selector @ tr.dyn_states[t] for tr in ds.trajectories if tr.horizon >= t]
+            got = slice_at(ds, t, transform).hull_states
+            assert np.array_equal(got, np.array(ref).reshape(-1, 2))

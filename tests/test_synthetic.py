@@ -1,5 +1,7 @@
 """Synthetic scenario generators: determinism, task compatibility, shape."""
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -30,6 +32,14 @@ def test_generation_is_deterministic(tmp_path):
     assert a["tracks"].read_bytes() == b["tracks"].read_bytes()
     assert a["task"].read_bytes() == b["task"].read_bytes()
     assert a["candidate"].read_bytes() == b["candidate"].read_bytes()
+
+
+def test_default_scene_reproduces_committed_demo_files(tmp_path):
+    committed = Path(__file__).resolve().parents[1] / "demos" / "out" / "scene"
+    paths = write_scenario(default_spec("curved_road", count=40, seed=7), tmp_path)
+    assert sorted(paths) == ["candidate", "task", "tracks"]
+    for path in paths.values():
+        assert path.read_bytes() == (committed / path.name).read_bytes()
 
 
 def test_different_seeds_differ(tmp_path):
