@@ -58,9 +58,7 @@ from .projection import (
 from .qpsolver import (
     QPSolution,
     QuadraticProgram,
-    SolverSettings,
     SolverStatus,
-    enumerate_oracle,
     solve,
 )
 from .synthetic import (
@@ -92,7 +90,6 @@ __all__ = [
     "Region",
     "ScenarioSpec",
     "SolverFailure",
-    "SolverSettings",
     "SolverStatus",
     "Task",
     "TaskDataset",
@@ -103,7 +100,6 @@ __all__ = [
     "contains",
     "default_spec",
     "double_integrator",
-    "enumerate_oracle",
     "extent_along",
     "filter_task",
     "generate_scenario",

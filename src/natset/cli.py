@@ -11,7 +11,6 @@ failure.
 import argparse
 import json
 import sys
-from dataclasses import dataclass, field
 from pathlib import Path
 
 from .data import (
@@ -38,7 +37,6 @@ from .projection import (
     read_projection,
     write_projection,
 )
-from .qpsolver import SolverSettings
 from .svgfig import write_svg
 from .synthetic import ScenarioSpec, default_spec, write_scenario
 
@@ -49,87 +47,73 @@ EXIT_OUTSIDE = 4
 EXIT_SOLVER = 5
 
 
-@dataclass
-class RunConfig:
-    """Resolved paths and flags for one command invocation."""
-
-    tracks: Path = None
-    task: Path = None
-    natset: Path = None
-    candidate: Path = None
-    projection: Path = None
-    out: Path = None
-    trim: int = 0
-    relax_initial: bool = False
-    dyn: object = None
-    settings: SolverSettings = field(default_factory=SolverSettings)
-
-    def require(self, *names):
-        for name in names:
-            path = getattr(self, name)
-            if path is None or not Path(path).exists():
-                raise ParseError(f"input file for --{name.replace('_', '-')} not found: {path}")
+def _require(args, *names):
+    for name in names:
+        path = getattr(args, name)
+        if path is None or not Path(path).exists():
+            raise ParseError(f"input file for --{name.replace('_', '-')} not found: {path}")
 
 
-def cmd_build(config):
-    config.require("tracks", "task")
-    start, end, min_speed, frame_rate = load_task(config.task)
-    trajectories = load_trajectories(config.tracks, frame_rate=frame_rate)
+def cmd_build(args):
+    _require(args, "tracks", "task")
+    start, end, min_speed, frame_rate = load_task(args.task)
+    trajectories = load_trajectories(args.tracks, frame_rate=frame_rate)
     dataset = filter_task(trajectories, start, end, min_speed)
-    natset = build_natset(dataset, trim=config.trim)
-    write_natset(natset, config.out)
+    natset = build_natset(dataset, trim=args.trim)
+    write_natset(natset, args.out)
     print(f"trajectories: {len(dataset)}")
     print(f"horizon: {natset.horizon}")
     print(f"{'t':>4} {'support':>8} {'area':>12}")
     for row in natset_stats(natset):
         print(f"{row['t']:>4} {row['support']:>8} {row['area']:>12.6f}")
-    print(f"wrote {config.out}")
+    print(f"wrote {args.out}")
     return EXIT_OK
 
 
-def cmd_project(config):
-    config.require("natset", "candidate")
-    natset = read_natset(config.natset)
-    trajectories = load_trajectories(config.candidate, frame_rate=1.0 / natset.dt)
+def cmd_project(args):
+    dyn = _parse_dyn(args.dyn)
+    _require(args, "natset", "candidate")
+    natset = read_natset(args.natset)
+    trajectories = load_trajectories(args.candidate, frame_rate=1.0 / natset.dt)
     if len(trajectories) != 1:
         raise ParseError(
-            f"{config.candidate}: expected a single candidate trajectory, "
+            f"{args.candidate}: expected a single candidate trajectory, "
             f"found {len(trajectories)}"
         )
     candidate = CandidateTrajectory.from_trajectory(trajectories[0])
-    result = project(
-        candidate,
-        natset,
-        config.dyn,
-        relax_initial=config.relax_initial,
-        settings=config.settings,
-    )
-    write_projection(result, candidate, config.out)
+    result = project(candidate, natset, dyn, relax_initial=args.relax_initial)
+    write_projection(result, candidate, args.out)
     print(f"status: {result.status.value}")
     print(f"objective: {result.objective:.9g}")
-    print(f"wrote {config.out}")
+    print(f"wrote {args.out}")
     return EXIT_OK
 
 
-def cmd_gen_synthetic(spec, out_dir):
-    paths = write_scenario(spec, out_dir)
+def cmd_gen_synthetic(args):
+    overrides = {}
+    if args.horizon is not None:
+        overrides["horizon"] = args.horizon
+    if args.dt is not None:
+        overrides["dt"] = args.dt
+    spec = default_spec(args.kind, count=args.count, seed=args.seed, **overrides)
+    paths = write_scenario(spec, args.out_dir)
     for name in sorted(paths):
         print(f"wrote {paths[name]}")
     return EXIT_OK
 
 
-def cmd_export_svg(config):
-    config.require("natset")
-    natset = read_natset(config.natset)
+def cmd_export_svg(args):
+    _require(args, "natset")
+    natset = read_natset(args.natset)
     natset_doc = {
         "hulls": [{"vertices": h.polygon.vertices.tolist()} for h in natset.hulls]
     }
     projection_doc = None
-    if config.projection is not None:
-        config.require("projection")
-        projection_doc = read_projection(config.projection)
-    write_svg(natset_doc, config.out, projection_doc)
-    print(f"wrote {config.out}")
+    if args.projection is not None:
+        _require(args, "projection")
+        projection_doc = read_projection(args.projection)
+    write_svg(natset_doc, args.out, projection_doc)
+    print(f"wrote {args.out}")
     return EXIT_OK
 
 
@@ -173,10 +157,6 @@ def _build_parser():
     p_proj.add_argument("--dyn", required=True)
     p_proj.add_argument("--out", required=True, type=Path)
     p_proj.add_argument("--relax-initial", action="store_true")
-    p_proj.add_argument("--rho", type=float)
-    p_proj.add_argument("--max-iter", type=int)
-    p_proj.add_argument("--eps-abs", type=float)
-    p_proj.add_argument("--eps-rel", type=float)
 
     p_gen = sub.add_parser("gen", help="generate a synthetic scenario")
     p_gen.add_argument("--kind", required=True)
@@ -193,47 +173,18 @@ def _build_parser():
     return parser
 
 
-def _solver_settings(args):
-    defaults = SolverSettings()
-    return SolverSettings(
-        rho=args.rho if args.rho is not None else defaults.rho,
-        max_iter=args.max_iter if args.max_iter is not None else defaults.max_iter,
-        eps_abs=args.eps_abs if args.eps_abs is not None else defaults.eps_abs,
-        eps_rel=args.eps_rel if args.eps_rel is not None else defaults.eps_rel,
-    )
+COMMANDS = {
+    "build": cmd_build,
+    "project": cmd_project,
+    "gen": cmd_gen_synthetic,
+    "export-svg": cmd_export_svg,
+}
 
 
 def main(argv=None):
     args = _build_parser().parse_args(argv)
     try:
-        if args.command == "build":
-            config = RunConfig(
-                tracks=args.tracks, task=args.task, out=args.out, trim=args.trim
-            )
-            return cmd_build(config)
-        if args.command == "project":
-            config = RunConfig(
-                natset=args.natset,
-                candidate=args.candidate,
-                out=args.out,
-                relax_initial=args.relax_initial,
-                dyn=_parse_dyn(args.dyn),
-                settings=_solver_settings(args),
-            )
-            return cmd_project(config)
-        if args.command == "gen":
-            overrides = {}
-            if args.horizon is not None:
-                overrides["horizon"] = args.horizon
-            if args.dt is not None:
-                overrides["dt"] = args.dt
-            spec = default_spec(args.kind, count=args.count, seed=args.seed, **overrides)
-            return cmd_gen_synthetic(spec, args.out_dir)
-        if args.command == "export-svg":
-            config = RunConfig(
-                natset=args.natset, projection=args.projection, out=args.out
-            )
-            return cmd_export_svg(config)
+        return COMMANDS[args.command](args)
     except (ParseError, GapError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
@@ -250,7 +201,6 @@ def main(argv=None):
         # invalid scenario specs and malformed numeric arguments land here
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
-    raise AssertionError(f"unhandled command {args.command}")
 
 
 def entry():
@@ -258,7 +208,6 @@ def entry():
 
 
 __all__ = [
-    "RunConfig",
     "ScenarioSpec",
     "cmd_build",
     "cmd_export_svg",

@@ -88,8 +88,9 @@ class RawActorState:
 
 class Trajectory:
     """Time-ordered states of one actor, sampled at frame_rate Hz, held in
-    `data`: a read-only (T, 7) array of p_x, v_x, p_y, v_y, a_x, a_y, heading.
-    `states` is such an array (copied unless read-only) or RawActorStates."""
+    `data`: a read-only (T, 7) array, T >= 1, of p_x, v_x, p_y, v_y, a_x,
+    a_y, heading.  `states` is such an array (copied unless read-only) or
+    RawActorStates."""
 
     def __init__(self, actor_id, frame_rate, states):
         if not isinstance(states, np.ndarray):
@@ -99,8 +100,8 @@ class Trajectory:
         if data is states and data.flags.writeable:
             data = data.copy()
         data.setflags(write=False)
-        if len(data) < 2:
-            raise ValueError(f"trajectory {actor_id!r} has fewer than 2 states")
+        if len(data) < 1:
+            raise ValueError(f"trajectory {actor_id!r} has no states")
         if data.ndim != 2 or data.shape[1] != len(_DATA_COLUMNS):
             raise ValueError(f"trajectory {actor_id!r}: states must be a (T, 7) array")
         if not np.isfinite(data).all():

@@ -12,16 +12,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import HullTransform, ParseError, Trajectory
+from .data import ParseError, Trajectory
 from .dynamics import condense, rollout
 from .natset import _round12, _round12_nested
 from .geometry import signed_violation
-from .qpsolver import (
-    QPSolution,
-    QuadraticProgram,
-    SolverStatus,
-    solve,
-)
+from .qpsolver import QuadraticProgram, SolverStatus, solve
 
 # membership tolerance for the initial state and the output certificate
 FEAS_TOL = 1e-6
@@ -127,7 +122,7 @@ def _stack_weight(weight, length):
     return np.tile(w, length)
 
 
-def project(candidate, natset, dyn, weight=None, relax_initial=False, settings=None):
+def project(candidate, natset, dyn, weight=None, relax_initial=False):
     """Solve the tube-constrained least-squares projection.
 
     weight optionally scales the four state components in the objective
@@ -165,40 +160,30 @@ def project(candidate, natset, dyn, weight=None, relax_initial=False, settings=N
         P = 2.0 * cm.Gamma.T @ wg
         q = 2.0 * wg.T @ (free - target)
     P = 0.5 * (P + P.T)  # scrub float asymmetry from the triple product
-    # the decision-independent part of the squared distance
-    resid0 = free - target
-    const = float(resid0 @ (resid0 if w is None else w * resid0))
 
     rows, rhs = [], []
     for t in constrained:
         if t == 0:
             continue  # x_init is pinned; its membership was the pre-check
         hs = natset.hulls[t].halfspaces
-        sel_t = sel @ cm.Phi[4 * t : 4 * t + 4]
-        gamma_t = sel @ cm.Gamma[4 * t : 4 * t + 4]
-        coeff = hs.G @ gamma_t
+        coeff = hs.G @ (sel @ cm.Gamma[4 * t : 4 * t + 4])
         limit = hs.h - hs.G @ (sel @ free[4 * t : 4 * t + 4])
-        for i in range(coeff.shape[0]):
-            if np.max(np.abs(coeff[i])) < ZERO_ROW_TOL:
-                # no control influences this row; it is a fact, not a constraint
-                if limit[i] < -1e-9:
-                    raise SolverFailure(
-                        f"hull row {i} at t={t} is violated by {-limit[i]:.6g} m "
-                        "and no control input can change it"
-                    )
-                continue
-            rows.append(coeff[i])
-            rhs.append(limit[i])
+        # rows no control influences are facts, not constraints: check and drop
+        fixed = np.max(np.abs(coeff), axis=1) < ZERO_ROW_TOL
+        broken = np.flatnonzero(fixed & (limit < -1e-9))
+        if broken.size:
+            i = broken[0]
+            raise SolverFailure(
+                f"hull row {i} at t={t} is violated by {-limit[i]:.6g} m "
+                "and no control input can change it"
+            )
+        rows.append(coeff[~fixed])
+        rhs.append(limit[~fixed])
 
-    n = 2 * H_a
-    A = np.array(rows) if rows else np.zeros((0, n))
-    b = np.array(rhs)
+    A = np.concatenate(rows) if rows else np.zeros((0, 2 * H_a))
+    b = np.concatenate(rhs) if rhs else np.zeros(0)
     qp = QuadraticProgram(P, q, A, b)
-
-    # warm start at the unconstrained optimum: exact when nothing is active
-    z_uc = np.linalg.solve(P, -q)
-    warm = QPSolution(z_uc, 0.0, SolverStatus.OPTIMAL, 0, 0.0, 0.0, np.zeros(len(b)))
-    sol = solve(qp, settings=settings, warm_start=warm)
+    sol = solve(qp)
     if sol.status is not SolverStatus.OPTIMAL:
         raise SolverFailure(f"solver returned {sol.status.value}")
 

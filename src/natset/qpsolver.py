@@ -1,10 +1,20 @@
-"""Dense convex quadratic programming via ADMM.
+"""Dense strictly convex quadratic programming by a dual active-set method.
 
-Solves  min 0.5 z'Pz + q'z  subject to  Az <= b  with a single cached
-Cholesky factorization of (P + rho A'A).  Optimal returns carry a KKT
-certificate checked against the original problem data, not the internal
-splitting, so callers can trust the status field.  A brute-force active
-set enumerator is provided for cross-checking small instances in tests.
+Solves  min 0.5 z'Pz + q'z  subject to  Az <= b  for positive definite P
+with the method of Goldfarb and Idnani (Math. Prog. 27, 1983).  It starts
+at the unconstrained optimum -P^{-1}q and adds the most violated row to a
+working set one step at a time, dropping a working row whenever its
+multiplier would turn negative.  Every iterate is dual feasible, so the
+first one that violates no row is the optimum.  A violated row that
+depends linearly on the working set, and that no working multiplier can
+block, proves the program infeasible.
+
+With P = L L' the Cholesky factor kept by the program and N the working
+rows as columns, the method keeps L^{-1} N = Q [R; 0] with Q orthogonal
+and R upper triangular: a row enters by one Householder reflection and
+leaves by Givens rotations.  Optimal returns carry a KKT certificate
+checked against the original problem data, so callers can trust the
+status field.
 """
 
 from dataclasses import dataclass, field
@@ -16,10 +26,6 @@ import scipy.linalg
 
 class DimensionMismatch(ValueError):
     """Problem matrices and vectors have inconsistent shapes."""
-
-
-class NoFeasibleActiveSet(RuntimeError):
-    """Active-set enumeration found no feasible candidate point."""
 
 
 class SolverStatus(Enum):
@@ -36,25 +42,36 @@ def _freeze(arr, ndim, dtype=float):
     return out
 
 
-# KKT certificate tolerances that are independent of solver settings
+# KKT certificate tolerances, checked against the original problem data;
+# stationarity is allowed _STAT_TOL * (1 + max|q|)
+_STAT_TOL = 1e-7
+_FEAS_TOL = 1e-7
 _COMP_SLACK_TOL = 1e-6
 _DUAL_SIGN_TOL = 1e-9
-_INFEAS_TOL = 1e-4
-_CHECK_EVERY = 25
+# a row enters the working set only when violated by more than this
+_VIOL_TOL = 1e-9
+# a violated row depends on the working set when the part of L^{-1} a
+# outside the working span is this small relative to all of L^{-1} a
+_DEPENDENT_TOL = 1e-10
+# active-set steps before solve gives up; the method is finite in exact
+# arithmetic, so the cap only stops cycling driven by rounding
+_MAX_STEPS = 10_000
 
 
 @dataclass(frozen=True)
 class QuadraticProgram:
-    """min 0.5 z'Pz + q'z  s.t.  Az <= b.
+    """min 0.5 z'Pz + q'z  s.t.  Az <= b,  with P positive definite.
 
-    P must be symmetric within 1e-10 and positive semidefinite up to a
-    -1e-8 eigenvalue tolerance.  A may have zero rows (unconstrained).
+    P must be symmetric within 1e-10 and have a Cholesky factor, which is
+    kept as the lower triangular `L` (P = L L') for `solve`.  A may have
+    zero rows (unconstrained).
     """
 
     P: np.ndarray
     q: np.ndarray
     A: np.ndarray
     b: np.ndarray
+    L: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "P", _freeze(self.P, 2))
@@ -74,8 +91,12 @@ class QuadraticProgram:
             raise ValueError("constraints contain non-finite entries")
         if np.max(np.abs(self.P - self.P.T), initial=0.0) > 1e-10:
             raise ValueError("P is not symmetric within 1e-10")
-        if n and np.linalg.eigvalsh(self.P)[0] < -1e-8:
-            raise ValueError("P has an eigenvalue below -1e-8; not convex")
+        try:
+            L = scipy.linalg.cholesky(self.P, lower=True, check_finite=False)
+        except scipy.linalg.LinAlgError:
+            raise ValueError("P is not positive definite; not strictly convex") from None
+        L.setflags(write=False)
+        object.__setattr__(self, "L", L)
 
     @property
     def n(self):
@@ -88,23 +109,6 @@ class QuadraticProgram:
     def objective(self, z):
         z = np.asarray(z, dtype=float)
         return float(0.5 * z @ self.P @ z + self.q @ z)
-
-
-@dataclass(frozen=True)
-class SolverSettings:
-    rho: float = 1.0
-    max_iter: int = 20000
-    eps_abs: float = 1e-7
-    eps_rel: float = 1e-7
-    alpha: float = 1.6  # over-relaxation
-
-    def __post_init__(self):
-        if self.rho <= 0 or self.eps_abs <= 0 or self.eps_rel <= 0:
-            raise ValueError("rho and tolerances must be positive")
-        if self.max_iter <= 0:
-            raise ValueError("max_iter must be positive")
-        if not 0.0 < self.alpha < 2.0:
-            raise ValueError("over-relaxation alpha must lie in (0, 2)")
 
 
 @dataclass(frozen=True)
@@ -132,266 +136,119 @@ def _kkt_residuals(qp, z, lam):
     return stat, viol, comp, lam_min
 
 
-def _certified_optimal(qp, z, lam, settings, q_scale):
+def _drop(Q, R, m, j):
+    """Remove working column j of the m-column factor in place.
+
+    Shifting R's later columns left leaves one subdiagonal entry per
+    column; a Givens rotation of rows (i, i+1) zeroes each, and the same
+    rotation of Q's columns keeps L^{-1} N = Q [R; 0].
+    """
+    R[:m, j : m - 1] = R[:m, j + 1 : m]
+    for i in range(j, m - 1):
+        a, b = R[i, i], R[i + 1, i]
+        h = np.hypot(a, b)
+        G = np.array([[a / h, b / h], [-b / h, a / h]])
+        R[i : i + 2, i : m - 1] = G @ R[i : i + 2, i : m - 1]
+        R[i + 1, i] = 0.0
+        Q[:, i : i + 2] = Q[:, i : i + 2] @ G.T
+
+
+def _add(Q, R, m, w):
+    """Append the row with w = Q' L^{-1} a as working column m, in place.
+
+    One Householder reflection of Q's trailing columns maps w[m:] onto its
+    first axis, which makes the new column of R.
+    """
+    w2 = w[m:]
+    sigma = -np.copysign(np.linalg.norm(w2), w2[0])
+    v = w2.copy()
+    v[0] -= sigma
+    tail = Q[:, m:]
+    tail -= np.outer(tail @ v, v * (2.0 / (v @ v)))
+    R[:m, m] = w[:m]
+    R[m, m] = sigma
+
+
+def solve(qp):
+    """Solve a strictly convex program by the Goldfarb-Idnani method.
+
+    `iterations` counts active-set steps; each adds a violated row to the
+    working set or drops a working row whose multiplier reached zero.
+    Returns INFEASIBLE when a violated row depends linearly on the working
+    set and no working multiplier can block it, and MAX_ITER when the
+    step cap is reached or the final point fails its certificate.
+    """
+    n, k = qp.n, qp.k
+    L = qp.L
+    z = scipy.linalg.cho_solve((L, True), -qp.q, check_finite=False)
+    working = []  # row indices, in R's column order
+    u = np.zeros(0)  # their multipliers
+    Q = R = norms = None  # made when the first row is violated
+    steps = 0
+    status = None
+    while status is None:
+        margins = qp.A @ z - qp.b
+        margins[working] = -np.inf
+        violated = np.flatnonzero(margins > _VIOL_TOL)
+        if not violated.size:
+            status = SolverStatus.OPTIMAL
+            break
+        if Q is None:
+            Q, R = np.eye(n), np.zeros((n, n))
+            norms = np.linalg.norm(qp.A, axis=1)
+            norms[norms == 0.0] = 1.0
+        p = int(violated[np.argmax(margins[violated] / norms[violated])])
+        y = scipy.linalg.solve_triangular(L, qp.A[p], lower=True, check_finite=False)
+        u_p = 0.0
+        while True:
+            if steps == _MAX_STEPS:
+                status = SolverStatus.MAX_ITER
+                break
+            steps += 1
+            m = len(working)
+            w = Q.T @ y
+            w2 = w[m:]
+            r = scipy.linalg.solve_triangular(R[:m, :m], w[:m], check_finite=False)
+            # dual step limit: the first working multiplier to reach zero
+            blocking = np.flatnonzero(r > 0.0)
+            t1, j = np.inf, -1
+            if blocking.size:
+                ratios = u[blocking] / r[blocking]
+                j = int(blocking[np.argmin(ratios)])
+                t1 = float(ratios.min())
+            norm2 = float(w2 @ w2)
+            if np.sqrt(norm2) <= _DEPENDENT_TOL * np.linalg.norm(w):
+                if j < 0:
+                    status = SolverStatus.INFEASIBLE
+                    break
+                t = t1  # dual step only: z stays put
+            else:
+                # primal step limit: row p becomes tight
+                t2 = float(qp.A[p] @ z - qp.b[p]) / norm2
+                t = min(t1, t2)
+                direction = Q[:, m:] @ w2
+                z = z - t * scipy.linalg.solve_triangular(
+                    L, direction, lower=True, trans="T", check_finite=False
+                )
+                if t2 <= t1:
+                    _add(Q, R, m, w)
+                    working.append(p)
+                    u = np.append(u - t * r, u_p + t)
+                    break
+            u = np.delete(u - t * r, j)
+            u_p += t
+            _drop(Q, R, m, j)
+            del working[j]
+
+    lam = np.zeros(k)
+    lam[working] = u
     stat, viol, comp, lam_min = _kkt_residuals(qp, z, lam)
-    stat_tol = settings.eps_abs + min(settings.eps_abs, settings.eps_rel) * q_scale
-    ok = (
-        stat <= stat_tol
-        and viol <= settings.eps_abs
+    certified = (
+        stat <= _STAT_TOL * (1.0 + np.max(np.abs(qp.q), initial=0.0))
+        and viol <= _FEAS_TOL
         and comp <= _COMP_SLACK_TOL
         and lam_min >= -_DUAL_SIGN_TOL
     )
-    return ok, max(viol, 0.0), stat
-
-
-def _polish(qp, Pn, qn, scale, lam_n, margins_n, pn_factor, z_free):
-    """Refine the iterate's working set into an exact KKT point.
-
-    Seeded from the near-active margins, then iterated as an active-set
-    exchange: rows whose multiplier comes back negative are dropped, and
-    rows the equality solve pushes through are added back, until the point
-    is clean or the round budget runs out.  With a positive definite Pn
-    each round is a small Schur-complement solve against the cached factor
-    (z_free = -Pn^{-1} qn); a singular Pn falls back to dense least
-    squares.  Returns (z, lam) in original units, or None; the caller
-    always re-checks the full KKT certificate before trusting the point.
-    """
-    viol = np.max(margins_n, initial=0.0)
-    window = max(1e-6, min(1e-3, viol))
-    active = np.flatnonzero(margins_n >= -window)
-    if active.size > qp.n:
-        order = np.argsort(-margins_n[active], kind="stable")
-        active = np.sort(active[order[: qp.n]])
-    for _ in range(50):
-        rows = qp.A[active]
-        m = active.size
-        if pn_factor is not None:
-            if m:
-                y = scipy.linalg.cho_solve(pn_factor, rows.T, check_finite=False)
-                schur = rows @ y
-                rhs_mu = rows @ z_free - qp.b[active]
-                try:
-                    mu = np.linalg.solve(schur, rhs_mu)
-                except np.linalg.LinAlgError:
-                    mu, *_ = np.linalg.lstsq(schur, rhs_mu, rcond=None)
-                z = z_free - y @ mu
-            else:
-                mu = np.zeros(0)
-                z = z_free
-        else:
-            kkt = np.block([[Pn, rows.T], [rows, np.zeros((m, m))]])
-            rhs = np.concatenate([-qn, qp.b[active]])
-            sol, *_ = np.linalg.lstsq(kkt, rhs, rcond=None)
-            z, mu = sol[: qp.n], sol[qp.n :]
-        if not (np.all(np.isfinite(z)) and np.all(np.isfinite(mu))):
-            return None
-        neg = mu < -_DUAL_SIGN_TOL
-        if np.any(neg):
-            active = active[~neg]
-            continue
-        full = qp.A @ z - qp.b
-        full[active] = 0.0
-        worst = np.max(full, initial=0.0)
-        if worst <= _DUAL_SIGN_TOL:
-            lam = np.zeros(qp.k)
-            lam[active] = scale * mu
-            return z, lam
-        room = qp.n - active.size
-        if room <= 0:
-            return None
-        extra = np.flatnonzero(full > _DUAL_SIGN_TOL)
-        if extra.size > room:
-            order = np.argsort(-full[extra], kind="stable")
-            extra = extra[order[:room]]
-        active = np.union1d(active, extra)
-    return None
-
-
-def _certifies_infeasible(An, bn, dy):
-    # normalized Farkas-style ray test on the dual update direction
-    ray = np.maximum(dy, 0.0)
-    scale = np.max(ray, initial=0.0)
-    if scale <= 1e-12:
-        return False
-    if np.min(dy, initial=0.0) < -_INFEAS_TOL * scale:
-        return False
-    ray = ray / scale
-    return (
-        np.max(np.abs(An.T @ ray), initial=0.0) <= _INFEAS_TOL
-        and float(bn @ ray) < -_INFEAS_TOL
-    )
-
-
-def solve(qp, settings=None, warm_start=None):
-    """Run ADMM on the given program.
-
-    warm_start may be a previous QPSolution for the same problem shape;
-    both the point and the multipliers are reused, and the certificate is
-    checked before any iteration runs, so re-solving a solved problem
-    returns immediately with zero iterations.
-    """
-    cfg = settings if settings is not None else SolverSettings()
-    n, k = qp.n, qp.k
-    rho = cfg.rho
-
-    # Normalize the objective so the iterate path is invariant to scaling
-    # (P, q) -> (tP, tq); rho then acts on a problem of unit magnitude.
-    scale = max(np.max(np.abs(qp.P), initial=0.0), np.max(np.abs(qp.q), initial=0.0))
-    if scale == 0.0:
-        scale = 1.0
-    Pn = qp.P / scale
-    qn = qp.q / scale
-
-    # Equilibrate constraint rows: condensed-dynamics rows can differ in
-    # norm by orders of magnitude, which stalls a single-rho splitting.
-    # The feasible set is unchanged; multipliers are mapped back when
-    # anything user-visible is produced.
-    row_norms = np.linalg.norm(qp.A, axis=1) if k else np.zeros(0)
-    d = np.where(row_norms > 1e-12, row_norms, 1.0)
-    An = qp.A / d[:, None] if k else qp.A
-    bn = qp.b / d if k else qp.b
-
-    def to_original_lam(u_vec):
-        return scale * rho * u_vec / d if k else np.zeros(0)
-
-    kkt = Pn + rho * (An.T @ An)
-    try:
-        factor = scipy.linalg.cho_factor(kkt)
-    except scipy.linalg.LinAlgError:
-        # PSD-but-singular corner; nudge just enough to factor
-        factor = scipy.linalg.cho_factor(kkt + 1e-10 * np.eye(n))
-
-    # strictly convex objectives also get a factor of Pn alone, which lets
-    # the polish step finish from a rough iterate via Schur complement
-    try:
-        pn_factor = scipy.linalg.cho_factor(Pn)
-        z_free = scipy.linalg.cho_solve(pn_factor, -qn)
-    except scipy.linalg.LinAlgError:
-        pn_factor, z_free = None, None
-
-    if warm_start is not None:
-        z = np.array(warm_start.z, dtype=float)
-        lam0 = np.asarray(warm_start.lam, dtype=float)
-        u = (d * lam0 / (scale * rho)) if lam0.shape[0] == k else np.zeros(k)
-        if z.shape[0] != n:
-            raise DimensionMismatch("warm start has wrong dimension")
-    else:
-        z = np.zeros(n)
-        u = np.zeros(k)
-    s = np.minimum(An @ z, bn)
-
-    q_scale = np.max(np.abs(qp.q), initial=0.0)
-    lam = to_original_lam(u)
-    ok, prim, dual = _certified_optimal(qp, z, lam, cfg, q_scale)
-    if ok:
-        return QPSolution(z, qp.objective(z), SolverStatus.OPTIMAL, 0, prim, dual, lam)
-
-    qn_scale = np.max(np.abs(qn), initial=0.0)
-    infeas_streak = 0
-    prim = dual = np.inf
-    failed_polish_key = None
-    for it in range(1, cfg.max_iter + 1):
-        rhs = -qn + rho * (An.T @ (s - u))
-        z = scipy.linalg.cho_solve(factor, rhs, check_finite=False)
-        az = An @ z
-        az_relaxed = cfg.alpha * az + (1.0 - cfg.alpha) * s
-        v = az_relaxed + u
-        s = np.minimum(v, bn)
-        u_next = v - s  # stays >= 0: it is the clipped excess
-        dy = u_next - u
-        u = u_next
-        if it == 1 or it % _CHECK_EVERY == 0 or it == cfg.max_iter:
-            # convergence is judged on the normalized problem so the exit
-            # iteration does not depend on the magnitude of (P, q)
-            lam_n = rho * u
-            margins_n = az - bn
-            viol = np.max(margins_n, initial=0.0)
-            # Once roughly feasible the margin pattern pins down the
-            # active set long before the dual settles, so polish attempts
-            # start early; a wrong guess just fails the certificate and
-            # iteration continues.  An unchanged failing guess is skipped.
-            candidates = []
-            attempted_key = None
-            if viol <= 1e-3:
-                key = np.flatnonzero(margins_n >= -1e-6).tobytes()
-                if key != failed_polish_key:
-                    attempted_key = key
-                    polished = _polish(
-                        qp, Pn, qn, scale, lam_n, margins_n, pn_factor, z_free
-                    )
-                    if polished is not None:
-                        candidates.append(polished)
-            if viol <= cfg.eps_abs:
-                stat_n = np.max(np.abs(Pn @ z + qn + An.T @ lam_n), initial=0.0)
-                comp_n = np.max(np.abs(lam_n * margins_n), initial=0.0)
-                if (
-                    stat_n <= cfg.eps_abs * (1.0 + qn_scale)
-                    and comp_n <= _COMP_SLACK_TOL
-                ):
-                    candidates.append((z, to_original_lam(u)))
-            for cand_z, cand_lam in candidates:
-                ok, prim, dual = _certified_optimal(qp, cand_z, cand_lam, cfg, q_scale)
-                if ok:
-                    return QPSolution(
-                        cand_z,
-                        qp.objective(cand_z),
-                        SolverStatus.OPTIMAL,
-                        it,
-                        prim,
-                        dual,
-                        cand_lam,
-                    )
-            if attempted_key is not None:
-                failed_polish_key = attempted_key
-            infeas_streak = infeas_streak + 1 if _certifies_infeasible(An, bn, dy) else 0
-            if infeas_streak >= 2:
-                lam = to_original_lam(u)
-                ok, prim, dual = _certified_optimal(qp, z, lam, cfg, q_scale)
-                return QPSolution(
-                    z, qp.objective(z), SolverStatus.INFEASIBLE, it, prim, dual, lam
-                )
-    lam = to_original_lam(u)
-    _, prim, dual = _certified_optimal(qp, z, lam, cfg, q_scale)
-    return QPSolution(z, qp.objective(z), SolverStatus.MAX_ITER, cfg.max_iter, prim, dual, lam)
-
-
-def enumerate_oracle(qp):
-    """Exact solve by brute force over all active sets.
-
-    Exponential in the row count, so it refuses k > 16.  For each subset S
-    the equality-constrained KKT system [[P, A_S'], [A_S, 0]] is solved;
-    singular systems are skipped, infeasible candidates discarded, and the
-    best remaining objective wins.  Intended for test-side verification.
-    """
-    n, k = qp.n, qp.k
-    if k > 16:
-        raise ValueError(f"enumeration over 2^{k} active sets refused; need k <= 16")
-    best = None
-    for mask in range(1 << k):
-        idx = [i for i in range(k) if (mask >> i) & 1]
-        m = len(idx)
-        rows = qp.A[idx]
-        kkt = np.zeros((n + m, n + m))
-        kkt[:n, :n] = qp.P
-        kkt[:n, n:] = rows.T
-        kkt[n:, :n] = rows
-        rhs = np.concatenate([-qp.q, qp.b[idx]])
-        try:
-            sol = np.linalg.solve(kkt, rhs)
-        except np.linalg.LinAlgError:
-            continue
-        if not np.all(np.isfinite(sol)):
-            continue
-        z = sol[:n]
-        if np.max(qp.A @ z - qp.b, initial=0.0) > 1e-9:
-            continue
-        obj = qp.objective(z)
-        if best is None or obj < best[0] - 1e-14:
-            lam = np.zeros(k)
-            lam[idx] = sol[n:]
-            best = (obj, z, lam)
-    if best is None:
-        raise NoFeasibleActiveSet("no active set yields a feasible KKT point")
-    obj, z, lam = best
-    stat, viol, _, _ = _kkt_residuals(qp, z, lam)
-    return QPSolution(z, obj, SolverStatus.OPTIMAL, 1 << k, max(viol, 0.0), stat, lam)
+    if status is SolverStatus.OPTIMAL and not certified:
+        status = SolverStatus.MAX_ITER
+    return QPSolution(z, qp.objective(z), status, steps, max(viol, 0.0), stat, lam)

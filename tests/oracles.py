@@ -2,10 +2,17 @@
 
 Nothing here shares code with the package: the hull oracle is a plain O(n*k)
 gift-wrapping march, membership is even-odd ray casting, and both work from
-first principles on raw coordinate lists.
+first principles on raw coordinate lists.  The QP oracle enumerates active
+sets and only borrows the package's result type.
 """
 
 import numpy as np
+
+from natset.qpsolver import QPSolution, SolverStatus
+
+
+class NoFeasibleActiveSet(RuntimeError):
+    """Active-set enumeration found no feasible candidate point."""
 
 
 def gift_wrap(points):
@@ -72,3 +79,46 @@ def in_polygon_raycast(vertices, p, edge_tol=1e-12):
             if x_cross > x:
                 inside = not inside
     return inside
+
+
+def enumerate_oracle(qp):
+    """Exact solve by brute force over all active sets.
+
+    Exponential in the row count, so it refuses k > 16.  For each subset S
+    the equality-constrained KKT system [[P, A_S'], [A_S, 0]] is solved;
+    singular systems are skipped, infeasible candidates discarded, and the
+    best remaining objective wins.  Intended for test-side verification.
+    """
+    n, k = qp.n, qp.k
+    if k > 16:
+        raise ValueError(f"enumeration over 2^{k} active sets refused; need k <= 16")
+    best = None
+    for mask in range(1 << k):
+        idx = [i for i in range(k) if (mask >> i) & 1]
+        m = len(idx)
+        rows = qp.A[idx]
+        kkt = np.zeros((n + m, n + m))
+        kkt[:n, :n] = qp.P
+        kkt[:n, n:] = rows.T
+        kkt[n:, :n] = rows
+        rhs = np.concatenate([-qp.q, qp.b[idx]])
+        try:
+            sol = np.linalg.solve(kkt, rhs)
+        except np.linalg.LinAlgError:
+            continue
+        if not np.all(np.isfinite(sol)):
+            continue
+        z = sol[:n]
+        if np.max(qp.A @ z - qp.b, initial=0.0) > 1e-9:
+            continue
+        obj = qp.objective(z)
+        if best is None or obj < best[0] - 1e-14:
+            lam = np.zeros(k)
+            lam[idx] = sol[n:]
+            best = (obj, z, lam)
+    if best is None:
+        raise NoFeasibleActiveSet("no active set yields a feasible KKT point")
+    obj, z, lam = best
+    stat = np.max(np.abs(qp.P @ z + qp.q + qp.A.T @ lam), initial=0.0)
+    viol = np.max(qp.A @ z - qp.b, initial=0.0)
+    return QPSolution(z, obj, SolverStatus.OPTIMAL, 1 << k, max(viol, 0.0), stat, lam)

@@ -16,10 +16,10 @@ from natset.dynamics import double_integrator, rollout
 from natset.geometry import extent_along, quickhull, signed_violation, to_halfspaces
 from natset.natset import build_natset
 from natset.projection import CandidateTrajectory, naturalism_report, project
-from natset.qpsolver import SolverStatus, enumerate_oracle, solve
+from natset.qpsolver import SolverStatus, solve
 from natset.synthetic import default_spec, generate_scenario, straight_candidate
 
-from oracles import gift_wrap
+from oracles import enumerate_oracle, gift_wrap
 from test_qpsolver import random_qps
 
 VERDICTS = []

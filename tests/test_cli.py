@@ -108,6 +108,25 @@ def test_build_exit_3_on_too_few_trajectories(tmp_path, scene, capsys):
     assert "InsufficientData" in err
 
 
+def test_build_keeps_going_past_a_single_row_actor(tmp_path, scene, capsys):
+    spec, paths, _ = scene
+    lines = paths["tracks"].read_text().splitlines()
+    # a one-row actor inside the start region: loaded, then dropped by the filter
+    lone = tmp_path / "lone.csv"
+    lone.write_text("\n".join(lines + ["999" + lines[1][lines[1].index(","):]]) + "\n")
+    code, stdout, _ = run(
+        [
+            "build",
+            "--tracks", str(lone),
+            "--task", str(paths["task"]),
+            "--out", str(tmp_path / "tube.json"),
+        ],
+        capsys,
+    )
+    assert code == 0
+    assert f"trajectories: {spec.count}" in stdout
+
+
 def test_build_exit_2_names_bad_line(tmp_path, scene, capsys):
     _, paths, _ = scene
     lines = paths["tracks"].read_text().splitlines()
@@ -285,6 +304,41 @@ def test_project_rejects_bad_dyn_string(scene, tmp_path, capsys):
     )
     assert code == 2
     assert "volume" in err
+
+
+def test_project_exit_2_on_one_row_candidate(scene, tmp_path, capsys):
+    spec, paths, _ = scene
+    tube = build_natset_file(scene, capsys)
+    one_row = tmp_path / "one.csv"
+    one_row.write_text("\n".join(paths["candidate"].read_text().splitlines()[:2]) + "\n")
+    code, _, err = run(
+        [
+            "project",
+            "--natset", str(tube),
+            "--candidate", str(one_row),
+            "--dyn", f"dt={spec.dt}",
+            "--out", str(tmp_path / "proj.json"),
+        ],
+        capsys,
+    )
+    assert code == 2
+    assert "candidate must have at least 2 states" in err
+
+
+def test_project_has_no_solver_options(tmp_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(
+            [
+                "project",
+                "--natset", str(tmp_path / "tube.json"),
+                "--candidate", str(tmp_path / "candidate.csv"),
+                "--dyn", "dt=0.1",
+                "--out", str(tmp_path / "proj.json"),
+                "--rho", "1",
+            ]
+        )
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --rho 1" in capsys.readouterr().err
 
 
 def test_export_svg_polygon_count_and_determinism(scene, tmp_path, capsys):

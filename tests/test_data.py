@@ -207,9 +207,11 @@ def test_load_task_rejects_garbage(tmp_path):
         load_task(cfg)
 
 
-def test_trajectory_requires_two_states():
-    with pytest.raises(ValueError):
-        Trajectory("x", 25.0, [RawActorState((0, 0), (0, 0), (0, 0), 0.0)])
+def test_trajectory_requires_one_state():
+    (only,) = Trajectory("x", 25.0, [RawActorState((1, 2), (0, 0), (0, 0), 0.0)]).dyn_states
+    assert only.tolist() == [1.0, 0.0, 2.0, 0.0]
+    with pytest.raises(ValueError, match="'x' has no states"):
+        Trajectory("x", 25.0, [])
 
 
 def test_raw_state_rejects_nan():
@@ -310,10 +312,17 @@ def test_load_names_the_bad_actor(tmp_path, frames, error, message):
 
 
 def test_load_reports_actors_in_sorted_order(tmp_path):
-    # actor 1 is too short and sorts before actor 2, whose frames have a gap
-    rows = [row("2", f, 0.0, 0.0) for f in (0, 2)] + [row("1", 0, 0.0, 0.0)]
-    with pytest.raises(ValueError, match="'1' has fewer than 2 states"):
+    # actor 1 repeats a frame and sorts before actor 2, whose frames have a gap
+    rows = [row("2", f, 0.0, 0.0) for f in (0, 2)] + [row("1", 0, 0.0, 0.0)] * 2
+    with pytest.raises(ParseError, match="actor 1: duplicate frame 0"):
         load_trajectories(write_csv(tmp_path / "short.csv", rows))
+
+
+def test_load_keeps_single_row_actor(tmp_path):
+    rows = [row("1", 7, 3.0, 4.0)] + [row("2", f, 0.0, 0.0) for f in (0, 1)]
+    one, two = load_trajectories(write_csv(tmp_path / "single.csv", rows))
+    assert (one.actor_id, len(one), two.actor_id, len(two)) == ("1", 1, "2", 2)
+    assert one.positions.tolist() == [[3.0, 4.0]]
 
 
 def test_load_repeated_column_reads_its_last_copy(tmp_path):

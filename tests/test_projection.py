@@ -1,7 +1,9 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-from natset.data import RawActorState, Region, Task, TaskDataset, Trajectory
+from natset.data import RawActorState, Region, Task, TaskDataset, Trajectory, filter_task
 from natset.dynamics import double_integrator
 from natset.geometry import contains, quickhull, to_halfspaces
 from natset.natset import NaturalisticSet, TimedHull, build_natset
@@ -15,7 +17,10 @@ from natset.projection import (
     read_projection,
     write_projection,
 )
-from natset.qpsolver import QuadraticProgram, SolverSettings, enumerate_oracle
+from natset.qpsolver import QuadraticProgram
+from natset.synthetic import default_spec, generate_scenario, straight_candidate
+
+from oracles import enumerate_oracle
 
 
 def euler_states(p0, v0, accels, dt):
@@ -148,23 +153,6 @@ def test_objective_no_worse_than_any_shared_start_member():
     assert res.objective <= dist_sq + 1e-9
 
 
-def test_solver_settings_do_not_move_objective():
-    dt = 0.1
-    family = spread_family(seed=41)
-    ns, _ = tube_from_states(family, dt)
-    dyn = double_integrator(dt=dt, mass=1.0)
-    start = family[2][0]
-    cand = CandidateTrajectory(
-        euler_states(
-            (start[0], start[2]), (start[1], start[3]), np.tile([0.0, -2.5], (8, 1)), dt
-        ),
-        dt,
-    )
-    res1 = project(cand, ns, dyn, settings=SolverSettings(rho=1.0))
-    res2 = project(cand, ns, dyn, settings=SolverSettings(rho=0.37, alpha=1.2))
-    assert res1.objective == pytest.approx(res2.objective, abs=1e-6)
-
-
 def test_horizon_align_examples():
     assert list(horizon_align(7, 11)) == list(range(7))
     assert list(horizon_align(11, 7)) == list(range(7))
@@ -291,3 +279,17 @@ def test_active_constraints_mark_touched_rows():
         np.allclose(hs.G[i], [1.0, 0.0]) and hs.h[i] == pytest.approx(1.0)
         for i in touched
     )
+
+
+def test_straight_candidate_demo_reproduces_committed_projection(tmp_path):
+    # the steps of demos/project_straight_candidate.py
+    spec = default_spec("curved_road", count=40, seed=7)
+    trajectories, task_cfg = generate_scenario(spec)
+    start = Region(quickhull(np.asarray(task_cfg["start_polygon"])))
+    end = Region(quickhull(np.asarray(task_cfg["end_polygon"])))
+    ns = build_natset(filter_task(trajectories, start, end, task_cfg["min_speed"]))
+    candidate = CandidateTrajectory.from_trajectory(straight_candidate(spec))
+    result = project(candidate, ns, double_integrator(spec.dt))
+    write_projection(result, candidate, tmp_path / "projection.json")
+    committed = Path(__file__).resolve().parents[1] / "demos" / "out" / "projection.json"
+    assert (tmp_path / "projection.json").read_bytes() == committed.read_bytes()

@@ -1,16 +1,15 @@
 import numpy as np
 import pytest
 
+from natset import qpsolver
 from natset.qpsolver import (
     DimensionMismatch,
-    NoFeasibleActiveSet,
-    QPSolution,
     QuadraticProgram,
-    SolverSettings,
     SolverStatus,
-    enumerate_oracle,
     solve,
 )
+
+from oracles import NoFeasibleActiveSet, enumerate_oracle
 
 
 def random_qps(count, seed):
@@ -99,27 +98,72 @@ def test_optimal_returns_carry_kkt_certificate():
         assert np.min(lam, initial=0.0) >= -1e-9
 
 
-def test_warm_restart_is_monotone():
-    for qp in random_qps(10, seed=23):
-        first = solve(qp)
-        again = solve(qp, warm_start=first)
-        assert again.status is SolverStatus.OPTIMAL
-        assert again.iterations <= first.iterations
-        assert again.iterations == 0
-
-
 def test_scaling_leaves_minimizer_unchanged():
     for qp in random_qps(10, seed=31):
         scaled = QuadraticProgram(37.0 * qp.P, 37.0 * qp.q, qp.A, qp.b)
         assert np.max(np.abs(solve(qp).z - solve(scaled).z)) < 1e-7
 
 
-def test_max_iter_status():
-    qp = random_qps(1, seed=41)[0]
-    sol = solve(qp, SolverSettings(max_iter=2))
-    assert sol.status in (SolverStatus.MAX_ITER, SolverStatus.OPTIMAL)
-    if sol.status is SolverStatus.MAX_ITER:
-        assert sol.iterations == 2
+def degenerate_qps(count, seed):
+    """Random programs whose rows repeat, or point against, earlier rows.
+
+    Multiples are powers of two, so a row parallel to another is parallel in
+    floating point too and the oracle's KKT systems are singular exactly
+    where they should be.  Row norms span about four decades, which a
+    dependence test must not mistake for independence.  Right-hand sides
+    are arbitrary, so many programs are infeasible.
+    """
+    rng = np.random.default_rng(seed)
+    out = []
+    for _ in range(count):
+        n = int(rng.integers(1, 5))
+        k = int(rng.integers(1, 9))
+        M = rng.standard_normal((n, n))
+        P = M.T @ M + 0.1 * np.eye(n)
+        q = 3.0 * rng.standard_normal(n)
+        A = rng.standard_normal((k, n))
+        for i in range(1, k):
+            kind = rng.random()
+            if kind < 0.4:
+                sign = 1.0 if kind < 0.2 else -1.0
+                A[i] = sign * rng.choice([0.25, 0.5, 1.0, 2.0]) * A[rng.integers(0, i)]
+        A *= 2.0 ** rng.integers(0, 13, size=(k, 1))
+        out.append(QuadraticProgram(P, q, A, rng.standard_normal(k)))
+    return out
+
+
+def test_degenerate_and_infeasible_programs_match_oracle():
+    infeasible = 0
+    for idx, qp in enumerate(degenerate_qps(400, seed=2024)):
+        sol = solve(qp)
+        try:
+            exact = enumerate_oracle(qp)
+        except NoFeasibleActiveSet:
+            infeasible += 1
+            assert sol.status is SolverStatus.INFEASIBLE, idx
+            continue
+        assert sol.status is SolverStatus.OPTIMAL, idx
+        assert abs(sol.objective - exact.objective) <= 1e-8 * (1.0 + abs(exact.objective)), idx
+    assert 100 <= infeasible <= 300  # both outcomes are exercised
+
+
+def test_iterations_count_active_set_steps():
+    # entering z >= 1 is one step; the unconstrained optimum z = 0 is none
+    qp = QuadraticProgram([[2.0]], [0.0], [[-1.0], [1.0]], [-1.0, 5.0])
+    assert solve(qp).iterations == 1
+    free = QuadraticProgram([[2.0]], [0.0], [[1.0]], [5.0])
+    assert solve(free).iterations == 0
+
+
+def test_step_cap_reports_max_iter(monkeypatch):
+    qp = QuadraticProgram(
+        2 * np.eye(2), [-4.0, 0.0], [[1.0, 1.0], [1.0, -1.0]], [1.0, 1.0]
+    )
+    assert solve(qp).iterations == 2
+    monkeypatch.setattr(qpsolver, "_MAX_STEPS", 1)
+    sol = solve(qp)
+    assert sol.status is SolverStatus.MAX_ITER
+    assert sol.iterations == 1
 
 
 def test_dimension_mismatch():
@@ -134,13 +178,8 @@ def test_invalid_objective_rejected():
         QuadraticProgram([[0.0, 1.0], [0.0, 0.0]], [0.0, 0.0], np.zeros((0, 2)), np.zeros(0))
     with pytest.raises(ValueError):
         QuadraticProgram([[-1.0]], [0.0], np.zeros((0, 1)), np.zeros(0))
-
-
-def test_settings_validation():
-    with pytest.raises(ValueError):
-        SolverSettings(rho=0.0)
-    with pytest.raises(ValueError):
-        SolverSettings(alpha=2.0)
+    with pytest.raises(ValueError, match="not positive definite"):
+        QuadraticProgram([[1.0, 1.0], [1.0, 1.0]], [0.0, 0.0], np.zeros((0, 2)), np.zeros(0))
 
 
 def test_oracle_refuses_large_row_count():
