@@ -17,6 +17,7 @@ from itertools import chain, islice
 
 import numpy as np
 
+from .dynamics import POSITIONS
 from .geometry import ConvexPolygon, contains, quickhull, signed_violations, to_halfspaces
 
 log = logging.getLogger(__name__)
@@ -127,7 +128,7 @@ class Trajectory:
     @property
     def positions(self):
         """(T, 2) view of the (p_x, p_y) columns."""
-        return self.data[:, 0:3:2]
+        return self.data[:, POSITIONS]
 
     @property
     def speeds(self):
@@ -185,52 +186,14 @@ class TaskDataset:
 
     @cached_property
     def _padded(self):
-        """(m, H+1, 4) dynamics states, NaN past each track's end, and horizons."""
+        """(m, H+1, 2) positions, NaN past each track's end, and horizons."""
         horizons = np.array([tr.horizon for tr in self.trajectories])
-        out = np.full((len(horizons), horizons.max() + 1, 4), np.nan)
+        out = np.full((len(horizons), horizons.max() + 1, 2), np.nan)
         for row, tr in zip(out, self.trajectories):
-            row[: len(tr)] = tr.dyn_states
+            row[: len(tr)] = tr.positions
         out.setflags(write=False)
         horizons.setflags(write=False)
         return out, horizons
-
-
-@dataclass(frozen=True)
-class HullTransform:
-    """Selector matrix picking hull coordinates out of the dynamics state."""
-
-    selector: np.ndarray
-
-    def __post_init__(self):
-        sel = np.array(self.selector, dtype=float)
-        if sel.ndim != 2 or sel.shape[0] < 1:
-            raise ValueError("selector must be a 2-d matrix")
-        for row in sel:
-            ones = np.flatnonzero(row == 1.0)
-            if len(ones) != 1 or np.any(row[np.arange(len(row)) != ones[0]] != 0.0):
-                raise ValueError("each selector row must be a unit basis vector")
-        sel.setflags(write=False)
-        object.__setattr__(self, "selector", sel)
-
-
-# hull states are planar positions unless a caller says otherwise
-POSITION_TRANSFORM = HullTransform([[1.0, 0.0, 0.0, 0.0], [0.0, 0.0, 1.0, 0.0]])
-
-
-@dataclass(frozen=True)
-class TimeSlice:
-    t: int
-    hull_states: np.ndarray
-
-    def __post_init__(self):
-        pts = np.array(self.hull_states, dtype=float).reshape(-1, 2)
-        pts.setflags(write=False)
-        object.__setattr__(self, "hull_states", pts)
-        if self.t < 0:
-            raise ValueError("time index must be non-negative")
-
-    def __len__(self):
-        return self.hull_states.shape[0]
 
 
 def _scan(rows, first_row, where):
@@ -363,14 +326,14 @@ def filter_task(trajectories, start, end, min_speed=0.5):
     return TaskDataset(tuple(kept), Task(start, end, float(min_speed)))
 
 
-def slice_at(dataset, t, transform=POSITION_TRANSFORM):
-    """Hull states of every trajectory still alive at time t."""
+def slice_at(dataset, t):
+    """Read-only (n, 2) positions of the n trajectories still alive at time t."""
     if t < 0:
         raise ValueError("time index must be non-negative")
-    states, horizons = dataset._padded
-    if t >= states.shape[1]:
-        return TimeSlice(t, np.zeros((0, 2)))
-    return TimeSlice(t, states[horizons >= t, t] @ transform.selector.T)
+    positions, horizons = dataset._padded
+    pts = positions[horizons >= t, t] if t < positions.shape[1] else np.zeros((0, 2))
+    pts.setflags(write=False)
+    return pts
 
 
 def load_task(path):

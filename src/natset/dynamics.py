@@ -19,6 +19,8 @@ import numpy as np
 
 NX = 4  # state dimension
 NU = 2  # control dimension
+# the hull coordinates (p_x, p_y): the columns of a state that tubes bound
+POSITIONS = slice(0, NX, 2)
 
 
 class NonPositiveParameter(ValueError):
@@ -91,17 +93,17 @@ def condense(dyn: LinearDynamics, horizon: int) -> CondensedMap:
     """
     if horizon < 1:
         raise ValueError(f"horizon must be >= 1, got {horizon}")
-    n = (horizon + 1) * NX
-    Phi = np.empty((n, NX))
     powers = [np.eye(NX)]
     for _ in range(horizon):
         powers.append(dyn.A @ powers[-1])
-    for t in range(horizon + 1):
-        Phi[t * NX : (t + 1) * NX] = powers[t]
-    Gamma = np.zeros((n, horizon * NU))
-    for t in range(1, horizon + 1):
-        for k in range(t):
-            Gamma[t * NX : (t + 1) * NX, k * NU : (k + 1) * NU] = powers[t - 1 - k] @ dyn.B
+    Phi = np.concatenate(powers)
+    # block (t, k) of Gamma depends on the lag t-1-k only, so each A^j B is
+    # formed once and column block k takes the lags 0 .. horizon-1-k
+    lagged = np.array([p @ dyn.B for p in powers[:horizon]])
+    Gamma = np.zeros(((horizon + 1) * NX, horizon * NU))
+    blocks = Gamma.reshape(horizon + 1, NX, horizon, NU)
+    for k in range(horizon):
+        blocks[k + 1 :, :, k] = lagged[: horizon - k]
     Phi.flags.writeable = False
     Gamma.flags.writeable = False
     return CondensedMap(Phi=Phi, Gamma=Gamma, horizon=horizon)

@@ -5,8 +5,9 @@ point cloud; its convex hull W_t is one cross-section of the tube.  The
 tube stops at the last t where at least three trajectories remain, so
 every cross-section is a genuine 2-d polygon.  Tubes serialize to JSON
 with 12 significant digits.  Reading a tube back re-checks each hull's
-vertices against its half-spaces to 1e-9, which that rounding can exceed
-far from the origin, so a written tube does not always read back.
+vertices against its half-spaces to a tolerance that grows with the
+hull's distance from the origin, as that rounding error does, so every
+tube the package writes reads back.
 """
 
 import json
@@ -14,18 +15,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .data import (
-    POSITION_TRANSFORM,
-    HullTransform,
-    ParseError,
-    Trajectory,
-    slice_at,
-)
+from .data import ParseError, Trajectory, slice_at
+from .dynamics import NX, POSITIONS
 from .geometry import (
     ConvexPolygon,
     DegenerateInput,
     HalfSpaceSet,
-    contains,
     quickhull,
     to_halfspaces,
 )
@@ -37,6 +32,10 @@ MIN_SUPPORT = 3
 INFLATE_EPS = 1e-6
 
 MEMBERSHIP_TOL = 1e-9
+
+# the tube file's "transform": the rows of the identity that pick the hull
+# coordinates out of a state; the only value a tube file may hold
+_POSITION_SELECTOR = np.eye(NX)[POSITIONS].tolist()
 
 
 class InsufficientData(ValueError):
@@ -60,22 +59,24 @@ class TimedHull:
                 f"hull at t={self.t} built from {self.support} states; need {MIN_SUPPORT}"
             )
         # the two representations must describe the same set: every vertex
-        # inside the half-spaces, every half-space touched by some vertex
+        # inside the half-spaces, every half-space touched by some vertex.
+        # Rounding to 12 significant digits on write moves a margin by a few
+        # 1e-11 of the largest coordinate, so the tolerance scales with it.
         verts = self.polygon.vertices
         margins = verts @ self.halfspaces.G.T - self.halfspaces.h
-        if margins.size == 0 or np.max(margins) > 1e-9:
+        tol = 1e-9 * max(1.0, float(np.max(np.abs(verts), initial=0.0)))
+        if margins.size == 0 or np.max(margins) > tol:
             raise ValueError(f"hull at t={self.t}: vertices violate half-spaces")
-        if np.max(np.min(-margins, axis=0)) > 1e-9:
+        if np.max(np.min(-margins, axis=0)) > tol:
             raise ValueError(f"hull at t={self.t}: slack half-space row")
 
 
 @dataclass(frozen=True)
 class NaturalisticSet:
-    """The tube {W_0, ..., W_H} plus the sampling step and hull transform."""
+    """The tube {W_0, ..., W_H} of position hulls plus the sampling step."""
 
     hulls: tuple
     dt: float
-    transform: HullTransform = POSITION_TRANSFORM
     provenance: dict = field(default_factory=dict)
 
     def __post_init__(self):
@@ -125,7 +126,7 @@ def _hull_of(points, t, support):
     return TimedHull(t, poly, to_halfspaces(poly), support)
 
 
-def build_natset(dataset, transform=POSITION_TRANSFORM, trim=0):
+def build_natset(dataset, trim=0):
     """Assemble the tube from a filtered dataset.
 
     The horizon is the last t with at least three alive trajectories.
@@ -139,10 +140,9 @@ def build_natset(dataset, transform=POSITION_TRANSFORM, trim=0):
 
     hulls = []
     for t in range(dataset.max_horizon + 1):
-        sl = slice_at(dataset, t, transform)
-        if len(sl) < MIN_SUPPORT:
+        pts = slice_at(dataset, t)
+        if len(pts) < MIN_SUPPORT:
             break
-        pts = np.asarray(sl.hull_states)
         if trim:
             pts = _drop_isolated(pts, trim)
         hulls.append(_hull_of(pts, t, len(pts)))
@@ -160,7 +160,19 @@ def build_natset(dataset, transform=POSITION_TRANSFORM, trim=0):
         provenance["start_polygon"] = task.start.polygon.vertices.tolist()
         provenance["end_polygon"] = task.end.polygon.vertices.tolist()
         provenance["min_speed"] = task.min_speed
-    return NaturalisticSet(tuple(hulls), dt, transform, provenance)
+    return NaturalisticSet(tuple(hulls), dt, provenance)
+
+
+def hull_margins(natset, states):
+    """Margins G p - h of the positions p of (T, 4) states against the hulls.
+
+    One array per step t = 0 .. min(tube horizon, T - 1), where tube and
+    states overlap in time; a positive entry is a violated half-space.
+    """
+    return [
+        hull.halfspaces.G @ x[POSITIONS] - hull.halfspaces.h
+        for hull, x in zip(natset.hulls, states)
+    ]
 
 
 def trajectory_membership(natset, traj, tol=MEMBERSHIP_TOL):
@@ -173,12 +185,7 @@ def trajectory_membership(natset, traj, tol=MEMBERSHIP_TOL):
         states = traj.dyn_states
     else:
         states = np.asarray(traj, dtype=float).reshape(-1, 4)
-    upto = min(natset.horizon, states.shape[0] - 1)
-    sel = natset.transform.selector
-    return [
-        contains(natset.hulls[t].halfspaces, sel @ states[t], tol)
-        for t in range(upto + 1)
-    ]
+    return [bool(np.max(m) <= tol) for m in hull_margins(natset, states)]
 
 
 def natset_stats(natset):
@@ -207,7 +214,7 @@ def write_natset(natset, path):
     doc = {
         "dt": _round12(natset.dt),
         "hull_dim": 2,
-        "transform": _round12_nested(natset.transform.selector),
+        "transform": _POSITION_SELECTOR,
         "hulls": [
             {
                 "t": hull.t,
@@ -233,7 +240,11 @@ def read_natset(path):
         dt = float(doc["dt"])
         if int(doc["hull_dim"]) != 2:
             raise ParseError(f"{path}: only 2-d hulls are supported")
-        transform = HullTransform(doc["transform"])
+        if doc["transform"] != _POSITION_SELECTOR:
+            raise ParseError(
+                f"{path}: only position hulls are supported, "
+                f"transform must be {_POSITION_SELECTOR}"
+            )
         hulls = []
         for entry in doc["hulls"]:
             poly = ConvexPolygon(np.array(entry["vertices"], dtype=float))
@@ -244,4 +255,4 @@ def read_natset(path):
         provenance = doc.get("provenance", {})
     except (KeyError, TypeError) as exc:
         raise ParseError(f"{path}: bad tube file: {exc}") from None
-    return NaturalisticSet(tuple(hulls), dt, transform, provenance)
+    return NaturalisticSet(tuple(hulls), dt, provenance)

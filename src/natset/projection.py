@@ -13,9 +13,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import ParseError, Trajectory
-from .dynamics import condense, rollout
-from .natset import _round12, _round12_nested
-from .geometry import signed_violation
+from .dynamics import NX, POSITIONS, condense, rollout
+from .natset import _round12, _round12_nested, hull_margins
 from .qpsolver import QuadraticProgram, SolverStatus, solve
 
 # membership tolerance for the initial state and the output certificate
@@ -27,7 +26,7 @@ ACTIVE_TOL = 1e-6
 
 
 class InitialStateOutsideTube(ValueError):
-    """transform @ x_init misses the t = 0 hull; carries the violation."""
+    """The initial position misses the t = 0 hull; carries the violation."""
 
     def __init__(self, violation):
         super().__init__(
@@ -90,27 +89,13 @@ class ProjectionResult:
         object.__setattr__(self, "violation_report", tuple(self.violation_report))
 
 
-def horizon_align(candidate_len, natset_len):
-    """Indices carrying hull constraints: the time overlap of both."""
-    if candidate_len < 1 or natset_len < 1:
-        raise ValueError("lengths must be at least 1")
-    return range(min(candidate_len, natset_len))
-
-
 def naturalism_report(candidate, natset):
     """Signed hull violation of the candidate at each of its time steps.
 
     Entries beyond the tube horizon are None: there is no hull to violate.
     """
-    sel = natset.transform.selector
-    out = []
-    for t in range(candidate.horizon + 1):
-        if t <= natset.horizon:
-            y = sel @ candidate.states[t]
-            out.append(signed_violation(natset.hulls[t].halfspaces, y))
-        else:
-            out.append(None)
-    return out
+    out = [float(np.max(m)) for m in hull_margins(natset, candidate.states)]
+    return out + [None] * (candidate.horizon + 1 - len(out))
 
 
 def _stack_weight(weight, length):
@@ -138,15 +123,11 @@ def project(candidate, natset, dyn, weight=None, relax_initial=False):
     if abs(dyn.dt - natset.dt) > 1e-12:
         raise ValueError(f"dynamics dt {dyn.dt!r} does not match tube dt {natset.dt!r}")
 
-    sel = natset.transform.selector
     x_init = candidate.states[0]
     H_a = candidate.horizon
-    constrained = horizon_align(H_a + 1, natset.horizon + 1)
-
-    if not relax_initial:
-        v0 = signed_violation(natset.hulls[0].halfspaces, sel @ x_init)
-        if v0 > FEAS_TOL:
-            raise InitialStateOutsideTube(v0)
+    report = naturalism_report(candidate, natset)
+    if not relax_initial and report[0] > FEAS_TOL:
+        raise InitialStateOutsideTube(report[0])
 
     cm = condense(dyn, H_a)
     free = cm.Phi @ x_init  # trajectory under zero control
@@ -161,13 +142,16 @@ def project(candidate, natset, dyn, weight=None, relax_initial=False):
         q = 2.0 * wg.T @ (free - target)
     P = 0.5 * (P + P.T)  # scrub float asymmetry from the triple product
 
+    # position rows of the map, per step: p_t = free_pos[t] + Gamma_pos[t] @ U
+    Gamma_pos = cm.Gamma.reshape(H_a + 1, NX, -1)[:, POSITIONS]
+    free_pos = free.reshape(H_a + 1, NX)[:, POSITIONS]
     rows, rhs = [], []
-    for t in constrained:
-        if t == 0:
-            continue  # x_init is pinned; its membership was the pre-check
+    # x_init is pinned, so t = 0 carries no constraint; its membership was
+    # the pre-check
+    for t in range(1, min(H_a, natset.horizon) + 1):
         hs = natset.hulls[t].halfspaces
-        coeff = hs.G @ (sel @ cm.Gamma[4 * t : 4 * t + 4])
-        limit = hs.h - hs.G @ (sel @ free[4 * t : 4 * t + 4])
+        coeff = hs.G @ Gamma_pos[t]
+        limit = hs.h - hs.G @ free_pos[t]
         # rows no control influences are facts, not constraints: check and drop
         fixed = np.max(np.abs(coeff), axis=1) < ZERO_ROW_TOL
         broken = np.flatnonzero(fixed & (limit < -1e-9))
@@ -192,19 +176,15 @@ def project(candidate, natset, dyn, weight=None, relax_initial=False):
     diff = states.ravel() - target
     objective = float(diff @ (diff if w is None else w * diff))
 
-    active = []
-    for t in constrained:
-        hs = natset.hulls[t].halfspaces
-        margins = hs.G @ (sel @ states[t]) - hs.h
-        active.append(tuple(np.flatnonzero(np.abs(margins) <= ACTIVE_TOL)))
+    active = [np.flatnonzero(np.abs(m) <= ACTIVE_TOL) for m in hull_margins(natset, states)]
 
     return ProjectionResult(
         states=states,
         controls=controls,
         objective=objective,
         status=sol.status,
-        active_constraints=tuple(active),
-        violation_report=tuple(naturalism_report(candidate, natset)),
+        active_constraints=active,
+        violation_report=report,
     )
 
 

@@ -10,6 +10,8 @@ byte-identical files.
 
 import numpy as np
 
+from .dynamics import POSITIONS
+
 _CANVAS = 720.0
 _PAD = 1.0
 _MIN_OPACITY = 0.02
@@ -71,7 +73,7 @@ def render_svg(natset_doc, projection_doc=None):
             if key not in projection_doc:
                 continue
             states = np.asarray(projection_doc[key], dtype=float)
-            xy = states[:, [0, 2]]
+            xy = states[:, POSITIONS]
             everything.append(xy)
             paths.append((xy, stroke, dash))
     frame = _Frame(np.vstack(everything))

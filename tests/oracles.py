@@ -88,6 +88,11 @@ def enumerate_oracle(qp):
     the equality-constrained KKT system [[P, A_S'], [A_S, 0]] is solved;
     singular systems are skipped, infeasible candidates discarded, and the
     best remaining objective wins.  Intended for test-side verification.
+
+    P is positive definite, so some optimal active set has linearly
+    independent rows; subsets whose rows are numerically dependent are
+    skipped, because solving their near-singular systems gives huge points
+    that can pass the feasibility check of an infeasible program.
     """
     n, k = qp.n, qp.k
     if k > 16:
@@ -97,6 +102,8 @@ def enumerate_oracle(qp):
         idx = [i for i in range(k) if (mask >> i) & 1]
         m = len(idx)
         rows = qp.A[idx]
+        if m and np.linalg.matrix_rank(rows) < m:
+            continue
         kkt = np.zeros((n + m, n + m))
         kkt[:n, :n] = qp.P
         kkt[:n, n:] = rows.T

@@ -11,6 +11,7 @@ import pytest
 
 import natset
 from natset.cli import main
+from natset.data import ParseError
 from natset.natset import read_natset
 from natset.projection import read_projection
 from natset.synthetic import default_spec, write_scenario
@@ -187,6 +188,18 @@ def test_build_reproduces_committed_demo_tube(tmp_path, capsys):
     assert out.read_bytes() == (DEMO_OUT / "tube.json").read_bytes()
 
 
+def test_export_svg_reproduces_committed_demo_figures(tmp_path, capsys):
+    overlays = {"tube.svg": [], "projection.svg": ["--projection", str(DEMO_OUT / "projection.json")]}
+    for name, overlay in overlays.items():
+        out = tmp_path / name
+        code, _, _ = run(
+            ["export-svg", "--natset", str(DEMO_OUT / "tube.json"), *overlay, "--out", str(out)],
+            capsys,
+        )
+        assert code == 0
+        assert out.read_bytes() == (DEMO_OUT / name).read_bytes()
+
+
 def run_module(*args):
     env = dict(os.environ, PYTHONPATH=str(Path(natset.__file__).parents[1]))
     return subprocess.run(
@@ -339,6 +352,28 @@ def test_project_has_no_solver_options(tmp_path, capsys):
         )
     assert exc.value.code == 2
     assert "unrecognized arguments: --rho 1" in capsys.readouterr().err
+
+
+def test_project_exit_2_on_velocity_tube(scene, tmp_path, capsys):
+    spec, paths, _ = scene
+    doc = json.loads(build_natset_file(scene, capsys).read_text())
+    doc["transform"] = [[0.0, 1.0, 0.0, 0.0], [0.0, 0.0, 0.0, 1.0]]
+    tube = tmp_path / "velocity_tube.json"
+    tube.write_text(json.dumps(doc))
+    with pytest.raises(ParseError, match="only position hulls"):
+        read_natset(tube)
+    code, _, err = run(
+        [
+            "project",
+            "--natset", str(tube),
+            "--candidate", str(paths["candidate"]),
+            "--dyn", f"dt={spec.dt}",
+            "--out", str(tmp_path / "proj.json"),
+        ],
+        capsys,
+    )
+    assert code == 2
+    assert "only position hulls" in err
 
 
 def test_export_svg_polygon_count_and_determinism(scene, tmp_path, capsys):

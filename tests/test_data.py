@@ -7,8 +7,6 @@ from natset import data
 from natset.data import (
     EmptyTask,
     GapError,
-    HullTransform,
-    POSITION_TRANSFORM,
     ParseError,
     REQUIRED_COLUMNS,
     RawActorState,
@@ -169,22 +167,8 @@ def test_slice_zero_lies_in_start_region():
         p0 = rng.uniform(0.05, 0.95, size=2)
         trajs.append(walk(str(i), np.linspace(p0, [8.5, 0.5], 12)))
     ds = filter_task(trajs, start, end)
-    for pt in slice_at(ds, 0).hull_states:
+    for pt in slice_at(ds, 0):
         assert start.covers(pt, tol=1e-9)
-
-
-def test_position_transform_picks_positions():
-    tr = walk("a", [(1.0, 2.0), (3.0, 4.0)], speed=5.0)
-    ds_state = tr.dyn_states[1]
-    assert np.allclose(ds_state, [3.0, 5.0, 4.0, 0.0])
-    assert np.allclose(POSITION_TRANSFORM.selector @ ds_state, [3.0, 4.0])
-
-
-def test_hull_transform_validation():
-    with pytest.raises(ValueError):
-        HullTransform([[1.0, 1.0, 0.0, 0.0], [0.0, 0.0, 1.0, 0.0]])
-    with pytest.raises(ValueError):
-        HullTransform([[0.5, 0.0], [0.0, 1.0]])
 
 
 def test_load_task_roundtrip(tmp_path):
@@ -402,9 +386,8 @@ def test_slice_matches_per_trajectory_reference():
     trajs = [walk(str(i), np.linspace(rng.uniform(0.1, 0.9, 2), [8.5, 0.5], n), speed=n)
              for i, n in enumerate([4, 9, 2, 7, 9, 5])]
     ds = filter_task(trajs, start, end)
-    velocity = HullTransform([[0.0, 1.0, 0.0, 0.0], [0.0, 0.0, 0.0, 1.0]])
-    for transform in (POSITION_TRANSFORM, velocity):
-        for t in range(ds.max_horizon + 2):
-            ref = [transform.selector @ tr.dyn_states[t] for tr in ds.trajectories if tr.horizon >= t]
-            got = slice_at(ds, t, transform).hull_states
-            assert np.array_equal(got, np.array(ref).reshape(-1, 2))
+    for t in range(ds.max_horizon + 2):
+        ref = [tr.dyn_states[t, [0, 2]] for tr in ds.trajectories if tr.horizon >= t]
+        got = slice_at(ds, t)
+        assert np.array_equal(got, np.array(ref).reshape(-1, 2))
+        assert not got.flags.writeable

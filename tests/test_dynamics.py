@@ -3,6 +3,7 @@ import pytest
 
 from natset.dynamics import (
     CondensedMap,
+    LinearDynamics,
     NonPositiveParameter,
     condense,
     double_integrator,
@@ -64,8 +65,6 @@ def test_condense_horizon_one():
 
 
 def test_condense_identity_dynamics_blocks():
-    from natset.dynamics import LinearDynamics
-
     dyn = LinearDynamics(A=np.eye(4), B=np.eye(4)[:, :2] + np.eye(4)[:, 2:], dt=1.0, mass=1.0)
     cm = condense(dyn, 3)
     for t in range(1, 4):
@@ -93,6 +92,35 @@ def test_condense_rollout_consistency_many_horizons():
         U = rng.standard_normal((horizon, 2))
         stacked = (cm.Phi @ x0 + cm.Gamma @ U.ravel()).reshape(-1, 4)
         assert np.max(np.abs(stacked - rollout(dyn, x0, U))) < 1e-10
+
+
+def condense_blockwise(dyn, horizon):
+    """Reference: every block of Gamma formed by its own product."""
+    powers = [np.eye(4)]
+    for _ in range(horizon):
+        powers.append(dyn.A @ powers[-1])
+    Phi = np.empty(((horizon + 1) * 4, 4))
+    for t in range(horizon + 1):
+        Phi[t * 4 : (t + 1) * 4] = powers[t]
+    Gamma = np.zeros(((horizon + 1) * 4, horizon * 2))
+    for t in range(1, horizon + 1):
+        for k in range(t):
+            Gamma[t * 4 : (t + 1) * 4, k * 2 : (k + 1) * 2] = powers[t - 1 - k] @ dyn.B
+    return Phi, Gamma
+
+
+@pytest.mark.parametrize("horizon", [1, 2, 7, 60])
+def test_condense_equals_blockwise_reference(horizon):
+    rng = np.random.default_rng(horizon)
+    random = LinearDynamics(
+        A=rng.standard_normal((4, 4)) / 2.0, B=rng.standard_normal((4, 2)), dt=0.1, mass=1.0
+    )
+    for dyn in (double_integrator(dt=0.04, mass=1.3), random):
+        cm = condense(dyn, horizon)
+        Phi, Gamma = condense_blockwise(dyn, horizon)
+        assert cm.horizon == horizon
+        assert np.array_equal(cm.Phi, Phi)
+        assert np.array_equal(cm.Gamma, Gamma)
 
 
 def test_rollout_linearity():

@@ -3,7 +3,15 @@ import json
 import numpy as np
 import pytest
 
-from natset.data import RawActorState, Region, Task, TaskDataset, Trajectory, slice_at
+from natset.data import (
+    RawActorState,
+    Region,
+    Task,
+    TaskDataset,
+    Trajectory,
+    filter_task,
+    slice_at,
+)
 from natset.geometry import contains, quickhull, to_halfspaces
 from natset.natset import (
     InsufficientData,
@@ -15,6 +23,7 @@ from natset.natset import (
     trajectory_membership,
     write_natset,
 )
+from natset.synthetic import default_spec, generate_scenario
 
 
 def make_traj(actor, positions, frame_rate=25.0):
@@ -147,6 +156,29 @@ def test_serialization_round_trip_is_bit_exact(tmp_path):
     path2 = tmp_path / "tube2.json"
     write_natset(back, path2)
     assert path.read_bytes() == path2.read_bytes()
+
+
+@pytest.mark.parametrize("horizon,seed", [(400, 2), (400, 18), (200, 2)])
+def test_far_from_origin_tubes_read_back(tmp_path, horizon, seed):
+    # hulls 180-360 m from the origin, where 12-digit rounding moves margins past 1e-9
+    spec = default_spec("straight_road_with_stop", count=200, seed=seed, horizon=horizon)
+    trajectories, task = generate_scenario(spec)
+    start = quickhull(np.asarray(task["start_polygon"]))
+    end = quickhull(np.asarray(task["end_polygon"]))
+    ns = build_natset(filter_task(trajectories, start, end, task["min_speed"]))
+    path = tmp_path / "tube.json"
+    write_natset(ns, path)
+    assert read_natset(path).horizon == ns.horizon == horizon
+    # the scaled tolerance still rejects a half-space moved by 1e-5 m
+    text = path.read_text()
+    hulls = json.loads(text)["hulls"]
+    far = max(range(len(hulls)), key=lambda t: np.max(np.abs(hulls[t]["vertices"])))
+    for shift, cause in ((1e-5, "slack half-space"), (-1e-5, "vertices violate")):
+        moved = json.loads(text)
+        moved["hulls"][far]["h"][0] += shift
+        path.write_text(json.dumps(moved))
+        with pytest.raises(ValueError, match=cause):
+            read_natset(path)
 
 
 def test_read_rejects_garbage(tmp_path):

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.optimize import linprog
 
 from natset import qpsolver
 from natset.qpsolver import (
@@ -104,12 +105,13 @@ def test_scaling_leaves_minimizer_unchanged():
         assert np.max(np.abs(solve(qp).z - solve(scaled).z)) < 1e-7
 
 
-def degenerate_qps(count, seed):
+def degenerate_qps(count, seed, multiples=(0.25, 0.5, 1.0, 2.0)):
     """Random programs whose rows repeat, or point against, earlier rows.
 
-    Multiples are powers of two, so a row parallel to another is parallel in
-    floating point too and the oracle's KKT systems are singular exactly
-    where they should be.  Row norms span about four decades, which a
+    With the default power-of-two multiples a row parallel to another is
+    parallel in floating point too and the oracle's KKT systems are singular
+    exactly where they should be; a multiple of 3 rounds, leaving rows that
+    are only nearly parallel.  Row norms span about four decades, which a
     dependence test must not mistake for independence.  Right-hand sides
     are arbitrary, so many programs are infeasible.
     """
@@ -126,7 +128,7 @@ def degenerate_qps(count, seed):
             kind = rng.random()
             if kind < 0.4:
                 sign = 1.0 if kind < 0.2 else -1.0
-                A[i] = sign * rng.choice([0.25, 0.5, 1.0, 2.0]) * A[rng.integers(0, i)]
+                A[i] = sign * rng.choice(multiples) * A[rng.integers(0, i)]
         A *= 2.0 ** rng.integers(0, 13, size=(k, 1))
         out.append(QuadraticProgram(P, q, A, rng.standard_normal(k)))
     return out
@@ -142,6 +144,24 @@ def test_degenerate_and_infeasible_programs_match_oracle():
             infeasible += 1
             assert sol.status is SolverStatus.INFEASIBLE, idx
             continue
+        assert sol.status is SolverStatus.OPTIMAL, idx
+        assert abs(sol.objective - exact.objective) <= 1e-8 * (1.0 + abs(exact.objective)), idx
+    assert 100 <= infeasible <= 300  # both outcomes are exercised
+
+
+def test_nearly_parallel_rows_match_linprog_feasibility():
+    infeasible = 0
+    for idx, qp in enumerate(degenerate_qps(400, seed=2024, multiples=(3.0, 0.25))):
+        lp = linprog(np.zeros(qp.n), A_ub=qp.A, b_ub=qp.b, bounds=(None, None), method="highs")
+        assert lp.status in (0, 2), idx
+        sol = solve(qp)
+        if lp.status == 2:
+            infeasible += 1
+            with pytest.raises(NoFeasibleActiveSet):
+                enumerate_oracle(qp)
+            assert sol.status is SolverStatus.INFEASIBLE, idx
+            continue
+        exact = enumerate_oracle(qp)
         assert sol.status is SolverStatus.OPTIMAL, idx
         assert abs(sol.objective - exact.objective) <= 1e-8 * (1.0 + abs(exact.objective)), idx
     assert 100 <= infeasible <= 300  # both outcomes are exercised
