@@ -50,8 +50,5 @@ for row in stats[:: max(1, len(stats) // 8)]:
 print(f"area growth, first to last: {stats[-1]['area'] / stats[1]['area']:.0f}x")
 
 write_natset(natset, out_dir / "tube.json")
-write_svg(
-    {"hulls": [{"vertices": h.polygon.vertices.tolist()} for h in natset.hulls]},
-    out_dir / "tube.svg",
-)
+write_svg(natset, out_dir / "tube.svg")
 print(f"wrote {out_dir / 'tube.json'} and {out_dir / 'tube.svg'}")

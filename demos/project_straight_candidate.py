@@ -54,12 +54,12 @@ worst_after = max(v for v in after if v is not None)
 print(f"worst violation after projection: {worst_after:.2e} m")
 
 # where does the tube boundary actually shape the output?
-touched = [t for t, rows in enumerate(result.active_constraints, start=1) if rows]
+touched = [t for t, rows in enumerate(result.active_constraints) if rows]
 print(f"steps with a tight hull constraint: {touched[0]}..{touched[-1]}")
 
 write_projection(result, candidate, out_dir / "projection.json")
 write_svg(
-    {"hulls": [{"vertices": h.polygon.vertices.tolist()} for h in natset.hulls]},
+    natset,
     out_dir / "projection.svg",
     {
         "candidate_states": candidate.states,

@@ -23,6 +23,7 @@ from natset import (
     quickhull,
     trajectory_membership,
 )
+from natset.synthetic import SPEED_RANGE
 
 spec = default_spec("straight_road_with_stop", count=40, seed=7)
 trajectories, task_cfg = generate_scenario(spec)
@@ -44,12 +45,12 @@ print(f"stretch factor, late vs early: {stretch:.0f}x")
 
 # a cruising dataset member stays inside the tube the whole way
 member = dataset.trajectories[0]
-flags = trajectory_membership(natset, member)
+flags = trajectory_membership(natset, member.dyn_states)
 print(f"pass-through member inside tube at all steps: {all(flags)}")
 
 # so does a vehicle that never stops, even though half the data stopped:
 # the hulls cover the union of both behaviors
-mid_speed = 0.5 * sum(spec.speed_range)
+mid_speed = 0.5 * sum(SPEED_RANGE)
 steps = np.arange(natset.horizon + 1)
 states = np.zeros((natset.horizon + 1, 4))
 states[:, 0] = 0.5 + mid_speed * spec.dt * steps

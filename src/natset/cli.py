@@ -9,7 +9,6 @@ failure.
 """
 
 import argparse
-import json
 import sys
 from pathlib import Path
 
@@ -105,14 +104,11 @@ def cmd_gen_synthetic(args):
 def cmd_export_svg(args):
     _require(args, "natset")
     natset = read_natset(args.natset)
-    natset_doc = {
-        "hulls": [{"vertices": h.polygon.vertices.tolist()} for h in natset.hulls]
-    }
     projection_doc = None
     if args.projection is not None:
         _require(args, "projection")
         projection_doc = read_projection(args.projection)
-    write_svg(natset_doc, args.out, projection_doc)
+    write_svg(natset, args.out, projection_doc)
     print(f"wrote {args.out}")
     return EXIT_OK
 
@@ -185,7 +181,7 @@ def main(argv=None):
     args = _build_parser().parse_args(argv)
     try:
         return COMMANDS[args.command](args)
-    except (ParseError, GapError, json.JSONDecodeError) as exc:
+    except (ParseError, GapError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
     except (EmptyTask, InsufficientData) as exc:

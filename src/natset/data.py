@@ -156,8 +156,9 @@ class Region:
     def halfspaces(self):
         return to_halfspaces(self.polygon)
 
-    def covers(self, point, tol=REGION_TOL):
-        return contains(self.halfspaces, point, tol)
+    def covers(self, point):
+        """Whether the point lies in the region within REGION_TOL meters."""
+        return contains(self.halfspaces, point, REGION_TOL)
 
 
 @dataclass(frozen=True)
@@ -293,16 +294,15 @@ def load_trajectories(path, frame_rate=25.0):
 
 
 def filter_task(trajectories, start, end, min_speed=0.5):
-    """Keep the trajectories performing the (start, end) task.
+    """Keep the trajectories performing the task between two Regions.
 
     A trajectory survives when some frame lies inside the start region,
     its final frame lies inside the end region, and its maximum speed from
     the start-region entry onward reaches min_speed.  Survivors are
     trimmed so t = 0 is the entry frame; applying the filter again is a
-    no-op.
+    no-op.  Both regions are tested by one batched margin form, within
+    REGION_TOL.
     """
-    start = start if isinstance(start, Region) else Region(start)
-    end = end if isinstance(end, Region) else Region(end)
     kept = []
     for tr in trajectories:
         inside = np.flatnonzero(signed_violations(start.halfspaces, tr.positions) <= REGION_TOL)
@@ -316,7 +316,9 @@ def filter_task(trajectories, start, end, min_speed=0.5):
                 len(tr) - first,
             )
             continue
-        if not end.covers(tr.positions[-1]):
+        # the whole track, as for the start region: a one-row product
+        # rounds like the per-point form, not like the batched one
+        if signed_violations(end.halfspaces, tr.positions)[-1] > REGION_TOL:
             continue
         if tr.speeds[first:].max() < min_speed:
             continue
@@ -337,16 +339,20 @@ def slice_at(dataset, t):
 
 
 def load_task(path):
-    """Read a task config JSON: regions, speed floor, frame rate."""
-    with open(path, encoding="utf-8") as fh:
-        cfg = json.load(fh)
+    """Read a task config JSON: regions, speed floor, frame rate.
+
+    Every failure to parse it, the regions' hulls included, is a
+    ParseError naming the file.
+    """
     try:
+        with open(path, encoding="utf-8") as fh:
+            cfg = json.load(fh)
         start_pts = np.array(cfg["start_polygon"], dtype=float)
         end_pts = np.array(cfg["end_polygon"], dtype=float)
         min_speed = float(cfg.get("min_speed", 0.5))
         frame_rate = float(cfg.get("frame_rate", 25.0))
+        start = Region(quickhull(start_pts))
+        end = Region(quickhull(end_pts))
     except (KeyError, TypeError, ValueError) as exc:
         raise ParseError(f"{path}: bad task config: {exc}") from None
-    start = Region(quickhull(start_pts))
-    end = Region(quickhull(end_pts))
     return start, end, min_speed, frame_rate

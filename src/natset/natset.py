@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .data import ParseError, Trajectory, slice_at
+from .data import ParseError, slice_at
 from .dynamics import NX, POSITIONS
 from .geometry import (
     ConvexPolygon,
@@ -175,17 +175,13 @@ def hull_margins(natset, states):
     ]
 
 
-def trajectory_membership(natset, traj, tol=MEMBERSHIP_TOL):
-    """Per-time containment flags for a trajectory against the tube.
+def trajectory_membership(natset, states):
+    """Per-time containment flags of (T, 4) dynamics states against the tube.
 
-    Accepts a Trajectory or an (T+1, 4) array of dynamics states; entries
-    run over t = 0 .. min(tube horizon, trajectory horizon).
+    Entries run over t = 0 .. min(tube horizon, T - 1); a position counts as
+    inside within MEMBERSHIP_TOL meters.
     """
-    if isinstance(traj, Trajectory):
-        states = traj.dyn_states
-    else:
-        states = np.asarray(traj, dtype=float).reshape(-1, 4)
-    return [bool(np.max(m) <= tol) for m in hull_margins(natset, states)]
+    return [bool(np.max(m) <= MEMBERSHIP_TOL) for m in hull_margins(natset, states)]
 
 
 def natset_stats(natset):
@@ -234,15 +230,16 @@ def write_natset(natset, path):
 
 
 def read_natset(path):
-    with open(path, encoding="utf-8") as fh:
-        doc = json.load(fh)
+    """Load a tube file; every failure to parse it is a ParseError naming it."""
     try:
+        with open(path, encoding="utf-8") as fh:
+            doc = json.load(fh)
         dt = float(doc["dt"])
         if int(doc["hull_dim"]) != 2:
-            raise ParseError(f"{path}: only 2-d hulls are supported")
+            raise ValueError("only 2-d hulls are supported")
         if doc["transform"] != _POSITION_SELECTOR:
-            raise ParseError(
-                f"{path}: only position hulls are supported, "
+            raise ValueError(
+                "only position hulls are supported, "
                 f"transform must be {_POSITION_SELECTOR}"
             )
         hulls = []
@@ -252,7 +249,8 @@ def read_natset(path):
                 np.array(entry["G"], dtype=float), np.array(entry["h"], dtype=float)
             )
             hulls.append(TimedHull(int(entry["t"]), poly, hs, int(entry["support"])))
-        provenance = doc.get("provenance", {})
+        return NaturalisticSet(tuple(hulls), dt, doc.get("provenance", {}))
     except (KeyError, TypeError) as exc:
         raise ParseError(f"{path}: bad tube file: {exc}") from None
-    return NaturalisticSet(tuple(hulls), dt, provenance)
+    except ValueError as exc:
+        raise ParseError(f"{path}: {exc}") from None

@@ -17,7 +17,7 @@ from .dynamics import NX, POSITIONS, condense, rollout
 from .natset import _round12, _round12_nested, hull_margins
 from .qpsolver import QuadraticProgram, SolverStatus, solve
 
-# membership tolerance for the initial state and the output certificate
+# membership tolerance of the t = 0 pre-check on the pinned initial state
 FEAS_TOL = 1e-6
 # constraint rows unaffected by any control: below this norm they are
 # constants, checked once and dropped
@@ -98,21 +98,11 @@ def naturalism_report(candidate, natset):
     return out + [None] * (candidate.horizon + 1 - len(out))
 
 
-def _stack_weight(weight, length):
-    if weight is None:
-        return None
-    w = np.asarray(weight, dtype=float)
-    if w.shape != (4,) or np.any(w <= 0):
-        raise ValueError("weight must be 4 positive per-component entries")
-    return np.tile(w, length)
-
-
-def project(candidate, natset, dyn, weight=None, relax_initial=False):
+def project(candidate, natset, dyn, relax_initial=False):
     """Solve the tube-constrained least-squares projection.
 
-    weight optionally scales the four state components in the objective
-    (positions and velocities mix meters with meters per second).
-    relax_initial skips the t = 0 membership pre-check.
+    relax_initial skips the t = 0 membership pre-check; the initial state
+    stays pinned either way.
     """
     if candidate.horizon < 1:
         raise ValueError("candidate must have at least 2 states")
@@ -132,14 +122,8 @@ def project(candidate, natset, dyn, weight=None, relax_initial=False):
     cm = condense(dyn, H_a)
     free = cm.Phi @ x_init  # trajectory under zero control
     target = candidate.states.ravel()
-    w = _stack_weight(weight, H_a + 1)
-    if w is None:
-        P = 2.0 * cm.Gamma.T @ cm.Gamma
-        q = 2.0 * cm.Gamma.T @ (free - target)
-    else:
-        wg = w[:, None] * cm.Gamma
-        P = 2.0 * cm.Gamma.T @ wg
-        q = 2.0 * wg.T @ (free - target)
+    P = 2.0 * cm.Gamma.T @ cm.Gamma
+    q = 2.0 * cm.Gamma.T @ (free - target)
     P = 0.5 * (P + P.T)  # scrub float asymmetry from the triple product
 
     # position rows of the map, per step: p_t = free_pos[t] + Gamma_pos[t] @ U
@@ -174,7 +158,7 @@ def project(candidate, natset, dyn, weight=None, relax_initial=False):
     controls = sol.z.reshape(H_a, 2)
     states = rollout(dyn, x_init, controls)
     diff = states.ravel() - target
-    objective = float(diff @ (diff if w is None else w * diff))
+    objective = float(diff @ diff)
 
     active = [np.flatnonzero(np.abs(m) <= ACTIVE_TOL) for m in hull_margins(natset, states)]
 
@@ -208,9 +192,9 @@ def write_projection(result, candidate, path):
 
 def read_projection(path):
     """Load a projection JSON into a plain dict with array values."""
-    with open(path, encoding="utf-8") as fh:
-        doc = json.load(fh)
     try:
+        with open(path, encoding="utf-8") as fh:
+            doc = json.load(fh)
         doc["states"] = np.array(doc["states"], dtype=float).reshape(-1, 4)
         doc["controls"] = np.array(doc["controls"], dtype=float).reshape(-1, 2)
         if "candidate_states" in doc:

@@ -48,6 +48,11 @@ _STAT_TOL = 1e-7
 _FEAS_TOL = 1e-7
 _COMP_SLACK_TOL = 1e-6
 _DUAL_SIGN_TOL = 1e-9
+# a margin a_i z - b_i is computed to within a few eps (|a_i| |z| + |b_i|);
+# row i may miss complementarity by lam_i times this many such roundings
+# on top of _COMP_SLACK_TOL, since a large multiplier magnifies them past
+# any absolute bound
+_MARGIN_ROUNDINGS = 16
 # a row enters the working set only when violated by more than this
 _VIOL_TOL = 1e-9
 # a violated row depends on the working set when the part of L^{-1} a
@@ -126,14 +131,26 @@ class QPSolution:
         object.__setattr__(self, "lam", _freeze(self.lam, 1))
 
 
-def _kkt_residuals(qp, z, lam):
-    """(stationarity, violation, complementarity, min multiplier) for a pair."""
+def _certificate(qp, z, lam):
+    """KKT check of a primal-dual pair against the original problem data.
+
+    Returns (passed, stationarity residual, worst constraint violation).
+    """
     stat = np.max(np.abs(qp.P @ z + qp.q + qp.A.T @ lam), initial=0.0)
     margins = qp.A @ z - qp.b
     viol = np.max(margins, initial=0.0)
-    comp = np.max(np.abs(lam * margins), initial=0.0)
-    lam_min = np.min(lam, initial=0.0)
-    return stat, viol, comp, lam_min
+    # only rows with a multiplier can miss complementarity
+    w = np.flatnonzero(lam)
+    rounding = (_MARGIN_ROUNDINGS * np.finfo(float).eps
+                * (np.linalg.norm(qp.A[w], axis=1) * np.linalg.norm(z) + np.abs(qp.b[w])))
+    comp = np.max(np.abs(lam[w]) * (np.abs(margins[w]) - rounding), initial=0.0)
+    passed = bool(
+        stat <= _STAT_TOL * (1.0 + np.max(np.abs(qp.q), initial=0.0))
+        and viol <= _FEAS_TOL
+        and comp <= _COMP_SLACK_TOL
+        and np.min(lam, initial=0.0) >= -_DUAL_SIGN_TOL
+    )
+    return passed, stat, viol
 
 
 def _drop(Q, R, m, j):
@@ -242,13 +259,7 @@ def solve(qp):
 
     lam = np.zeros(k)
     lam[working] = u
-    stat, viol, comp, lam_min = _kkt_residuals(qp, z, lam)
-    certified = (
-        stat <= _STAT_TOL * (1.0 + np.max(np.abs(qp.q), initial=0.0))
-        and viol <= _FEAS_TOL
-        and comp <= _COMP_SLACK_TOL
-        and lam_min >= -_DUAL_SIGN_TOL
-    )
+    certified, stat, viol = _certificate(qp, z, lam)
     if status is SolverStatus.OPTIMAL and not certified:
         status = SolverStatus.MAX_ITER
     return QPSolution(z, qp.objective(z), status, steps, max(viol, 0.0), stat, lam)

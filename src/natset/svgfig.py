@@ -54,16 +54,11 @@ class _Frame:
         return " ".join(f"{_fmt(sx)},{_fmt(sy)}" for sx, sy in map(self.map, coords))
 
 
-def _polygon_area(vertices):
-    v = np.asarray(vertices, dtype=float)
-    x, y = v[:, 0], v[:, 1]
-    return 0.5 * abs(float(np.dot(x, np.roll(y, -1)) - np.dot(y, np.roll(x, -1))))
-
-
-def render_svg(natset_doc, projection_doc=None):
-    """Compose the figure; both arguments are parsed JSON documents."""
-    hull_vertices = [np.asarray(h["vertices"], dtype=float) for h in natset_doc["hulls"]]
-    everything = [v for v in hull_vertices]
+def render_svg(natset, projection_doc=None):
+    """Compose the figure of a NaturalisticSet and an optional projection
+    document (a dict with "candidate_states" and/or "states" arrays)."""
+    polygons = [hull.polygon for hull in natset.hulls]
+    everything = [poly.vertices for poly in polygons]
     paths = []
     if projection_doc is not None:
         for key, stroke, dash in (
@@ -78,10 +73,10 @@ def render_svg(natset_doc, projection_doc=None):
             paths.append((xy, stroke, dash))
     frame = _Frame(np.vstack(everything))
 
-    areas = [_polygon_area(v) for v in hull_vertices]
-    positive = [a for a in areas if a > 0.0]
-    # the densest slice anchors the opacity ramp
-    ref = min(positive) if positive else 1.0
+    areas = [poly.area for poly in polygons]
+    # the densest slice anchors the opacity ramp; a ConvexPolygon's area is
+    # positive
+    ref = min(areas)
 
     parts = [
         '<?xml version="1.0" encoding="UTF-8"?>',
@@ -89,11 +84,10 @@ def render_svg(natset_doc, projection_doc=None):
         f'height="{_fmt(frame.height)}" '
         f'viewBox="0 0 {_fmt(frame.width)} {_fmt(frame.height)}">',
     ]
-    for verts, area in zip(hull_vertices, areas):
-        opacity = _MAX_OPACITY if area <= 0.0 else _MAX_OPACITY * ref / area
-        opacity = min(_MAX_OPACITY, max(_MIN_OPACITY, opacity))
+    for poly, area in zip(polygons, areas):
+        opacity = min(_MAX_OPACITY, max(_MIN_OPACITY, _MAX_OPACITY * ref / area))
         parts.append(
-            f'<polygon points="{frame.points_attr(verts)}" fill="{_HULL_FILL}" '
+            f'<polygon points="{frame.points_attr(poly.vertices)}" fill="{_HULL_FILL}" '
             f'fill-opacity="{opacity:.3f}" stroke="{_HULL_STROKE}" '
             'stroke-width="0.8"/>'
         )
@@ -106,7 +100,7 @@ def render_svg(natset_doc, projection_doc=None):
     return "\n".join(parts) + "\n"
 
 
-def write_svg(natset_doc, path, projection_doc=None):
-    text = render_svg(natset_doc, projection_doc)
+def write_svg(natset, path, projection_doc=None):
+    text = render_svg(natset, projection_doc)
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(text)

@@ -22,9 +22,18 @@ from pathlib import Path
 
 import numpy as np
 
-from .data import REQUIRED_COLUMNS, RawActorState, Trajectory
+from .data import REQUIRED_COLUMNS, Trajectory
 
 KINDS = ("curved_road", "straight_road_with_stop")
+
+# scene shape, shared by every spec: the curved lane's center and radius
+# band and the straight lane's width (m), the speed band of both (m/s),
+# and the per-axis position noise (m)
+ARC_CENTER = (0.0, 0.0)
+RADII = (19.0, 21.0)
+LANE_WIDTH = 4.0
+SPEED_RANGE = (5.0, 9.0)
+NOISE_STD = 0.02
 
 
 @dataclass(frozen=True)
@@ -33,11 +42,6 @@ class ScenarioSpec:
     count: int = 40
     horizon: int = 60
     dt: float = 0.04
-    arc_center: tuple = (0.0, 0.0)
-    radii: tuple = (19.0, 21.0)
-    lane_width: float = 4.0
-    speed_range: tuple = (5.0, 9.0)
-    noise_std: float = 0.02
     seed: int = 7
 
     def __post_init__(self):
@@ -49,14 +53,6 @@ class ScenarioSpec:
             raise ValueError("horizon must be at least 2 steps")
         if not self.dt > 0:
             raise ValueError("dt must be positive")
-        if not self.radii[0] < self.radii[1]:
-            raise ValueError("radius band must be a nonempty interval")
-        if not 0 < self.speed_range[0] <= self.speed_range[1]:
-            raise ValueError("speeds must be positive and ordered")
-        if self.noise_std < 0:
-            raise ValueError("noise_std must be non-negative")
-        if self.lane_width <= 0:
-            raise ValueError("lane_width must be positive")
 
 
 def default_spec(kind, count=40, seed=7, **overrides):
@@ -75,16 +71,10 @@ def _derive_trajectory(actor_id, positions, dt):
     vel = np.vstack([vel, vel[-1]])
     acc = np.diff(vel, axis=0) / dt
     acc = np.vstack([acc, acc[-1]])
-    states = [
-        RawActorState(
-            position=tuple(positions[t]),
-            velocity=tuple(vel[t]),
-            acceleration=tuple(acc[t]),
-            heading=float(np.arctan2(vel[t, 1], vel[t, 0])),
-        )
-        for t in range(positions.shape[0])
-    ]
-    return Trajectory(str(actor_id), 1.0 / dt, states)
+    heading = np.arctan2(vel[:, 1], vel[:, 0])
+    data = np.column_stack([positions[:, 0], vel[:, 0], positions[:, 1], vel[:, 1],
+                            acc[:, 0], acc[:, 1], heading])
+    return Trajectory(str(actor_id), 1.0 / dt, data)
 
 
 # the reference start bearing of the curved lane (dimensionless choice)
@@ -104,10 +94,10 @@ def _sector_polygon(center, r_lo, r_hi, th_lo, th_hi, samples=24):
 
 def _curved_road(spec, rng):
     h = spec.horizon
-    r_lo, r_hi = spec.radii
+    r_lo, r_hi = RADII
     radii = rng.uniform(r_lo, r_hi, size=spec.count)
-    speeds = rng.uniform(*spec.speed_range, size=spec.count)
-    noise = rng.normal(0.0, spec.noise_std, size=(spec.count, h + 1, 2))
+    speeds = rng.uniform(*SPEED_RANGE, size=spec.count)
+    noise = rng.normal(0.0, NOISE_STD, size=(spec.count, h + 1, 2))
 
     trajs = []
     for i in range(spec.count):
@@ -115,8 +105,8 @@ def _curved_road(spec, rng):
         thetas = _THETA0 - omega * spec.dt * np.arange(h + 1)
         arc = np.stack(
             [
-                spec.arc_center[0] + radii[i] * np.cos(thetas),
-                spec.arc_center[1] + radii[i] * np.sin(thetas),
+                ARC_CENTER[0] + radii[i] * np.cos(thetas),
+                ARC_CENTER[1] + radii[i] * np.sin(thetas),
             ],
             axis=1,
         )
@@ -124,15 +114,15 @@ def _curved_road(spec, rng):
 
     margin = 0.3
     w_lo, w_hi = (
-        spec.speed_range[0] / r_hi,
-        spec.speed_range[1] / r_lo,
+        SPEED_RANGE[0] / r_hi,
+        SPEED_RANGE[1] / r_lo,
     )
     start_poly = _sector_polygon(
-        spec.arc_center, r_lo - margin, r_hi + margin, _THETA0 - 0.02, _THETA0 + 0.02, 4
+        ARC_CENTER, r_lo - margin, r_hi + margin, _THETA0 - 0.02, _THETA0 + 0.02, 4
     )
     span = spec.dt * h
     end_poly = _sector_polygon(
-        spec.arc_center,
+        ARC_CENTER,
         r_lo - margin,
         r_hi + margin,
         _THETA0 - w_hi * span - 0.03,
@@ -162,11 +152,11 @@ def _stop_profile(h, cruise):
 
 def _straight_road_with_stop(spec, rng):
     h = spec.horizon
-    half = spec.lane_width / 2.0
+    half = LANE_WIDTH / 2.0
     x0 = rng.uniform(0.0, 1.0, size=spec.count)
     y0 = rng.uniform(-half / 2.0, half / 2.0, size=spec.count)
-    speeds = rng.uniform(*spec.speed_range, size=spec.count)
-    noise = rng.normal(0.0, spec.noise_std, size=(spec.count, h + 1, 2))
+    speeds = rng.uniform(*SPEED_RANGE, size=spec.count)
+    noise = rng.normal(0.0, NOISE_STD, size=(spec.count, h + 1, 2))
 
     passers = (spec.count + 1) // 2
     trajs = []
@@ -214,15 +204,19 @@ def straight_candidate(spec):
     if spec.kind != "curved_road":
         raise ValueError("the chord candidate only makes sense on curved_road")
     rng = np.random.default_rng(spec.seed)
-    radii = rng.uniform(spec.radii[0], spec.radii[1], size=spec.count)
-    speeds = rng.uniform(*spec.speed_range, size=spec.count)
+    radii = rng.uniform(RADII[0], RADII[1], size=spec.count)
+    speeds = rng.uniform(*SPEED_RANGE, size=spec.count)
     r_mid = float(np.median(radii))
     span = float(np.median(speeds / radii)) * spec.dt * spec.horizon
-    a = _arc_point(spec.arc_center, r_mid, _THETA0)
-    b = _arc_point(spec.arc_center, r_mid, _THETA0 - span)
+    a = _arc_point(ARC_CENTER, r_mid, _THETA0)
+    b = _arc_point(ARC_CENTER, r_mid, _THETA0 - span)
     steps = np.arange(spec.horizon + 1)[:, None] / spec.horizon
     positions = a[None, :] * (1.0 - steps) + b[None, :] * steps
     return _derive_trajectory("candidate", positions, spec.dt)
+
+
+# the Trajectory.data column behind each CSV column from xCenter on
+_CSV_ORDER = [0, 2, 1, 3, 4, 5, 6]
 
 
 def write_tracks_csv(trajectories, path):
@@ -231,20 +225,8 @@ def write_tracks_csv(trajectories, path):
         writer = csv.writer(fh)
         writer.writerow(REQUIRED_COLUMNS)
         for tr in trajectories:
-            for frame, s in enumerate(tr.states):
-                writer.writerow(
-                    [
-                        tr.actor_id,
-                        frame,
-                        repr(s.position[0]),
-                        repr(s.position[1]),
-                        repr(s.velocity[0]),
-                        repr(s.velocity[1]),
-                        repr(s.acceleration[0]),
-                        repr(s.acceleration[1]),
-                        repr(s.heading),
-                    ]
-                )
+            for frame, values in enumerate(tr.data[:, _CSV_ORDER].tolist()):
+                writer.writerow([tr.actor_id, frame, *map(repr, values)])
 
 
 def write_scenario(spec, out_dir):

@@ -17,7 +17,7 @@ from natset.geometry import extent_along, quickhull, signed_violation, to_halfsp
 from natset.natset import build_natset
 from natset.projection import CandidateTrajectory, naturalism_report, project
 from natset.qpsolver import SolverStatus, solve
-from natset.synthetic import default_spec, generate_scenario, straight_candidate
+from natset.synthetic import RADII, SPEED_RANGE, default_spec, generate_scenario, straight_candidate
 
 from oracles import enumerate_oracle, gift_wrap
 from test_qpsolver import random_qps
@@ -203,8 +203,8 @@ def test_criterion_5_hulls_lengthen_along_the_lane():
     spec = default_spec("curved_road", count=40, seed=7)
     trajs, task_cfg = generate_scenario(spec)
     natset = build_natset(_dataset_from(task_cfg, trajs))
-    s_mid = 0.5 * sum(spec.speed_range)
-    r_mid = 0.5 * sum(spec.radii)
+    s_mid = 0.5 * sum(SPEED_RANGE)
+    r_mid = 0.5 * sum(RADII)
     theta = np.pi - (s_mid / r_mid) * spec.dt * natset.horizon
     early = extent_along(natset.hulls[1].polygon, (0.0, -1.0))
     late = extent_along(natset.hulls[-1].polygon, (np.sin(theta), -np.cos(theta)))

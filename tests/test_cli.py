@@ -376,6 +376,67 @@ def test_project_exit_2_on_velocity_tube(scene, tmp_path, capsys):
     assert "only position hulls" in err
 
 
+def _slack_row(doc):
+    doc["hulls"][5]["h"][0] += 1e-3
+
+
+def _text_dt(doc):
+    doc["dt"] = "abc"
+
+
+@pytest.mark.parametrize(
+    "spoil, cause",
+    [
+        (_slack_row, "hull at t=5: slack half-space row"),
+        (None, "Expecting value"),
+        (_text_dt, "could not convert string to float"),
+    ],
+)
+def test_project_bad_tube_names_the_file(scene, tmp_path, capsys, spoil, cause):
+    spec, paths, _ = scene
+    text = build_natset_file(scene, capsys).read_text()
+    tube = tmp_path / "spoiled_tube.json"
+    if spoil is None:
+        tube.write_text("not a tube\n")
+    else:
+        doc = json.loads(text)
+        spoil(doc)
+        tube.write_text(json.dumps(doc))
+    code, _, err = run(
+        [
+            "project",
+            "--natset", str(tube),
+            "--candidate", str(paths["candidate"]),
+            "--dyn", f"dt={spec.dt}",
+            "--out", str(tmp_path / "proj.json"),
+        ],
+        capsys,
+    )
+    assert code == 2
+    assert err.startswith(f"error: {tube}: ")
+    assert cause in err
+
+
+def test_build_collinear_region_names_the_task_file(scene, tmp_path, capsys):
+    _, paths, _ = scene
+    task = json.loads(paths["task"].read_text())
+    task["start_polygon"] = [[0.0, 0.0], [1.0, 1.0], [2.0, 2.0]]
+    bad = tmp_path / "collinear_task.json"
+    bad.write_text(json.dumps(task))
+    code, _, err = run(
+        [
+            "build",
+            "--tracks", str(paths["tracks"]),
+            "--task", str(bad),
+            "--out", str(tmp_path / "tube.json"),
+        ],
+        capsys,
+    )
+    assert code == 2
+    assert err.startswith(f"error: {bad}: ")
+    assert "all points collinear within tolerance" in err
+
+
 def test_export_svg_polygon_count_and_determinism(scene, tmp_path, capsys):
     spec, paths, _ = scene
     tube = build_natset_file(scene, capsys)

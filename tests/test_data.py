@@ -17,7 +17,7 @@ from natset.data import (
     load_trajectories,
     slice_at,
 )
-from natset.geometry import quickhull
+from natset.geometry import quickhull, signed_violations
 
 HEADER = "trackId,frame,xCenter,yCenter,xVelocity,yVelocity,xAcceleration,yAcceleration,heading\n"
 
@@ -168,7 +168,7 @@ def test_slice_zero_lies_in_start_region():
         trajs.append(walk(str(i), np.linspace(p0, [8.5, 0.5], 12)))
     ds = filter_task(trajs, start, end)
     for pt in slice_at(ds, 0):
-        assert start.covers(pt, tol=1e-9)
+        assert start.covers(pt)
 
 
 def test_load_task_roundtrip(tmp_path):
@@ -378,6 +378,23 @@ def test_filter_matches_per_sample_reference():
     assert [tr.actor_id for tr in got] == [a for a, _ in expected]
     for tr, (_, ref) in zip(got, expected):
         assert np.array_equal(tr.data, ref)
+
+
+def test_filter_tests_the_end_region_with_batched_margins():
+    # final points straddle the tolerance band of a slanted end-region edge,
+    # where a one-point product and the batched product round differently;
+    # the filter decides as the batched form, which its start test uses
+    start = square(0.0, 0.0)
+    end = Region(quickhull([(40.0, 30.0), (47.0, 33.0), (41.0, 39.0)]))
+    g, h = end.halfspaces.G[0], end.halfspaces.h[0]
+    edge = np.linspace(end.polygon.vertices[0], end.polygon.vertices[1], 9)[1:-1]
+    finals = [q + (data.REGION_TOL + k * 2e-16) * g for q in edge for k in range(-40, 41)]
+    assert np.allclose([g @ p - h for p in finals], data.REGION_TOL, atol=1e-13)
+    trajs = [walk(str(i), [(0.5, 0.5), p]) for i, p in enumerate(finals)]
+    inside = signed_violations(end.halfspaces, np.array(finals)) <= data.REGION_TOL
+    assert 0 < inside.sum() < len(finals)
+    kept = {tr.actor_id for tr in filter_task(trajs, start, end).trajectories}
+    assert kept == {str(i) for i in np.flatnonzero(inside)}
 
 
 def test_slice_matches_per_trajectory_reference():

@@ -98,7 +98,7 @@ def test_generator_containment():
     ds = random_dataset()
     ns = build_natset(ds)
     for tr in ds.trajectories:
-        flags = trajectory_membership(ns, tr, tol=1e-9)
+        flags = trajectory_membership(ns, tr.dyn_states)
         assert len(flags) == min(ns.horizon, tr.horizon) + 1
         assert all(flags)
 
@@ -163,8 +163,8 @@ def test_far_from_origin_tubes_read_back(tmp_path, horizon, seed):
     # hulls 180-360 m from the origin, where 12-digit rounding moves margins past 1e-9
     spec = default_spec("straight_road_with_stop", count=200, seed=seed, horizon=horizon)
     trajectories, task = generate_scenario(spec)
-    start = quickhull(np.asarray(task["start_polygon"]))
-    end = quickhull(np.asarray(task["end_polygon"]))
+    start = Region(quickhull(np.asarray(task["start_polygon"])))
+    end = Region(quickhull(np.asarray(task["end_polygon"])))
     ns = build_natset(filter_task(trajectories, start, end, task["min_speed"]))
     path = tmp_path / "tube.json"
     write_natset(ns, path)

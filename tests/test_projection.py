@@ -1,8 +1,14 @@
+import json
+import os
+import shutil
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import natset
 from natset.data import RawActorState, Region, Task, TaskDataset, Trajectory, filter_task
 from natset.dynamics import double_integrator
 from natset.geometry import contains, quickhull, to_halfspaces
@@ -220,19 +226,6 @@ def test_dt_mismatch_rejected():
         project(cand, ns, double_integrator(dt=0.5))
 
 
-def test_velocity_weighting_changes_tradeoff():
-    ns = two_step_tube()
-    dyn = double_integrator(dt=1.0, mass=1.0)
-    cand = CandidateTrajectory([[t, 1.0, 0.5, 0.0] for t in range(3)], dt=1.0)
-    even = project(cand, ns, dyn, weight=(1.0, 1.0, 1.0, 1.0))
-    assert even.objective == pytest.approx(2.0, abs=1e-6)
-    # near-zero velocity weight: only position error counts
-    pos_only = project(cand, ns, dyn, weight=(1.0, 1e-6, 1.0, 1e-6))
-    assert pos_only.objective == pytest.approx(1.0, abs=1e-3)
-    with pytest.raises(ValueError):
-        project(cand, ns, dyn, weight=(1.0, 0.0, 1.0, 1.0))
-
-
 def test_projection_json_round_trip(tmp_path):
     dt = 0.1
     family = spread_family(seed=19, steps=6)
@@ -283,3 +276,18 @@ def test_straight_candidate_demo_reproduces_committed_projection(tmp_path):
     write_projection(result, candidate, tmp_path / "projection.json")
     committed = Path(__file__).resolve().parents[1] / "demos" / "out" / "projection.json"
     assert (tmp_path / "projection.json").read_bytes() == committed.read_bytes()
+
+
+def test_straight_candidate_demo_script_prints_the_tight_steps(tmp_path):
+    demos = Path(__file__).resolve().parents[1] / "demos"
+    script = tmp_path / "project_straight_candidate.py"
+    shutil.copy(demos / "project_straight_candidate.py", script)
+    env = dict(os.environ, PYTHONPATH=str(Path(natset.__file__).parents[1]))
+    run = subprocess.run([sys.executable, str(script)], capture_output=True, text=True,
+                         env=env, timeout=120, check=True)
+    committed = json.loads((demos / "out" / "projection.json").read_text())
+    tight = [t for t, rows in enumerate(committed["active_constraints"]) if rows]
+    assert (tight[0], tight[-1]) == (21, 36)
+    assert "steps with a tight hull constraint: 21..36\n" in run.stdout
+    for name in ("projection.json", "projection.svg"):
+        assert (tmp_path / "out" / name).read_bytes() == (demos / "out" / name).read_bytes()

@@ -149,6 +149,31 @@ def test_degenerate_and_infeasible_programs_match_oracle():
     assert 100 <= infeasible <= 300  # both outcomes are exercised
 
 
+@pytest.mark.parametrize("seed", [2024, 7])
+def test_large_multipliers_certify_exact_optima(seed):
+    # rows scaled by 2^-12 push multipliers to 1e9-6e10, which magnify the
+    # rounding of a tight row's margin (a few 1e-16) past 1e-6
+    for idx, base in enumerate(degenerate_qps(400, seed)):
+        qp = QuadraticProgram(base.P, base.q, base.A * 2.0**-12, base.b)
+        sol = solve(qp)
+        try:
+            exact = enumerate_oracle(qp)
+        except NoFeasibleActiveSet:
+            assert sol.status is SolverStatus.INFEASIBLE, idx
+            continue
+        assert sol.status is SolverStatus.OPTIMAL, idx
+        assert abs(sol.objective - exact.objective) <= 1e-8 * (1.0 + abs(exact.objective)), idx
+
+
+def test_certificate_rejects_a_slack_working_row():
+    # min (z^2 + q z) s.t. z >= 1, with the multiplier that makes z stationary
+    for z, ok in ((1.0, True), (1.0 + 1e-5, False)):
+        qp = QuadraticProgram([[2.0]], [1.0 - 2.0 * z], [[-1.0]], [-1.0])
+        passed, stat, viol = qpsolver._certificate(qp, np.array([z]), np.array([1.0]))
+        assert stat <= 1e-15 and viol == 0.0
+        assert passed is ok
+
+
 def test_nearly_parallel_rows_match_linprog_feasibility():
     infeasible = 0
     for idx, qp in enumerate(degenerate_qps(400, seed=2024, multiples=(3.0, 0.25))):

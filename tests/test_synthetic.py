@@ -5,11 +5,20 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from natset.data import TaskDataset, filter_task, load_task, load_trajectories
+from natset.data import (
+    RawActorState,
+    TaskDataset,
+    Trajectory,
+    filter_task,
+    load_task,
+    load_trajectories,
+)
 from natset.dynamics import double_integrator, rollout
 from natset.geometry import extent_along
 from natset.natset import build_natset, trajectory_membership
 from natset.synthetic import (
+    RADII,
+    SPEED_RANGE,
     ScenarioSpec,
     default_spec,
     generate_scenario,
@@ -66,8 +75,8 @@ def test_curved_hulls_fan_out_along_the_lane(tmp_path):
     natset = build_natset(_filtered_dataset(spec, tmp_path))
     assert natset.horizon == spec.horizon
     # tangent of the mid-band arc at each end of the tube
-    s_mid = 0.5 * sum(spec.speed_range)
-    r_mid = 0.5 * sum(spec.radii)
+    s_mid = 0.5 * sum(SPEED_RANGE)
+    r_mid = 0.5 * sum(RADII)
     theta = np.pi - (s_mid / r_mid) * spec.dt * natset.horizon
     tangent_end = (np.sin(theta), -np.cos(theta))
     tangent_start = (0.0, -1.0)
@@ -94,7 +103,7 @@ def test_chord_candidate_is_feasible_but_leaves_the_tube(tmp_path):
     replay = rollout(dyn, states[0], controls)
     assert np.max(np.abs(replay - states)) <= 1e-9
     natset = build_natset(_filtered_dataset(spec, tmp_path))
-    inside = trajectory_membership(natset, cand)
+    inside = trajectory_membership(natset, cand.dyn_states)
     assert inside[0]
     mid = slice(len(inside) // 3, 2 * len(inside) // 3)
     assert not all(inside[mid])
@@ -110,14 +119,27 @@ def test_generated_velocities_match_position_differences(tmp_path):
         assert np.allclose(vel[:-1], step, atol=1e-12)
 
 
+@pytest.mark.parametrize("kind", ["curved_road", "straight_road_with_stop"])
+def test_trajectories_equal_per_sample_derivation(kind):
+    spec = default_spec(kind, count=5, seed=3, horizon=30)
+    for tr in generate_scenario(spec)[0]:
+        pos = tr.positions
+        vel = np.diff(pos, axis=0) / spec.dt
+        vel = np.vstack([vel, vel[-1]])
+        acc = np.diff(vel, axis=0) / spec.dt
+        acc = np.vstack([acc, acc[-1]])
+        ref = Trajectory(tr.actor_id, 1.0 / spec.dt, [
+            RawActorState(tuple(pos[t]), tuple(vel[t]), tuple(acc[t]),
+                          float(np.arctan2(vel[t, 1], vel[t, 0])))
+            for t in range(len(pos))
+        ])
+        assert np.array_equal(tr.data, ref.data)
+
+
 def test_scenario_parameters_validated():
     with pytest.raises(ValueError):
         ScenarioSpec(kind="roundabout")
     with pytest.raises(ValueError):
         ScenarioSpec(kind="curved_road", count=2)
-    with pytest.raises(ValueError):
-        ScenarioSpec(kind="curved_road", radii=(20.0, 20.0))
-    with pytest.raises(ValueError):
-        ScenarioSpec(kind="curved_road", speed_range=(-1.0, 5.0))
     with pytest.raises(ValueError):
         straight_candidate(default_spec("straight_road_with_stop"))
