@@ -7,8 +7,10 @@ and controls are planar forces ``(F_x, F_y)`` on a point of mass M:
     p_{y,t+1} = p_y,t + dt * v_y,t        v_{y,t+1} = v_y,t + dt * F_y,t / M
 
 ``condense`` stacks the recursion into one affine map so a horizon-T rollout
-becomes ``xi = Phi @ x0 + Gamma @ U`` with U the flattened control sequence;
-the projection module builds its quadratic program directly on that map.
+becomes ``xi = Phi @ x0 + Gamma @ U`` with U the flattened control sequence.
+The x and y axes never mix, so ``per_axis`` splits off the identical
+one-axis system ``(p, v)`` driven by one force; the projection module
+builds its quadratic program on the condensed map of that system.
 """
 
 from __future__ import annotations
@@ -73,6 +75,21 @@ def double_integrator(dt: float, mass: float = 1.0) -> LinearDynamics:
     return LinearDynamics(A=A, B=B, dt=float(dt), mass=float(mass))
 
 
+def per_axis(dyn: LinearDynamics) -> LinearDynamics:
+    """The (2x2, 2x1) system of one axis, shared by x and y.
+
+    Raises ValueError unless ``dyn`` acts on (p_x, v_x) and (p_y, v_y) as
+    two identical, uncoupled blocks, each driven by its own force.
+    """
+    a, b = dyn.A[:2, :2].copy(), dyn.B[:2, :1].copy()
+    pair = np.eye(2)
+    if not (np.array_equal(dyn.A, np.kron(pair, a)) and np.array_equal(dyn.B, np.kron(pair, b))):
+        raise ValueError("x and y dynamics do not decouple into identical blocks")
+    a.flags.writeable = False
+    b.flags.writeable = False
+    return LinearDynamics(A=a, B=b, dt=dyn.dt, mass=dyn.mass)
+
+
 def rollout(dyn: LinearDynamics, x_init, controls) -> np.ndarray:
     """Simulate the recursion; returns states of shape (len(controls)+1, 4)."""
     x = np.asarray(x_init, dtype=float).ravel()
@@ -88,20 +105,21 @@ def rollout(dyn: LinearDynamics, x_init, controls) -> np.ndarray:
 def condense(dyn: LinearDynamics, horizon: int) -> CondensedMap:
     """Affine control-to-state map over ``horizon`` steps.
 
-    For any x0 and control stack U (shape horizon*2), the stacked trajectory
-    of horizon+1 states equals ``Phi @ x0 + Gamma @ U``.
+    For any x0 and control stack U (shape horizon * inputs), the stacked
+    trajectory of horizon+1 states equals ``Phi @ x0 + Gamma @ U``.
     """
     if horizon < 1:
         raise ValueError(f"horizon must be >= 1, got {horizon}")
-    powers = [np.eye(NX)]
+    nx, nu = dyn.B.shape
+    powers = [np.eye(nx)]
     for _ in range(horizon):
         powers.append(dyn.A @ powers[-1])
     Phi = np.concatenate(powers)
     # block (t, k) of Gamma depends on the lag t-1-k only, so each A^j B is
     # formed once and column block k takes the lags 0 .. horizon-1-k
     lagged = np.array([p @ dyn.B for p in powers[:horizon]])
-    Gamma = np.zeros(((horizon + 1) * NX, horizon * NU))
-    blocks = Gamma.reshape(horizon + 1, NX, horizon, NU)
+    Gamma = np.zeros(((horizon + 1) * nx, horizon * nu))
+    blocks = Gamma.reshape(horizon + 1, nx, horizon, nu)
     for k in range(horizon):
         blocks[k + 1 :, :, k] = lagged[: horizon - k]
     Phi.flags.writeable = False

@@ -5,6 +5,8 @@ The candidate is replaced by the closest dynamically feasible trajectory
 inside the tube cross-sections wherever tube and candidate overlap in
 time.  With the dynamics eliminated by condensation this is a convex QP
 in the control sequence; the initial state is pinned, never optimized.
+The x and y axes share one condensed map, so the QP's matrix is one
+H x H block and its hull rows stay implicit (`HullRows`).
 """
 
 import json
@@ -13,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import ParseError, Trajectory
-from .dynamics import NX, POSITIONS, condense, rollout
+from .dynamics import condense, per_axis, rollout
 from .natset import _round12, _round12_nested, hull_margins
 from .qpsolver import QuadraticProgram, SolverStatus, solve
 
@@ -98,11 +100,86 @@ def naturalism_report(candidate, natset):
     return out + [None] * (candidate.horizon + 1 - len(out))
 
 
+class HullRows:
+    """Hull constraint rows on the control stack, kept without a matrix.
+
+    The controls z = (F_x0, F_y0, F_x1, F_y1, ...) reshape to one force
+    column per axis, and each axis's positions are ``free + Cp @ forces``
+    with the same (H+1, H) map Cp.  Row i, for the half-space normal
+    ``G[i]`` of the hull at step ``steps[i]``, is therefore Cp[steps[i]]
+    with each entry times that normal: A @ z is the normals applied to
+    the positions ``Cp @ z.reshape(H, 2)``, and a dense row is formed
+    only on request.  This is the row interface of `qpsolver`.
+    """
+
+    def __init__(self, Cp, steps, G):
+        self.Cp = Cp
+        self.steps = steps
+        self.G = G
+        self.shape = (len(G), 2 * Cp.shape[1])
+
+    def __matmul__(self, z):
+        positions = self.Cp @ np.reshape(z, (-1, 2))
+        return np.einsum("ij,ij->i", self.G, positions[self.steps])
+
+    def __getitem__(self, idx):
+        rows = self.Cp[self.steps[idx], :, None] * self.G[idx, None, :]
+        return rows.reshape(np.shape(idx) + (self.shape[1],))
+
+    def row_norms(self):
+        return np.linalg.norm(self.G, axis=1) * np.linalg.norm(self.Cp, axis=1)[self.steps]
+
+
+def _program(candidate, natset, dyn):
+    """The projection QP in the controls, from the per-axis condensed map.
+
+    Per axis the stacked (position, velocity) trajectory is ``Phi x0 +
+    Gamma u``, so the objective's block is 2 Gamma'Gamma = 2 (Cp'Cp +
+    Cv'Cv) for Cp and Cv the position and velocity rows of Gamma, and
+    each axis's part of the linear term is 2 Gamma'(Phi x0 - target).
+    """
+    H = candidate.horizon
+    cm = condense(per_axis(dyn), H)
+    # row 2t + s of these stacks is step t's position (s = 0) or velocity
+    # (s = 1); column c is the axis, matching the state order (p_x, v_x, p_y, v_y)
+    free = cm.Phi @ candidate.states[0].reshape(2, 2).T
+    target = candidate.states.reshape(H + 1, 2, 2).transpose(0, 2, 1).reshape(-1, 2)
+    P = 2.0 * (cm.Gamma.T @ cm.Gamma)
+    q = 2.0 * (cm.Gamma.T @ (free - target))
+
+    Cp, free_pos = cm.Gamma[0::2], free[0::2]
+    # x_init is pinned, so t = 0 carries no constraint; its membership was
+    # the pre-check
+    tube = [natset.hulls[t].halfspaces for t in range(1, min(H, natset.horizon) + 1)]
+    sizes = [len(hs.h) for hs in tube]
+    G = np.concatenate([np.zeros((0, 2))] + [hs.G for hs in tube])
+    steps = np.repeat(np.arange(1, len(tube) + 1), sizes)
+    limit = np.concatenate([np.zeros(0)] + [hs.h for hs in tube])
+    limit -= np.einsum("ij,ij->i", G, free_pos[steps])
+    # rows no control influences are facts, not constraints: check and drop.
+    # Rounding is monotone, so max |G[i] Cp[t]| is exactly the product of
+    # the two maxima.
+    scale = np.max(np.abs(G), axis=1, initial=0.0) * np.max(np.abs(Cp), axis=1)[steps]
+    fixed = scale < ZERO_ROW_TOL
+    broken = np.flatnonzero(fixed & (limit < -1e-9))
+    if broken.size:
+        j = broken[0]
+        t = steps[j]
+        i = j - sum(sizes[: t - 1])
+        raise SolverFailure(
+            f"hull row {i} at t={t} is violated by {-limit[j]:.6g} m "
+            "and no control input can change it"
+        )
+    A = HullRows(Cp, steps[~fixed], G[~fixed])
+    return QuadraticProgram(P, q.ravel(), A, limit[~fixed])
+
+
 def project(candidate, natset, dyn, relax_initial=False):
     """Solve the tube-constrained least-squares projection.
 
     relax_initial skips the t = 0 membership pre-check; the initial state
-    stays pinned either way.
+    stays pinned either way.  ``dyn`` must move x and y alike (see
+    `dynamics.per_axis`).
     """
     if candidate.horizon < 1:
         raise ValueError("candidate must have at least 2 states")
@@ -119,45 +196,13 @@ def project(candidate, natset, dyn, relax_initial=False):
     if not relax_initial and report[0] > FEAS_TOL:
         raise InitialStateOutsideTube(report[0])
 
-    cm = condense(dyn, H_a)
-    free = cm.Phi @ x_init  # trajectory under zero control
-    target = candidate.states.ravel()
-    P = 2.0 * cm.Gamma.T @ cm.Gamma
-    q = 2.0 * cm.Gamma.T @ (free - target)
-    P = 0.5 * (P + P.T)  # scrub float asymmetry from the triple product
-
-    # position rows of the map, per step: p_t = free_pos[t] + Gamma_pos[t] @ U
-    Gamma_pos = cm.Gamma.reshape(H_a + 1, NX, -1)[:, POSITIONS]
-    free_pos = free.reshape(H_a + 1, NX)[:, POSITIONS]
-    rows, rhs = [], []
-    # x_init is pinned, so t = 0 carries no constraint; its membership was
-    # the pre-check
-    for t in range(1, min(H_a, natset.horizon) + 1):
-        hs = natset.hulls[t].halfspaces
-        coeff = hs.G @ Gamma_pos[t]
-        limit = hs.h - hs.G @ free_pos[t]
-        # rows no control influences are facts, not constraints: check and drop
-        fixed = np.max(np.abs(coeff), axis=1) < ZERO_ROW_TOL
-        broken = np.flatnonzero(fixed & (limit < -1e-9))
-        if broken.size:
-            i = broken[0]
-            raise SolverFailure(
-                f"hull row {i} at t={t} is violated by {-limit[i]:.6g} m "
-                "and no control input can change it"
-            )
-        rows.append(coeff[~fixed])
-        rhs.append(limit[~fixed])
-
-    A = np.concatenate(rows) if rows else np.zeros((0, 2 * H_a))
-    b = np.concatenate(rhs) if rhs else np.zeros(0)
-    qp = QuadraticProgram(P, q, A, b)
-    sol = solve(qp)
+    sol = solve(_program(candidate, natset, dyn))
     if sol.status is not SolverStatus.OPTIMAL:
         raise SolverFailure(f"solver returned {sol.status.value}")
 
     controls = sol.z.reshape(H_a, 2)
     states = rollout(dyn, x_init, controls)
-    diff = states.ravel() - target
+    diff = states.ravel() - candidate.states.ravel()
     objective = float(diff @ diff)
 
     active = [np.flatnonzero(np.abs(m) <= ACTIVE_TOL) for m in hull_margins(natset, states)]

@@ -1,4 +1,4 @@
-"""Dense strictly convex quadratic programming by a dual active-set method.
+"""Strictly convex quadratic programming by a dual active-set method.
 
 Solves  min 0.5 z'Pz + q'z  subject to  Az <= b  for positive definite P
 with the method of Goldfarb and Idnani (Math. Prog. 27, 1983).  It starts
@@ -8,6 +8,18 @@ multiplier would turn negative.  Every iterate is dual feasible, so the
 first one that violates no row is the optimum.  A violated row that
 depends linearly on the working set, and that no working multiplier can
 block, proves the program infeasible.
+
+P is given by one m x m block P_b with P = P_b (x) I_c, where c = n / m
+follows from the length n of q: z keeps its c components per block index
+adjacent, so P z is P_b @ z.reshape(m, c), and a program that passes all
+of P has c = 1.  Only P_b is checked and factored.
+
+A is either a dense (k, n) array or a row operator that stores no matrix.
+The solver reaches rows only through ``A @ z`` (all k products),
+``A[idx]`` (the dense rows idx, one index or an index array),
+``A.shape`` and, for an operator, ``A.row_norms()``; it needs a full row
+only when that row enters the working set, and the certificate needs
+only the working rows.
 
 With P = L L' the Cholesky factor kept by the program and N the working
 rows as columns, the method keeps L^{-1} N = Q [R; 0] with Q orthogonal
@@ -43,16 +55,19 @@ def _freeze(arr, ndim, dtype=float):
 
 
 # KKT certificate tolerances, checked against the original problem data;
-# stationarity is allowed _STAT_TOL * (1 + max|q|)
+# stationarity is allowed _STAT_TOL * (1 + max|q|) plus the rounding of
+# P z + q + A'lam, _ROUNDINGS eps (||P||_inf max|z| + |q| + |A_W|' |lam_W|)
+# per entry, since huge multipliers magnify the rounding of their rows' terms
 _STAT_TOL = 1e-7
 _FEAS_TOL = 1e-7
 _COMP_SLACK_TOL = 1e-6
 _DUAL_SIGN_TOL = 1e-9
-# a margin a_i z - b_i is computed to within a few eps (|a_i| |z| + |b_i|);
-# row i may miss complementarity by lam_i times this many such roundings
-# on top of _COMP_SLACK_TOL, since a large multiplier magnifies them past
-# any absolute bound
-_MARGIN_ROUNDINGS = 16
+# a sum is computed to within a few eps times the sum of its terms'
+# magnitudes; row i may miss complementarity by lam_i times this many
+# roundings of its margin a_i z - b_i, eps (|a_i| |z| + |b_i|), on top of
+# _COMP_SLACK_TOL, since a large multiplier magnifies them past any
+# absolute bound
+_ROUNDINGS = 16
 # a row enters the working set only when violated by more than this
 _VIOL_TOL = 1e-9
 # a violated row depends on the working set when the part of L^{-1} a
@@ -65,11 +80,13 @@ _MAX_STEPS = 10_000
 
 @dataclass(frozen=True)
 class QuadraticProgram:
-    """min 0.5 z'Pz + q'z  s.t.  Az <= b,  with P positive definite.
+    """min 0.5 z'(P (x) I_c)z + q'z  s.t.  Az <= b,  with P positive definite.
 
-    P must be symmetric within 1e-10 and have a Cholesky factor, which is
-    kept as the lower triangular `L` (P = L L') for `solve`.  A may have
-    zero rows (unconstrained).
+    P is an m x m block and c = len(q) / m (see the module docstring).  P
+    must be symmetric within 1e-10 and have a Cholesky factor, which is
+    kept as the lower triangular `L` (P = L L') for `solve`.  A is a dense
+    (k, n) array, possibly with zero rows (unconstrained), or a row
+    operator.
     """
 
     P: np.ndarray
@@ -81,10 +98,12 @@ class QuadraticProgram:
     def __post_init__(self):
         object.__setattr__(self, "P", _freeze(self.P, 2))
         object.__setattr__(self, "q", _freeze(self.q, 1))
-        object.__setattr__(self, "A", _freeze(self.A, 2))
         object.__setattr__(self, "b", _freeze(self.b, 1))
-        n = self.q.shape[0]
-        if self.P.shape != (n, n):
+        dense = not hasattr(self.A, "row_norms")
+        if dense:
+            object.__setattr__(self, "A", _freeze(self.A, 2))
+        n, m = self.q.shape[0], self.P.shape[0]
+        if self.P.shape != (m, m) or not m or n % m:
             raise DimensionMismatch(f"P is {self.P.shape}, q has length {n}")
         if self.A.shape[1] != n or self.A.shape[0] != self.b.shape[0]:
             raise DimensionMismatch(
@@ -92,7 +111,7 @@ class QuadraticProgram:
             )
         if not np.all(np.isfinite(self.P)) or not np.all(np.isfinite(self.q)):
             raise ValueError("objective contains non-finite entries")
-        if not np.all(np.isfinite(self.A)) or not np.all(np.isfinite(self.b)):
+        if (dense and not np.all(np.isfinite(self.A))) or not np.all(np.isfinite(self.b)):
             raise ValueError("constraints contain non-finite entries")
         if np.max(np.abs(self.P - self.P.T), initial=0.0) > 1e-10:
             raise ValueError("P is not symmetric within 1e-10")
@@ -111,9 +130,14 @@ class QuadraticProgram:
     def k(self):
         return self.b.shape[0]
 
+    def blocks(self, z):
+        """z as the (m, c) array on which the block P acts."""
+        return np.reshape(z, (self.P.shape[0], -1))
+
     def objective(self, z):
         z = np.asarray(z, dtype=float)
-        return float(0.5 * z @ self.P @ z + self.q @ z)
+        Z = self.blocks(z)
+        return float(0.5 * np.vdot(Z, self.P @ Z) + self.q @ z)
 
 
 @dataclass(frozen=True)
@@ -122,8 +146,6 @@ class QPSolution:
     objective: float
     status: SolverStatus
     iterations: int
-    primal_residual: float
-    dual_residual: float
     lam: np.ndarray = field(default_factory=lambda: np.zeros(0))
 
     def __post_init__(self):
@@ -131,26 +153,44 @@ class QPSolution:
         object.__setattr__(self, "lam", _freeze(self.lam, 1))
 
 
+def _row_norms(A):
+    """Euclidean norms of the rows of a dense array or a row operator."""
+    return A.row_norms() if hasattr(A, "row_norms") else np.linalg.norm(A, axis=1)
+
+
+def _triangular(qp, v, trans="N"):
+    """L^{-1} v, or L^{-T} v with trans="T", for the full factor L (x) I_c."""
+    out = scipy.linalg.solve_triangular(
+        qp.L, qp.blocks(v), lower=True, trans=trans, check_finite=False
+    )
+    return out.ravel()
+
+
 def _certificate(qp, z, lam):
     """KKT check of a primal-dual pair against the original problem data.
 
     Returns (passed, stationarity residual, worst constraint violation).
     """
-    stat = np.max(np.abs(qp.P @ z + qp.q + qp.A.T @ lam), initial=0.0)
+    eps = np.finfo(float).eps
+    # only rows with a multiplier enter A'lam or can miss complementarity
+    w = np.flatnonzero(lam)
+    A_w = qp.A[w]
+    residual = np.abs((qp.P @ qp.blocks(z)).ravel() + qp.q + A_w.T @ lam[w])
+    size = (np.linalg.norm(qp.P, np.inf) * np.max(np.abs(z), initial=0.0)
+            + np.abs(qp.q) + np.abs(A_w).T @ np.abs(lam[w]))
+    stat_bound = _STAT_TOL * (1.0 + np.max(np.abs(qp.q), initial=0.0)) + _ROUNDINGS * eps * size
     margins = qp.A @ z - qp.b
     viol = np.max(margins, initial=0.0)
-    # only rows with a multiplier can miss complementarity
-    w = np.flatnonzero(lam)
-    rounding = (_MARGIN_ROUNDINGS * np.finfo(float).eps
-                * (np.linalg.norm(qp.A[w], axis=1) * np.linalg.norm(z) + np.abs(qp.b[w])))
+    rounding = (_ROUNDINGS * eps
+                * (np.linalg.norm(A_w, axis=1) * np.linalg.norm(z) + np.abs(qp.b[w])))
     comp = np.max(np.abs(lam[w]) * (np.abs(margins[w]) - rounding), initial=0.0)
     passed = bool(
-        stat <= _STAT_TOL * (1.0 + np.max(np.abs(qp.q), initial=0.0))
+        np.all(residual <= stat_bound)
         and viol <= _FEAS_TOL
         and comp <= _COMP_SLACK_TOL
         and np.min(lam, initial=0.0) >= -_DUAL_SIGN_TOL
     )
-    return passed, stat, viol
+    return passed, np.max(residual, initial=0.0), viol
 
 
 def _drop(Q, R, m, j):
@@ -196,8 +236,7 @@ def solve(qp):
     step cap is reached or the final point fails its certificate.
     """
     n, k = qp.n, qp.k
-    L = qp.L
-    z = scipy.linalg.cho_solve((L, True), -qp.q, check_finite=False)
+    z = scipy.linalg.cho_solve((qp.L, True), qp.blocks(-qp.q), check_finite=False).ravel()
     working = []  # row indices, in R's column order
     u = np.zeros(0)  # their multipliers
     Q = R = norms = None  # made when the first row is violated
@@ -212,10 +251,11 @@ def solve(qp):
             break
         if Q is None:
             Q, R = np.eye(n), np.zeros((n, n))
-            norms = np.linalg.norm(qp.A, axis=1)
+            norms = _row_norms(qp.A)
             norms[norms == 0.0] = 1.0
         p = int(violated[np.argmax(margins[violated] / norms[violated])])
-        y = scipy.linalg.solve_triangular(L, qp.A[p], lower=True, check_finite=False)
+        a = qp.A[p]
+        y = _triangular(qp, a)
         u_p = 0.0
         while True:
             if steps == _MAX_STEPS:
@@ -241,12 +281,9 @@ def solve(qp):
                 t = t1  # dual step only: z stays put
             else:
                 # primal step limit: row p becomes tight
-                t2 = float(qp.A[p] @ z - qp.b[p]) / norm2
+                t2 = float(a @ z - qp.b[p]) / norm2
                 t = min(t1, t2)
-                direction = Q[:, m:] @ w2
-                z = z - t * scipy.linalg.solve_triangular(
-                    L, direction, lower=True, trans="T", check_finite=False
-                )
+                z = z - t * _triangular(qp, Q[:, m:] @ w2, trans="T")
                 if t2 <= t1:
                     _add(Q, R, m, w)
                     working.append(p)
@@ -259,7 +296,7 @@ def solve(qp):
 
     lam = np.zeros(k)
     lam[working] = u
-    certified, stat, viol = _certificate(qp, z, lam)
+    certified, _, _ = _certificate(qp, z, lam)
     if status is SolverStatus.OPTIMAL and not certified:
         status = SolverStatus.MAX_ITER
-    return QPSolution(z, qp.objective(z), status, steps, max(viol, 0.0), stat, lam)
+    return QPSolution(z, qp.objective(z), status, steps, lam)

@@ -196,10 +196,12 @@ def straight_candidate(spec):
     """Constant-velocity chord across the curved lane.
 
     Re-draws the same radius and rate samples the scenario uses and aims
-    the chord at the median arc, so its start (and its first step, which
-    no control input can influence) sit strictly inside the sampled
-    spread.  Dynamically feasible by construction, but cuts inside the
-    radius band near the apex.
+    the chord at the median arc, so it starts on that arc.  Nothing keeps
+    its start or its first step, which no control input can influence,
+    inside the hulls that the recorded tracks span: on some scenes and
+    horizons the first step misses the t=1 hull, and projection fails.
+    Dynamically feasible by construction, but cuts inside the radius band
+    near the apex.
     """
     if spec.kind != "curved_road":
         raise ValueError("the chord candidate only makes sense on curved_road")

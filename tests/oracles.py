@@ -85,9 +85,16 @@ def enumerate_oracle(qp):
     """Exact solve by brute force over all active sets.
 
     Exponential in the row count, so it refuses k > 16.  For each subset S
-    the equality-constrained KKT system [[P, A_S'], [A_S, 0]] is solved;
-    singular systems are skipped, infeasible candidates discarded, and the
-    best remaining objective wins.  Intended for test-side verification.
+    the equality-constrained problem min 0.5 z'Pz + q'z s.t. A_S z = b_S is
+    solved by the null-space method: with A_S' = [Y N] [R; 0] a complete
+    QR factorization, z = Y R^{-T} b_S + N y where y minimizes the reduced
+    objective, and stationarity P z + q + A_S' lam = 0 gives lam from R.
+    Infeasible candidates are discarded and the best remaining objective
+    wins.  Intended for test-side verification.
+
+    The method solves for z without the multipliers, so multipliers of
+    1e16 on rows of norm 1e-6 cost z no accuracy; LU on the full KKT
+    matrix lost 1e-5 in z there, enough to fail the feasibility check.
 
     P is positive definite, so some optimal active set has linearly
     independent rows; subsets whose rows are numerically dependent are
@@ -97,35 +104,34 @@ def enumerate_oracle(qp):
     n, k = qp.n, qp.k
     if k > 16:
         raise ValueError(f"enumeration over 2^{k} active sets refused; need k <= 16")
+    # a block program's matrix is its block times the identity
+    P = np.kron(qp.P, np.eye(n // qp.P.shape[0]))
     best = None
     for mask in range(1 << k):
         idx = [i for i in range(k) if (mask >> i) & 1]
         m = len(idx)
-        rows = qp.A[idx]
+        rows = np.asarray(qp.A[idx]).reshape(m, n)
         if m and np.linalg.matrix_rank(rows) < m:
             continue
-        kkt = np.zeros((n + m, n + m))
-        kkt[:n, :n] = qp.P
-        kkt[:n, n:] = rows.T
-        kkt[n:, :n] = rows
-        rhs = np.concatenate([-qp.q, qp.b[idx]])
+        basis, R = np.linalg.qr(rows.T, mode="complete")
+        Y, N, R = basis[:, :m], basis[:, m:], R[:m]
         try:
-            sol = np.linalg.solve(kkt, rhs)
+            z = Y @ np.linalg.solve(R.T, qp.b[idx]) if m else np.zeros(n)
+            if n > m:
+                z = z + N @ np.linalg.solve(N.T @ P @ N, -N.T @ (P @ z + qp.q))
+            lam_S = np.linalg.solve(R, -Y.T @ (P @ z + qp.q)) if m else np.zeros(0)
         except np.linalg.LinAlgError:
             continue
-        if not np.all(np.isfinite(sol)):
+        if not (np.all(np.isfinite(z)) and np.all(np.isfinite(lam_S))):
             continue
-        z = sol[:n]
         if np.max(qp.A @ z - qp.b, initial=0.0) > 1e-9:
             continue
         obj = qp.objective(z)
         if best is None or obj < best[0] - 1e-14:
             lam = np.zeros(k)
-            lam[idx] = sol[n:]
+            lam[idx] = lam_S
             best = (obj, z, lam)
     if best is None:
         raise NoFeasibleActiveSet("no active set yields a feasible KKT point")
     obj, z, lam = best
-    stat = np.max(np.abs(qp.P @ z + qp.q + qp.A.T @ lam), initial=0.0)
-    viol = np.max(qp.A @ z - qp.b, initial=0.0)
-    return QPSolution(z, obj, SolverStatus.OPTIMAL, 1 << k, max(viol, 0.0), stat, lam)
+    return QPSolution(z, obj, SolverStatus.OPTIMAL, 1 << k, lam)

@@ -7,6 +7,7 @@ from natset.dynamics import (
     NonPositiveParameter,
     condense,
     double_integrator,
+    per_axis,
     rollout,
 )
 
@@ -132,3 +133,38 @@ def test_rollout_linearity():
     lhs = rollout(dyn, x0, U1 + U2) - rollout(dyn, x0, U1) - rollout(dyn, x0, U2)
     rhs = -rollout(dyn, x0, np.zeros_like(U1))
     assert np.max(np.abs(lhs - rhs)) < 1e-10
+
+
+def test_per_axis_system_is_one_block_of_the_planar_one():
+    dyn = double_integrator(dt=0.04, mass=1.3)
+    axis = per_axis(dyn)
+    assert axis.A.shape == (2, 2) and axis.B.shape == (2, 1)
+    assert np.array_equal(axis.A, dyn.A[:2, :2])
+    assert np.array_equal(axis.B, dyn.B[:2, :1])
+    assert (axis.dt, axis.mass) == (dyn.dt, dyn.mass)
+
+
+@pytest.mark.parametrize("horizon", [1, 2, 7, 60])
+def test_per_axis_condensed_map_is_each_axis_of_the_planar_map(horizon):
+    dyn = double_integrator(dt=0.04, mass=1.3)
+    planar, axis = condense(dyn, horizon), condense(per_axis(dyn), horizon)
+    assert axis.Phi.shape == (2 * (horizon + 1), 2)
+    assert axis.Gamma.shape == (2 * (horizon + 1), horizon)
+    for c in range(2):
+        rows = (np.arange(horizon + 1)[:, None] * 4 + 2 * c + np.arange(2)).ravel()
+        assert np.array_equal(planar.Phi[rows][:, 2 * c : 2 * c + 2], axis.Phi)
+        assert np.array_equal(planar.Gamma[rows][:, c::2], axis.Gamma)
+        other = planar.Gamma[rows][:, 1 - c :: 2]
+        assert not np.any(other)
+
+
+def test_per_axis_rejects_coupled_or_unequal_axes():
+    dyn = double_integrator(dt=0.1)
+    coupled = dyn.A.copy()
+    coupled[0, 2] = 1e-9
+    unequal = dyn.B.copy()
+    unequal[3, 1] *= 2.0
+    crossed = dyn.B[:, ::-1]
+    for A, B in ((coupled, dyn.B), (dyn.A, unequal), (dyn.A, crossed)):
+        with pytest.raises(ValueError, match="decouple"):
+            per_axis(LinearDynamics(A=A, B=B, dt=0.1, mass=1.0))

@@ -3,26 +3,31 @@ import os
 import shutil
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 import natset
 from natset.data import RawActorState, Region, Task, TaskDataset, Trajectory, filter_task
-from natset.dynamics import double_integrator
+from natset.dynamics import condense, double_integrator, rollout
 from natset.geometry import contains, quickhull, to_halfspaces
-from natset.natset import NaturalisticSet, TimedHull, build_natset
+from natset.natset import NaturalisticSet, TimedHull, build_natset, hull_margins
 from natset.projection import (
+    ACTIVE_TOL,
+    ZERO_ROW_TOL,
     CandidateTrajectory,
     InitialStateOutsideTube,
     SolverFailure,
     naturalism_report,
     project,
     read_projection,
+    _program,
     write_projection,
 )
-from natset.qpsolver import QuadraticProgram
+from natset.qpsolver import QuadraticProgram, SolverStatus, solve
 from natset.synthetic import default_spec, generate_scenario, straight_candidate
 
 from oracles import enumerate_oracle
@@ -131,8 +136,6 @@ def test_output_is_feasible_and_dynamic():
     for t in range(min(ns.horizon, cand.horizon) + 1):
         assert contains(ns.hulls[t].halfspaces, res.states[t, [0, 2]], 1e-6)
     # states really are the rollout of the returned controls
-    from natset.dynamics import rollout
-
     rebuilt = rollout(dyn, cand_states[0], res.controls)
     assert np.max(np.abs(rebuilt - res.states)) <= 1e-9
     assert res.objective > 1e-4  # the dive was not naturalistic
@@ -291,3 +294,173 @@ def test_straight_candidate_demo_script_prints_the_tight_steps(tmp_path):
     assert "steps with a tight hull constraint: 21..36\n" in run.stdout
     for name in ("projection.json", "projection.svg"):
         assert (tmp_path / "out" / name).read_bytes() == (demos / "out" / name).read_bytes()
+
+
+def dense_program(candidate, natset, dyn):
+    """Reference: the projection QP with P, q and A formed densely from the
+    planar condensed map, one hull row at a time."""
+    H = candidate.horizon
+    cm = condense(dyn, H)
+    free = cm.Phi @ candidate.states[0]
+    P = 2.0 * cm.Gamma.T @ cm.Gamma
+    q = 2.0 * cm.Gamma.T @ (free - candidate.states.ravel())
+    Gamma_pos = cm.Gamma.reshape(H + 1, 4, -1)[:, [0, 2]]
+    free_pos = free.reshape(H + 1, 4)[:, [0, 2]]
+    rows, rhs = [np.zeros((0, 2 * H))], [np.zeros(0)]
+    for t in range(1, min(H, natset.horizon) + 1):
+        hs = natset.hulls[t].halfspaces
+        coeff = hs.G @ Gamma_pos[t]
+        keep = np.max(np.abs(coeff), axis=1) >= ZERO_ROW_TOL
+        rows.append(coeff[keep])
+        rhs.append((hs.h - hs.G @ free_pos[t])[keep])
+    return 0.5 * (P + P.T), q, np.concatenate(rows), np.concatenate(rhs)
+
+
+def random_tube_around(candidate, rng):
+    """Random convex hulls, each around the zero-control position of its step."""
+    x0, dt = candidate.states[0], candidate.dt
+    hulls = []
+    for t in range(candidate.horizon + 1):
+        center = np.array([x0[0] + t * dt * x0[1], x0[2] + t * dt * x0[3]])
+        count = int(rng.integers(3, 10))
+        angles = (np.arange(count) + rng.uniform(0.0, 0.9, size=count)) * 2.0 * np.pi / count
+        radii = rng.uniform(0.5, 2.0, size=count)
+        poly = quickhull(center + radii[:, None] * np.column_stack([np.cos(angles), np.sin(angles)]))
+        hulls.append(TimedHull(t, poly, to_halfspaces(poly), 4))
+    return NaturalisticSet(tuple(hulls), dt=candidate.dt)
+
+
+def assert_relative(actual, expected, rtol):
+    scale = max(1.0, np.max(np.abs(expected), initial=0.0))
+    assert np.shape(actual) == np.shape(expected)
+    assert np.max(np.abs(np.asarray(actual) - expected), initial=0.0) <= rtol * scale
+
+
+@pytest.mark.parametrize("horizon", [1, 2, 7, 60])
+def test_hull_rows_and_block_objective_match_the_dense_program(horizon):
+    rng = np.random.default_rng(horizon)
+    dt = 0.1
+    dyn = double_integrator(dt, mass=1.3)
+    states = np.cumsum(rng.normal(0.0, 0.3, size=(horizon + 1, 4)), axis=0)
+    candidate = CandidateTrajectory(states, dt)
+    tube = random_tube_around(candidate, rng)
+    qp = _program(candidate, tube, dyn)
+    P, q, A, b = dense_program(candidate, tube, dyn)
+    assert qp.n == 2 * horizon and qp.P.shape == (horizon, horizon)
+    assert qp.A.shape == A.shape
+    assert_relative(qp.q, q, 1e-12)
+    assert_relative(qp.b, b, 1e-12)
+    assert_relative(qp.A.row_norms(), np.linalg.norm(A, axis=1), 1e-12)
+    assert_relative(qp.A[np.arange(qp.k)], A, 1e-12)
+    for i in rng.integers(0, max(qp.k, 1), size=min(qp.k, 5)):
+        assert_relative(qp.A[i], A[i], 1e-12)
+    for _ in range(3):
+        z = rng.standard_normal(qp.n)
+        assert_relative(qp.A @ z - qp.b, A @ z - b, 1e-12)
+        assert_relative((qp.P @ qp.blocks(z)).ravel(), P @ z, 1e-12)
+        assert qp.objective(z) == pytest.approx(0.5 * z @ P @ z + q @ z, rel=1e-12)
+
+
+def test_project_matches_the_dense_program_on_chords():
+    # project_active's inputs: chords across a 200-track, 100-step tube
+    spec = default_spec("curved_road", count=200, seed=7, horizon=100)
+    trajectories, task_cfg = generate_scenario(spec)
+    start = Region(quickhull(np.asarray(task_cfg["start_polygon"])))
+    end = Region(quickhull(np.asarray(task_cfg["end_polygon"])))
+    tube = build_natset(filter_task(trajectories, start, end, task_cfg["min_speed"]))
+    dyn = double_integrator(tube.dt)
+    compared = 0
+    for seed in range(1024, 1032):
+        chord = straight_candidate(default_spec("curved_road", count=200, seed=seed, horizon=100))
+        candidate = CandidateTrajectory.from_trajectory(chord)
+        try:
+            res = project(candidate, tube, dyn)
+        except (InitialStateOutsideTube, SolverFailure):
+            continue
+        dense = solve(QuadraticProgram(*dense_program(candidate, tube, dyn)))
+        assert dense.status is SolverStatus.OPTIMAL and dense.iterations > 0
+        controls = dense.z.reshape(-1, 2)
+        assert np.max(np.abs(res.controls - controls)) <= 1e-10
+        margins = hull_margins(tube, rollout(dyn, candidate.states[0], controls))
+        active = tuple(tuple(np.flatnonzero(np.abs(m) <= ACTIVE_TOL)) for m in margins)
+        assert res.active_constraints == active
+        compared += 1
+    assert compared == 8
+
+
+@pytest.fixture(scope="module")
+def long_tube():
+    """project_long's inputs: held-out tracks and a 200-track, 400-step tube."""
+    spec = default_spec("straight_road_with_stop", count=200, seed=7, horizon=400)
+    trajectories, task_cfg = generate_scenario(spec)
+    start = Region(quickhull(np.asarray(task_cfg["start_polygon"])))
+    end = Region(quickhull(np.asarray(task_cfg["end_polygon"])))
+    tube = build_natset(filter_task(trajectories, start, end, task_cfg["min_speed"]))
+    held_out, _ = generate_scenario(
+        default_spec("straight_road_with_stop", count=24, seed=1001, horizon=400)
+    )
+    return tube, [CandidateTrajectory.from_trajectory(tr) for tr in held_out]
+
+
+def test_projection_allocates_no_dense_constraint_matrix(long_tube):
+    # a dense A alone would be 5291 rows x 800 columns, 32 MiB; candidate 9
+    # takes active-set steps, whose two 800 x 800 factors take 10 MiB
+    tube, candidates = long_tube
+    dyn = double_integrator(tube.dt)
+    tracemalloc.start()
+    try:
+        res = project(candidates[9], tube, dyn)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert any(len(rows) for rows in res.active_constraints)
+    assert peak < 32 * 2**20
+
+
+def exact_unconstrained_controls(candidate):
+    """The unconstrained optimum in long double, by iterative refinement.
+
+    Per axis the positions and velocities are free + Cp u and free + Cv u
+    with Cp[t, j] = (t-1-j) dt^2 / M and Cv[t, j] = dt / M for j < t (mass
+    M = 1), so the optimum solves (Cp'Cp + Cv'Cv) u = -(Cp' dp + Cv' dv)
+    for dp, dv the zero-control trajectory's offsets from the candidate.
+    Residuals are formed in long double; a double Cholesky factor makes
+    each correction.
+    """
+    ld = np.longdouble
+    H, dt = candidate.horizon, ld(candidate.dt)
+    lag = (np.arange(H + 1)[:, None] - 1 - np.arange(H)[None, :]).astype(ld)
+    Cp = np.where(lag >= 0, lag * dt * dt, ld(0))
+    Cv = np.where(lag >= 0, dt, ld(0))
+    S = candidate.states.astype(ld)
+    steps = np.arange(H + 1).astype(ld)[:, None]
+    dp = S[0, [0, 2]] + steps * dt * S[0, [1, 3]] - S[:, [0, 2]]
+    dv = S[0, [1, 3]] - S[:, [1, 3]]
+    rhs = -(Cp.T @ dp + Cv.T @ dv)
+    Cp64, Cv64 = Cp.astype(float), Cv.astype(float)
+    factor = scipy.linalg.cho_factor(Cp64.T @ Cp64 + Cv64.T @ Cv64)
+    u = np.zeros((H, 2), dtype=ld)
+    for _ in range(5):
+        residual = rhs - (Cp.T @ (Cp @ u) + Cv.T @ (Cv @ u))
+        u += scipy.linalg.cho_solve(factor, residual.astype(float))
+    return u
+
+
+def test_long_horizon_controls_match_the_long_double_optimum(long_tube):
+    # P has condition number ~8e7 at H=400, so double precision fixes the
+    # controls to about 1e-9 relative; 1e-8 leaves room for the rounding
+    tube, candidates = long_tube
+    dyn = double_integrator(tube.dt)
+    compared = 0
+    for candidate in candidates:
+        try:
+            res = project(candidate, tube, dyn)
+        except InitialStateOutsideTube:
+            continue
+        if any(len(rows) for rows in res.active_constraints):
+            continue  # the tube shapes the optimum; the reference ignores it
+        exact = exact_unconstrained_controls(candidate)
+        scale = max(1.0, float(np.max(np.abs(exact))))
+        assert float(np.max(np.abs(res.controls - exact))) <= 1e-8 * scale
+        compared += 1
+    assert compared >= 12

@@ -165,6 +165,37 @@ def test_large_multipliers_certify_exact_optima(seed):
         assert abs(sol.objective - exact.objective) <= 1e-8 * (1.0 + abs(exact.objective)), idx
 
 
+# (seed, e, index) of degenerate_qps(400, seed) programs whose exact optima,
+# with rows scaled by 2^-e, carry multipliers of 1e13-1e16: the rounding of
+# A'lam then exceeds any absolute stationarity bound
+HUGE_MULTIPLIERS = (
+    (1, 20, 214), (1, 20, 392), (2, 20, 59), (2, 20, 84), (2, 20, 246),
+    (4, 16, 326), (4, 20, 326), (4, 20, 332), (6, 20, 73), (6, 20, 208),
+    (7, 20, 25), (8, 16, 271), (8, 20, 116), (8, 20, 271), (2024, 16, 92),
+    (2024, 20, 92), (2024, 20, 361),
+)
+
+
+def test_huge_multipliers_certify_exact_optima():
+    programs = {}
+    for seed, e, idx in HUGE_MULTIPLIERS:
+        if seed not in programs:
+            programs[seed] = degenerate_qps(400, seed)
+        base = programs[seed][idx]
+        qp = QuadraticProgram(base.P, base.q, base.A * 2.0**-e, base.b)
+        sol = solve(qp)
+        exact = enumerate_oracle(qp)
+        key = (seed, e, idx)
+        assert sol.status is SolverStatus.OPTIMAL, key
+        assert abs(sol.objective - exact.objective) <= 1e-8 * (1.0 + abs(exact.objective)), key
+        assert np.max(sol.lam) > 1e12, key
+        # the rounding allowance is relative: multipliers one part in 1e8
+        # off, or a point moved by one part in 1e6, still fail
+        assert not qpsolver._certificate(qp, sol.z, sol.lam * (1.0 + 1e-8))[0], key
+        moved = sol.z + 1e-6 * (1.0 + np.abs(sol.z))
+        assert not qpsolver._certificate(qp, moved, sol.lam)[0], key
+
+
 def test_certificate_rejects_a_slack_working_row():
     # min (z^2 + q z) s.t. z >= 1, with the multiplier that makes z stationary
     for z, ok in ((1.0, True), (1.0 + 1e-5, False)):
