@@ -29,10 +29,8 @@ from .geometry import (
     ConvexPolygon,
     DegenerateInput,
     HalfSpaceSet,
-    contains,
     extent_along,
     quickhull,
-    signed_violation,
     to_halfspaces,
 )
 from .natset import (
@@ -97,7 +95,6 @@ __all__ = [
     "Trajectory",
     "build_natset",
     "condense",
-    "contains",
     "default_spec",
     "double_integrator",
     "extent_along",
@@ -112,7 +109,6 @@ __all__ = [
     "read_natset",
     "read_projection",
     "rollout",
-    "signed_violation",
     "solve",
     "straight_candidate",
     "to_halfspaces",

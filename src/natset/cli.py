@@ -80,7 +80,7 @@ def cmd_project(args):
             f"found {len(trajectories)}"
         )
     candidate = CandidateTrajectory.from_trajectory(trajectories[0])
-    result = project(candidate, natset, dyn, relax_initial=args.relax_initial)
+    result = project(candidate, natset, dyn)
     write_projection(result, candidate, args.out)
     print(f"status: {result.status.value}")
     print(f"objective: {result.objective:.9g}")
@@ -152,7 +152,6 @@ def _build_parser():
     p_proj.add_argument("--candidate", required=True, type=Path)
     p_proj.add_argument("--dyn", required=True)
     p_proj.add_argument("--out", required=True, type=Path)
-    p_proj.add_argument("--relax-initial", action="store_true")
 
     p_gen = sub.add_parser("gen", help="generate a synthetic scenario")
     p_gen.add_argument("--kind", required=True)

@@ -18,12 +18,9 @@ from itertools import chain, islice
 import numpy as np
 
 from .dynamics import POSITIONS
-from .geometry import ConvexPolygon, contains, quickhull, signed_violations, to_halfspaces
+from .geometry import INSIDE_TOL, ConvexPolygon, quickhull, signed_violations, to_halfspaces
 
 log = logging.getLogger(__name__)
-
-# containment tolerance for region membership, meters
-REGION_TOL = 1e-9
 
 REQUIRED_COLUMNS = (
     "trackId",
@@ -155,10 +152,6 @@ class Region:
     @cached_property
     def halfspaces(self):
         return to_halfspaces(self.polygon)
-
-    def covers(self, point):
-        """Whether the point lies in the region within REGION_TOL meters."""
-        return contains(self.halfspaces, point, REGION_TOL)
 
 
 @dataclass(frozen=True)
@@ -301,11 +294,11 @@ def filter_task(trajectories, start, end, min_speed=0.5):
     the start-region entry onward reaches min_speed.  Survivors are
     trimmed so t = 0 is the entry frame; applying the filter again is a
     no-op.  Both regions are tested by one batched margin form, within
-    REGION_TOL.
+    INSIDE_TOL.
     """
     kept = []
     for tr in trajectories:
-        inside = np.flatnonzero(signed_violations(start.halfspaces, tr.positions) <= REGION_TOL)
+        inside = np.flatnonzero(signed_violations(start.halfspaces, tr.positions) <= INSIDE_TOL)
         if not inside.size:
             continue
         first = int(inside[0])
@@ -317,8 +310,8 @@ def filter_task(trajectories, start, end, min_speed=0.5):
             )
             continue
         # the whole track, as for the start region: a one-row product
-        # rounds like the per-point form, not like the batched one
-        if signed_violations(end.halfspaces, tr.positions)[-1] > REGION_TOL:
+        # rounds like a matrix-vector product, not like the batched one
+        if signed_violations(end.halfspaces, tr.positions)[-1] > INSIDE_TOL:
             continue
         if tr.speeds[first:].max() < min_speed:
             continue

@@ -26,7 +26,7 @@ POSITIONS = slice(0, NX, 2)
 
 
 class NonPositiveParameter(ValueError):
-    """dt and mass must both be strictly positive."""
+    """dt and mass must both be finite and strictly positive."""
 
 
 @dataclass(frozen=True)
@@ -52,8 +52,9 @@ class CondensedMap:
 
 def double_integrator(dt: float, mass: float = 1.0) -> LinearDynamics:
     """Discrete planar double integrator with force controls."""
-    if dt <= 0.0 or mass <= 0.0:
-        raise NonPositiveParameter(f"dt and mass must be > 0, got dt={dt}, mass={mass}")
+    for name, value in (("dt", dt), ("mass", mass)):
+        if not (np.isfinite(value) and value > 0.0):
+            raise NonPositiveParameter(f"{name} must be finite and > 0, got {name}={value}")
     A = np.array(
         [
             [1.0, dt, 0.0, 0.0],

@@ -26,6 +26,11 @@ COLLINEAR_TOL = 1e-9
 # Coincidence grid for input deduplication before hull computation.
 DEDUP_GRID = 1e-9
 
+# A point lies inside a half-space set when its worst margin G p - h is at
+# most this many meters: the one inside rule for task regions, tube
+# membership and the projection's control-independent rows.
+INSIDE_TOL = 1e-9
+
 
 class DegenerateInput(ValueError):
     """All input points coincident or collinear within tolerance."""
@@ -180,23 +185,11 @@ def to_halfspaces(poly: ConvexPolygon) -> HalfSpaceSet:
     return HalfSpaceSet(G, h)
 
 
-def signed_violation(hs: HalfSpaceSet, p) -> float:
-    """max_i (G_i . p - h_i): the worst per-edge signed distance, <= 0 inside."""
-    p = np.asarray(p, dtype=float).ravel()
-    return float(np.max(hs.G @ p - hs.h))
-
-
 def signed_violations(hs: HalfSpaceSet, pts) -> np.ndarray:
-    """Vectorized signed_violation over an (n, 2) point array."""
+    """max_i (G_i . p - h_i) for each row p of an (n, 2) point array: the
+    worst per-edge signed distance, <= 0 inside."""
     pts = np.asarray(pts, dtype=float).reshape(-1, 2)
     return np.max(pts @ hs.G.T - hs.h, axis=1)
-
-
-def contains(hs: HalfSpaceSet, p, tol: float = 0.0) -> bool:
-    """True iff p satisfies every inequality to within ``tol`` meters."""
-    if tol < 0.0:
-        raise ValueError("tol must be >= 0")
-    return signed_violation(hs, p) <= tol
 
 
 def extent_along(poly: ConvexPolygon, direction) -> float:

@@ -18,6 +18,7 @@ import numpy as np
 from .data import ParseError, slice_at
 from .dynamics import NX, POSITIONS
 from .geometry import (
+    INSIDE_TOL,
     ConvexPolygon,
     DegenerateInput,
     HalfSpaceSet,
@@ -30,8 +31,6 @@ MIN_SUPPORT = 3
 
 # half-width of the cross inflating a degenerate (collinear) slice, meters
 INFLATE_EPS = 1e-6
-
-MEMBERSHIP_TOL = 1e-9
 
 # the tube file's "transform": the rows of the identity that pick the hull
 # coordinates out of a state; the only value a tube file may hold
@@ -83,8 +82,8 @@ class NaturalisticSet:
         object.__setattr__(self, "hulls", tuple(self.hulls))
         if not self.hulls:
             raise ValueError("a tube needs at least one hull")
-        if not self.dt > 0:
-            raise ValueError("dt must be positive")
+        if not (np.isfinite(self.dt) and self.dt > 0):
+            raise ValueError(f"dt must be finite and > 0, got dt={self.dt}")
         for expect, hull in enumerate(self.hulls):
             if hull.t != expect:
                 raise ValueError("hull time indices must be contiguous from 0")
@@ -131,8 +130,11 @@ def build_natset(dataset, trim=0):
 
     The horizon is the last t with at least three alive trajectories.
     trim > 0 removes that many most-isolated points from every slice
-    before the hull is taken (off by default).
+    before the hull is taken (off by default); a negative trim is a
+    ValueError.
     """
+    if trim < 0:
+        raise ValueError(f"trim must be >= 0, got trim={trim}")
     rates = {tr.frame_rate for tr in dataset.trajectories}
     if len(rates) != 1:
         raise ValueError(f"mixed frame rates in dataset: {sorted(rates)}")
@@ -179,9 +181,9 @@ def trajectory_membership(natset, states):
     """Per-time containment flags of (T, 4) dynamics states against the tube.
 
     Entries run over t = 0 .. min(tube horizon, T - 1); a position counts as
-    inside within MEMBERSHIP_TOL meters.
+    inside within INSIDE_TOL meters.
     """
-    return [bool(np.max(m) <= MEMBERSHIP_TOL) for m in hull_margins(natset, states)]
+    return [bool(np.max(m) <= INSIDE_TOL) for m in hull_margins(natset, states)]
 
 
 def natset_stats(natset):

@@ -16,6 +16,7 @@ import numpy as np
 
 from .data import ParseError, Trajectory
 from .dynamics import condense, per_axis, rollout
+from .geometry import INSIDE_TOL
 from .natset import _round12, _round12_nested, hull_margins
 from .qpsolver import QuadraticProgram, SolverStatus, solve
 
@@ -33,7 +34,8 @@ class InitialStateOutsideTube(ValueError):
     def __init__(self, violation):
         super().__init__(
             f"initial position lies {violation:.6g} m outside the t=0 hull "
-            f"(tolerance {FEAS_TOL:g}); pass relax_initial to drop this check"
+            f"(tolerance {FEAS_TOL:g}); the initial state is pinned and no "
+            "control can move it"
         )
         self.violation = float(violation)
 
@@ -161,7 +163,7 @@ def _program(candidate, natset, dyn):
     # the two maxima.
     scale = np.max(np.abs(G), axis=1, initial=0.0) * np.max(np.abs(Cp), axis=1)[steps]
     fixed = scale < ZERO_ROW_TOL
-    broken = np.flatnonzero(fixed & (limit < -1e-9))
+    broken = np.flatnonzero(fixed & (limit < -INSIDE_TOL))
     if broken.size:
         j = broken[0]
         t = steps[j]
@@ -174,11 +176,12 @@ def _program(candidate, natset, dyn):
     return QuadraticProgram(P, q.ravel(), A, limit[~fixed])
 
 
-def project(candidate, natset, dyn, relax_initial=False):
+def project(candidate, natset, dyn):
     """Solve the tube-constrained least-squares projection.
 
-    relax_initial skips the t = 0 membership pre-check; the initial state
-    stays pinned either way.  ``dyn`` must move x and y alike (see
+    The initial state is pinned, so a candidate whose first position
+    misses the t = 0 hull by more than FEAS_TOL raises
+    InitialStateOutsideTube.  ``dyn`` must move x and y alike (see
     `dynamics.per_axis`).
     """
     if candidate.horizon < 1:
@@ -193,7 +196,7 @@ def project(candidate, natset, dyn, relax_initial=False):
     x_init = candidate.states[0]
     H_a = candidate.horizon
     report = naturalism_report(candidate, natset)
-    if not relax_initial and report[0] > FEAS_TOL:
+    if report[0] > FEAS_TOL:
         raise InitialStateOutsideTube(report[0])
 
     sol = solve(_program(candidate, natset, dyn))

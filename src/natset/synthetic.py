@@ -51,8 +51,8 @@ class ScenarioSpec:
             raise ValueError("count must be at least 3 (hulls need 3 points)")
         if self.horizon < 2:
             raise ValueError("horizon must be at least 2 steps")
-        if not self.dt > 0:
-            raise ValueError("dt must be positive")
+        if not (np.isfinite(self.dt) and self.dt > 0):
+            raise ValueError(f"dt must be finite and > 0, got dt={self.dt}")
 
 
 def default_spec(kind, count=40, seed=7, **overrides):

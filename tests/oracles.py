@@ -2,7 +2,8 @@
 
 Nothing here shares code with the package: the hull oracle is a plain O(n*k)
 gift-wrapping march, membership is even-odd ray casting, and both work from
-first principles on raw coordinate lists.  The QP oracle enumerates active
+first principles on raw coordinate lists.  The per-point margin works one
+half-space row at a time in plain floats.  The QP oracle enumerates active
 sets and only borrows the package's result type.
 """
 
@@ -79,6 +80,16 @@ def in_polygon_raycast(vertices, p, edge_tol=1e-12):
             if x_cross > x:
                 inside = not inside
     return inside
+
+
+def point_margin(halfspaces, p):
+    """max_i (G_i . p - h_i) for one point, one row at a time: <= 0 inside.
+
+    ``halfspaces`` is anything with ``G`` and ``h`` attributes.
+    """
+    x, y = float(p[0]), float(p[1])
+    rows = zip(np.asarray(halfspaces.G).tolist(), np.asarray(halfspaces.h).tolist())
+    return max(gx * x + gy * y - b for (gx, gy), b in rows)
 
 
 def enumerate_oracle(qp):

@@ -13,7 +13,7 @@ import pytest
 
 from natset.data import Region, TaskDataset, filter_task, load_trajectories
 from natset.dynamics import double_integrator, rollout
-from natset.geometry import extent_along, quickhull, signed_violation, to_halfspaces
+from natset.geometry import extent_along, quickhull, to_halfspaces
 from natset.natset import build_natset
 from natset.projection import CandidateTrajectory, naturalism_report, project
 from natset.qpsolver import SolverStatus, solve

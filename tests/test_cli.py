@@ -354,6 +354,72 @@ def test_project_has_no_solver_options(tmp_path, capsys):
     assert "unrecognized arguments: --rho 1" in capsys.readouterr().err
 
 
+def test_project_relax_initial_is_not_an_option(scene, tmp_path, capsys):
+    # the initial state is pinned: there is no flag that skips its check
+    spec, paths, _ = scene
+    tube = build_natset_file(scene, capsys)
+    with pytest.raises(SystemExit) as exc:
+        main(
+            [
+                "project",
+                "--natset", str(tube),
+                "--candidate", str(paths["candidate"]),
+                "--dyn", f"dt={spec.dt}",
+                "--out", str(tmp_path / "proj.json"),
+                "--relax-initial",
+            ]
+        )
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --relax-initial" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "dyn, name",
+    [("dt=nan", "dt"), ("dt=0.04,mass=nan", "mass"), ("dt=0.04,mass=inf", "mass")],
+)
+def test_project_exit_2_names_non_finite_dynamics(scene, tmp_path, capsys, dyn, name):
+    _, paths, _ = scene
+    tube = build_natset_file(scene, capsys)
+    code, _, err = run(
+        [
+            "project",
+            "--natset", str(tube),
+            "--candidate", str(paths["candidate"]),
+            "--dyn", dyn,
+            "--out", str(tmp_path / "proj.json"),
+        ],
+        capsys,
+    )
+    assert code == 2
+    assert f"{name} must be finite and > 0" in err
+
+
+def test_gen_exit_2_names_non_finite_dt(tmp_path, capsys):
+    code, _, err = run(
+        ["gen", "--kind", "curved_road", "--dt", "inf", "--out-dir", str(tmp_path)], capsys
+    )
+    assert code == 2
+    assert "dt must be finite and > 0" in err
+
+
+def test_build_exit_2_on_negative_trim(scene, tmp_path, capsys):
+    _, paths, _ = scene
+    out = tmp_path / "tube.json"
+    code, _, err = run(
+        [
+            "build",
+            "--tracks", str(paths["tracks"]),
+            "--task", str(paths["task"]),
+            "--out", str(out),
+            "--trim", "-1",
+        ],
+        capsys,
+    )
+    assert code == 2
+    assert "trim must be >= 0" in err
+    assert not out.exists()
+
+
 def test_project_exit_2_on_velocity_tube(scene, tmp_path, capsys):
     spec, paths, _ = scene
     doc = json.loads(build_natset_file(scene, capsys).read_text())
@@ -384,12 +450,17 @@ def _text_dt(doc):
     doc["dt"] = "abc"
 
 
+def _infinite_dt(doc):
+    doc["dt"] = float("inf")
+
+
 @pytest.mark.parametrize(
     "spoil, cause",
     [
         (_slack_row, "hull at t=5: slack half-space row"),
         (None, "Expecting value"),
         (_text_dt, "could not convert string to float"),
+        (_infinite_dt, "dt must be finite and > 0"),
     ],
 )
 def test_project_bad_tube_names_the_file(scene, tmp_path, capsys, spoil, cause):

@@ -17,9 +17,15 @@ from natset.data import (
     load_trajectories,
     slice_at,
 )
-from natset.geometry import quickhull, signed_violations
+from natset.geometry import INSIDE_TOL, quickhull, signed_violations
+from oracles import point_margin
 
 HEADER = "trackId,frame,xCenter,yCenter,xVelocity,yVelocity,xAcceleration,yAcceleration,heading\n"
+
+
+def covers(region, point):
+    """Per-point reference for region membership within INSIDE_TOL."""
+    return point_margin(region.halfspaces, point) <= INSIDE_TOL
 
 
 def write_csv(path, rows, header=HEADER):
@@ -127,7 +133,7 @@ def test_filter_reindexes_to_start_region_entry():
     kept = ds.trajectories[0]
     assert kept.horizon == 2
     assert kept.states[0].position == (0.5, 0.5)
-    assert start.covers(kept.states[0].position)
+    assert covers(start, kept.states[0].position)
 
 
 def test_filter_is_idempotent():
@@ -168,7 +174,7 @@ def test_slice_zero_lies_in_start_region():
         trajs.append(walk(str(i), np.linspace(p0, [8.5, 0.5], 12)))
     ds = filter_task(trajs, start, end)
     for pt in slice_at(ds, 0):
-        assert start.covers(pt)
+        assert covers(start, pt)
 
 
 def test_load_task_roundtrip(tmp_path):
@@ -180,8 +186,8 @@ def test_load_task_roundtrip(tmp_path):
     )
     start, end, min_speed, frame_rate = load_task(cfg)
     assert min_speed == 0.7 and frame_rate == 10.0
-    assert start.covers((0.5, 0.5)) and not start.covers((2.0, 0.5))
-    assert end.covers((8.5, 0.5))
+    assert covers(start, (0.5, 0.5)) and not covers(start, (2.0, 0.5))
+    assert covers(end, (8.5, 0.5))
 
 
 def test_load_task_rejects_garbage(tmp_path):
@@ -356,8 +362,8 @@ def reference_filter(trajectories, start, end, min_speed):
     """The task predicate, one sample at a time."""
     kept = []
     for tr in trajectories:
-        entry = next((i for i, s in enumerate(tr.states) if start.covers(s.position)), None)
-        if entry is None or len(tr) - entry < 2 or not end.covers(tr.states[-1].position):
+        entry = next((i for i, s in enumerate(tr.states) if covers(start, s.position)), None)
+        if entry is None or len(tr) - entry < 2 or not covers(end, tr.states[-1].position):
             continue
         if max(s.speed for s in tr.states[entry:]) >= min_speed:
             kept.append((tr.actor_id, tr.data[entry:]))
@@ -388,10 +394,10 @@ def test_filter_tests_the_end_region_with_batched_margins():
     end = Region(quickhull([(40.0, 30.0), (47.0, 33.0), (41.0, 39.0)]))
     g, h = end.halfspaces.G[0], end.halfspaces.h[0]
     edge = np.linspace(end.polygon.vertices[0], end.polygon.vertices[1], 9)[1:-1]
-    finals = [q + (data.REGION_TOL + k * 2e-16) * g for q in edge for k in range(-40, 41)]
-    assert np.allclose([g @ p - h for p in finals], data.REGION_TOL, atol=1e-13)
+    finals = [q + (INSIDE_TOL + k * 2e-16) * g for q in edge for k in range(-40, 41)]
+    assert np.allclose([g @ p - h for p in finals], INSIDE_TOL, atol=1e-13)
     trajs = [walk(str(i), [(0.5, 0.5), p]) for i, p in enumerate(finals)]
-    inside = signed_violations(end.halfspaces, np.array(finals)) <= data.REGION_TOL
+    inside = signed_violations(end.halfspaces, np.array(finals)) <= INSIDE_TOL
     assert 0 < inside.sum() < len(finals)
     kept = {tr.actor_id for tr in filter_task(trajs, start, end).trajectories}
     assert kept == {str(i) for i in np.flatnonzero(inside)}

@@ -5,14 +5,12 @@ from natset.geometry import (
     ConvexPolygon,
     DegenerateInput,
     HalfSpaceSet,
-    contains,
     extent_along,
     quickhull,
-    signed_violation,
     signed_violations,
     to_halfspaces,
 )
-from oracles import gift_wrap, in_polygon_raycast
+from oracles import gift_wrap, in_polygon_raycast, point_margin
 
 UNIT_SQUARE = quickhull([(0, 0), (1, 0), (1, 1), (0, 1)])
 UNIT_SQUARE_HS = to_halfspaces(UNIT_SQUARE)
@@ -86,7 +84,7 @@ def test_quickhull_minimality():
                 reduced = to_halfspaces(quickhull(rest))
             except DegenerateInput:
                 continue
-            assert signed_violation(reduced, poly.vertices[i]) > 0.0
+            assert point_margin(reduced, poly.vertices[i]) > 0.0
 
 
 def test_halfspaces_unit_square_rows():
@@ -112,9 +110,9 @@ def test_halfspace_membership_matches_raycast_oracle():
     poly = quickhull(pts)
     hs = to_halfspaces(poly)
     probes = rng.uniform(-3, 3, (1000, 2))
-    for p in probes:
-        ours = contains(hs, p, tol=1e-9)
-        assert ours == in_polygon_raycast(poly.vertices, p, edge_tol=1e-9)
+    ours = signed_violations(hs, probes) <= 1e-9
+    for p, inside in zip(probes, ours):
+        assert inside == in_polygon_raycast(poly.vertices, p, edge_tol=1e-9)
 
 
 def test_vertices_lie_on_two_edges():
@@ -129,26 +127,34 @@ def test_vertices_lie_on_two_edges():
             assert np.max(resid) <= 1e-9
 
 
-def test_contains_tolerance_semantics():
-    assert contains(UNIT_SQUARE_HS, (0.5, 0.5), tol=0.0)
-    assert contains(UNIT_SQUARE_HS, (1 + 1e-7, 0.5), tol=1e-6)
-    assert not contains(UNIT_SQUARE_HS, (2, 2), tol=1e-6)
-    with pytest.raises(ValueError):
-        contains(UNIT_SQUARE_HS, (0, 0), tol=-1.0)
+def test_signed_violations_tolerance_semantics():
+    # inside within a tolerance means a margin of at most that tolerance
+    probes = [(0.5, 0.5), (1 + 1e-7, 0.5), (2, 2)]
+    margins = signed_violations(UNIT_SQUARE_HS, probes)
+    assert margins[0] <= 0.0
+    assert 0.0 < margins[1] <= 1e-6
+    assert margins[2] > 1e-6
+    for p, m in zip(probes, margins):
+        assert m == pytest.approx(point_margin(UNIT_SQUARE_HS, p), abs=1e-15)
+        assert (m <= 1e-6) == in_polygon_raycast(UNIT_SQUARE.vertices, p, edge_tol=1e-6)
+        assert (m <= 0.0) == in_polygon_raycast(UNIT_SQUARE.vertices, p, edge_tol=0.0)
 
 
-def test_signed_violation_values():
-    assert signed_violation(UNIT_SQUARE_HS, (0.5, 0.5)) == pytest.approx(-0.5)
-    assert signed_violation(UNIT_SQUARE_HS, (1.5, 0.5)) == pytest.approx(0.5)
+def test_signed_violations_values():
+    margins = signed_violations(UNIT_SQUARE_HS, [(0.5, 0.5), (1.5, 0.5)])
+    assert margins.shape == (2,)
+    assert margins == pytest.approx([-0.5, 0.5])
+    # one point is a one-row array
+    assert signed_violations(UNIT_SQUARE_HS, (1.5, 0.5)) == pytest.approx([0.5])
 
 
-def test_signed_violation_matches_row_brute_force():
+def test_signed_violations_matches_row_brute_force():
     rng = np.random.default_rng(41)
     poly = quickhull(rng.standard_normal((25, 2)))
     hs = to_halfspaces(poly)
-    for p in rng.uniform(-2, 2, (50, 2)):
-        brute = max(float(g @ p - b) for g, b in zip(hs.G, hs.h))
-        assert signed_violation(hs, p) == pytest.approx(brute, abs=1e-15)
+    probes = rng.uniform(-2, 2, (50, 2))
+    for p, m in zip(probes, signed_violations(hs, probes)):
+        assert m == pytest.approx(point_margin(hs, p), abs=1e-15)
 
 
 def test_polygon_validation_rejects_bad_inputs():

@@ -12,7 +12,7 @@ from natset.data import (
     filter_task,
     slice_at,
 )
-from natset.geometry import contains, quickhull, to_halfspaces
+from natset.geometry import quickhull, to_halfspaces
 from natset.natset import (
     InsufficientData,
     NaturalisticSet,
@@ -24,6 +24,7 @@ from natset.natset import (
     write_natset,
 )
 from natset.synthetic import default_spec, generate_scenario
+from oracles import point_margin
 
 
 def make_traj(actor, positions, frame_rate=25.0):
@@ -91,7 +92,7 @@ def test_degenerate_slice_is_inflated():
         assert hull.polygon.area > 0
         assert hull.polygon.area < 1e-4  # inflation is microscopic
     # the generating points still lie inside
-    assert contains(ns.hulls[0].halfspaces, (1.0, 0.0), 1e-9)
+    assert point_margin(ns.hulls[0].halfspaces, (1.0, 0.0)) <= 1e-9
 
 
 def test_generator_containment():
@@ -199,7 +200,7 @@ def test_trim_removes_outlier():
     trimmed = build_natset(ds, trim=1)
     assert plain.hulls[0].support == 5
     assert trimmed.hulls[0].support == 4
-    assert not contains(trimmed.hulls[0].halfspaces, (0.0, 50.0), 1e-6)
+    assert point_margin(trimmed.hulls[0].halfspaces, (0.0, 50.0)) > 1e-6
     assert trimmed.hulls[0].polygon.area < plain.hulls[0].polygon.area
 
 
