@@ -37,7 +37,7 @@ from .projection import (
     write_projection,
 )
 from .svgfig import write_svg
-from .synthetic import ScenarioSpec, default_spec, write_scenario
+from .synthetic import default_spec, write_scenario
 
 EXIT_OK = 0
 EXIT_PARSE = 2
@@ -78,6 +78,11 @@ def cmd_project(args):
         raise ParseError(
             f"{args.candidate}: expected a single candidate trajectory, "
             f"found {len(trajectories)}"
+        )
+    if len(trajectories[0]) < 2:
+        raise ParseError(
+            f"{args.candidate}: candidate must have at least 2 states, "
+            f"found {len(trajectories[0])}"
         )
     candidate = CandidateTrajectory.from_trajectory(trajectories[0])
     result = project(candidate, natset, dyn)
@@ -203,7 +208,6 @@ def entry():
 
 
 __all__ = [
-    "ScenarioSpec",
     "cmd_build",
     "cmd_export_svg",
     "cmd_gen_synthetic",

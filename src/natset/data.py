@@ -104,8 +104,8 @@ class Trajectory:
             raise ValueError(f"trajectory {actor_id!r}: states must be a (T, 7) array")
         if not np.isfinite(data).all():
             raise ValueError("actor state contains non-finite entries")
-        if not frame_rate > 0:
-            raise ValueError("frame_rate must be positive")
+        if not (math.isfinite(frame_rate) and frame_rate > 0):
+            raise ValueError(f"frame_rate must be finite and > 0, got {frame_rate}")
         self.actor_id = actor_id
         self.frame_rate = frame_rate
         self.data = data
@@ -293,8 +293,8 @@ def filter_task(trajectories, start, end, min_speed=0.5):
     its final frame lies inside the end region, and its maximum speed from
     the start-region entry onward reaches min_speed.  Survivors are
     trimmed so t = 0 is the entry frame; applying the filter again is a
-    no-op.  Both regions are tested by one batched margin form, within
-    INSIDE_TOL.
+    no-op.  Both regions are tested by `geometry.margins` within
+    INSIDE_TOL, the end region on the final position alone.
     """
     kept = []
     for tr in trajectories:
@@ -309,9 +309,7 @@ def filter_task(trajectories, start, end, min_speed=0.5):
                 len(tr) - first,
             )
             continue
-        # the whole track, as for the start region: a one-row product
-        # rounds like a matrix-vector product, not like the batched one
-        if signed_violations(end.halfspaces, tr.positions)[-1] > INSIDE_TOL:
+        if signed_violations(end.halfspaces, tr.positions[-1])[0] > INSIDE_TOL:
             continue
         if tr.speeds[first:].max() < min_speed:
             continue
@@ -344,6 +342,10 @@ def load_task(path):
         end_pts = np.array(cfg["end_polygon"], dtype=float)
         min_speed = float(cfg.get("min_speed", 0.5))
         frame_rate = float(cfg.get("frame_rate", 25.0))
+        if not math.isfinite(min_speed):
+            raise ValueError(f"min_speed must be finite, got {min_speed}")
+        if not (math.isfinite(frame_rate) and frame_rate > 0):
+            raise ValueError(f"frame_rate must be finite and > 0, got {frame_rate}")
         start = Region(quickhull(start_pts))
         end = Region(quickhull(end_pts))
     except (KeyError, TypeError, ValueError) as exc:

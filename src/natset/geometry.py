@@ -6,8 +6,8 @@ Conventions used throughout the package:
 * polygons are stored as counterclockwise vertex arrays of shape ``(k, 2)``
   with every vertex an extreme point (strict left turns only);
 * the half-space form ``{y : G y <= h}`` keeps one row per polygon edge with
-  the outward edge normal scaled to unit Euclidean norm, so ``G @ y - h`` is
-  a per-edge signed distance in meters and all tolerances stay metric.
+  the outward edge normal scaled to unit Euclidean norm, so the margin
+  ``G y - h`` (`margins`) is a signed distance and tolerances stay metric.
 
 All functions are pure and all containers are frozen with read-only array
 buffers, so values can be shared freely across threads.
@@ -185,11 +185,16 @@ def to_halfspaces(poly: ConvexPolygon) -> HalfSpaceSet:
     return HalfSpaceSet(G, h)
 
 
+def margins(G, h, p):
+    """G p - h by elements, broadcast over leading axes: no BLAS product,
+    so a point's margin rounds the same whatever batch it sits in."""
+    return G[..., 0] * p[..., 0] + G[..., 1] * p[..., 1] - h
+
+
 def signed_violations(hs: HalfSpaceSet, pts) -> np.ndarray:
     """max_i (G_i . p - h_i) for each row p of an (n, 2) point array: the
     worst per-edge signed distance, <= 0 inside."""
-    pts = np.asarray(pts, dtype=float).reshape(-1, 2)
-    return np.max(pts @ hs.G.T - hs.h, axis=1)
+    return np.max(margins(hs.G, hs.h, np.reshape(pts, (-1, 1, 2))), axis=1)
 
 
 def extent_along(poly: ConvexPolygon, direction) -> float:

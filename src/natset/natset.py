@@ -22,6 +22,7 @@ from .geometry import (
     ConvexPolygon,
     DegenerateInput,
     HalfSpaceSet,
+    margins,
     quickhull,
     to_halfspaces,
 )
@@ -62,11 +63,11 @@ class TimedHull:
         # Rounding to 12 significant digits on write moves a margin by a few
         # 1e-11 of the largest coordinate, so the tolerance scales with it.
         verts = self.polygon.vertices
-        margins = verts @ self.halfspaces.G.T - self.halfspaces.h
+        gap = margins(self.halfspaces.G, self.halfspaces.h, verts[:, None])
         tol = 1e-9 * max(1.0, float(np.max(np.abs(verts), initial=0.0)))
-        if margins.size == 0 or np.max(margins) > tol:
+        if gap.size == 0 or np.max(gap) > tol:
             raise ValueError(f"hull at t={self.t}: vertices violate half-spaces")
-        if np.max(np.min(-margins, axis=0)) > tol:
+        if np.max(np.min(-gap, axis=0)) > tol:
             raise ValueError(f"hull at t={self.t}: slack half-space row")
 
 
@@ -171,10 +172,8 @@ def hull_margins(natset, states):
     One array per step t = 0 .. min(tube horizon, T - 1), where tube and
     states overlap in time; a positive entry is a violated half-space.
     """
-    return [
-        hull.halfspaces.G @ x[POSITIONS] - hull.halfspaces.h
-        for hull, x in zip(natset.hulls, states)
-    ]
+    return [margins(hull.halfspaces.G, hull.halfspaces.h, x[POSITIONS])
+            for hull, x in zip(natset.hulls, states)]
 
 
 def trajectory_membership(natset, states):

@@ -16,7 +16,7 @@ import numpy as np
 
 from .data import ParseError, Trajectory
 from .dynamics import condense, per_axis, rollout
-from .geometry import INSIDE_TOL
+from .geometry import INSIDE_TOL, margins
 from .natset import _round12, _round12_nested, hull_margins
 from .qpsolver import QuadraticProgram, SolverStatus, solve
 
@@ -121,8 +121,7 @@ class HullRows:
         self.shape = (len(G), 2 * Cp.shape[1])
 
     def __matmul__(self, z):
-        positions = self.Cp @ np.reshape(z, (-1, 2))
-        return np.einsum("ij,ij->i", self.G, positions[self.steps])
+        return margins(self.G, 0.0, (self.Cp @ np.reshape(z, (-1, 2)))[self.steps])
 
     def __getitem__(self, idx):
         rows = self.Cp[self.steps[idx], :, None] * self.G[idx, None, :]
@@ -156,8 +155,7 @@ def _program(candidate, natset, dyn):
     sizes = [len(hs.h) for hs in tube]
     G = np.concatenate([np.zeros((0, 2))] + [hs.G for hs in tube])
     steps = np.repeat(np.arange(1, len(tube) + 1), sizes)
-    limit = np.concatenate([np.zeros(0)] + [hs.h for hs in tube])
-    limit -= np.einsum("ij,ij->i", G, free_pos[steps])
+    limit = -margins(G, np.concatenate([np.zeros(0)] + [hs.h for hs in tube]), free_pos[steps])
     # rows no control influences are facts, not constraints: check and drop.
     # Rounding is monotone, so max |G[i] Cp[t]| is exactly the product of
     # the two maxima.

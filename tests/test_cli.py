@@ -335,7 +335,7 @@ def test_project_exit_2_on_one_row_candidate(scene, tmp_path, capsys):
         capsys,
     )
     assert code == 2
-    assert "candidate must have at least 2 states" in err
+    assert f"{one_row}: candidate must have at least 2 states, found 1" in err
 
 
 def test_project_has_no_solver_options(tmp_path, capsys):
@@ -561,3 +561,29 @@ def test_export_svg_exit_2_on_garbage(tmp_path, capsys):
     )
     assert code == 2
     assert "bad tube file" in err
+
+
+@pytest.mark.parametrize(
+    "key, value",
+    [
+        ("frame_rate", float("inf")),
+        ("frame_rate", float("nan")),
+        ("frame_rate", 0),
+        ("frame_rate", -25),
+        ("min_speed", float("nan")),
+    ],
+)
+def test_build_exit_2_names_task_file_and_bad_number(scene, tmp_path, capsys, key, value):
+    _, paths, _ = scene
+    task = tmp_path / "task.json"
+    cfg = json.loads(paths["task"].read_text())
+    cfg[key] = value
+    task.write_text(json.dumps(cfg))
+    out = tmp_path / "tube.json"
+    code, _, err = run(
+        ["build", "--tracks", str(paths["tracks"]), "--task", str(task), "--out", str(out)],
+        capsys,
+    )
+    assert code == 2
+    assert f"{task}: bad task config: {key} must be finite" in err
+    assert not out.exists()

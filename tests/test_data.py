@@ -350,6 +350,12 @@ def test_trajectory_rejects_bad_arrays():
         Trajectory("a", 25.0, np.zeros((3, 4)))
 
 
+@pytest.mark.parametrize("frame_rate", [float("inf"), float("nan"), 0.0, -25.0])
+def test_trajectory_requires_finite_positive_frame_rate(frame_rate):
+    with pytest.raises(ValueError, match="frame_rate must be finite and > 0"):
+        Trajectory("a", frame_rate, np.zeros((3, 7)))
+
+
 def test_filter_trims_without_copying():
     start, end = square(0.0, 0.0), square(8.0, 0.0)
     tr = walk("a", [(-2.0, 0.5), (-1.0, 0.5), (0.5, 0.5), (4.0, 0.5), (8.5, 0.5)])
@@ -388,8 +394,8 @@ def test_filter_matches_per_sample_reference():
 
 def test_filter_tests_the_end_region_with_batched_margins():
     # final points straddle the tolerance band of a slanted end-region edge,
-    # where a one-point product and the batched product round differently;
-    # the filter decides as the batched form, which its start test uses
+    # where a matrix-vector and a matrix-matrix product round differently;
+    # the filter tests the final point alone and decides as the batch does
     start = square(0.0, 0.0)
     end = Region(quickhull([(40.0, 30.0), (47.0, 33.0), (41.0, 39.0)]))
     g, h = end.halfspaces.G[0], end.halfspaces.h[0]

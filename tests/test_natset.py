@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,12 +13,14 @@ from natset.data import (
     filter_task,
     slice_at,
 )
-from natset.geometry import quickhull, to_halfspaces
+from natset.dynamics import POSITIONS
+from natset.geometry import margins, quickhull, signed_violations, to_halfspaces
 from natset.natset import (
     InsufficientData,
     NaturalisticSet,
     TimedHull,
     build_natset,
+    hull_margins,
     natset_stats,
     read_natset,
     trajectory_membership,
@@ -236,3 +239,29 @@ def test_contiguity_enforced():
     hull2 = TimedHull(2, poly, to_halfspaces(poly), 3)
     with pytest.raises(ValueError):
         NaturalisticSet((hull0, hull2), dt=0.04)
+
+
+def test_margins_do_not_depend_on_batch():
+    # 30 points within 1e-3 m of the vertices of each hull of the bundled
+    # tube, where a matrix-vector and a matrix-matrix product round apart
+    tube = read_natset(Path(__file__).resolve().parents[1] / "demos" / "out" / "tube.json")
+    rng = np.random.default_rng(19)
+    n = 30
+    pts = np.array([
+        hull.polygon.vertices[rng.integers(0, len(hull.polygon), n)]
+        + rng.uniform(-1e-3, 1e-3, (n, 2))
+        for hull in tube.hulls
+    ])
+    for hull, p in zip(tube.hulls, pts):
+        hs = hull.halfspaces
+        batch = margins(hs.G, hs.h, p[:, None])
+        assert batch.shape == (n, len(hs))
+        assert np.array_equal(signed_violations(hs, p), batch.max(axis=1))
+        for q, row in zip(p, batch):
+            assert np.array_equal(margins(hs.G, hs.h, q), row)
+    for j in range(n):
+        states = np.zeros((len(tube), 4))
+        states[:, POSITIONS] = pts[:, j]
+        for hull, got in zip(tube.hulls, hull_margins(tube, states)):
+            hs = hull.halfspaces
+            assert np.array_equal(got, margins(hs.G, hs.h, pts[hull.t, j]))
