@@ -42,6 +42,119 @@ def _freeze(arr: np.ndarray) -> np.ndarray:
     return arr
 
 
+_POLYGON_SHAPE = "polygon needs an (k>=3, 2) vertex array, got shape {}"
+_HALFSPACE_SHAPE = "inconsistent shapes G {}, h {}"
+
+
+def first_fault(rules):
+    """The first item that breaks a rule, with the message of its first broken rule.
+
+    ``rules`` lists ``(bad, message)`` pairs in the order the rules are
+    checked: ``bad`` flags the items that break the rule and ``message(i)``
+    describes item i's fault.  Returns ``(item, message)``, or None when
+    every item keeps every rule.
+    """
+    bad = np.array([flags for flags, _ in rules], dtype=bool)
+    hit = np.flatnonzero(bad.any(axis=0))
+    if hit.size == 0:
+        return None
+    i = int(hit[0])
+    return i, rules[int(np.argmax(bad[:, i]))][1](i)
+
+
+def segments(counts):
+    """Owner index and start offset of each row of a ragged stack."""
+    counts = np.asarray(counts, dtype=np.int64)
+    starts = np.concatenate([[0], np.cumsum(counts)])
+    return np.repeat(np.arange(len(counts)), counts), starts
+
+
+def any_per(owner, flags, n):
+    """For each of n segments, whether any of its rows is flagged."""
+    return np.bincount(owner, weights=flags, minlength=n) > 0
+
+
+def _successors(owner, starts):
+    """Index of each row's cyclic successor within its own segment."""
+    nxt = np.arange(1, len(owner) + 1)
+    full = starts[1:] > starts[:-1]
+    nxt[starts[1:][full] - 1] = starts[:-1][full]
+    return nxt
+
+
+def polygon_faults(v, counts):
+    """Check a ragged stack of polygons: ``v`` is ``(N, 2)``, polygon i owns
+    the next ``counts[i]`` rows.  Returns ``first_fault`` of the rules a
+    `ConvexPolygon` keeps: at least 3 vertices, all finite, no two
+    consecutive ones within DEDUP_GRID, and strict left turns."""
+    counts = np.asarray(counts)
+    n = len(counts)
+    owner, starts = segments(counts)
+    finite = np.all(np.isfinite(v), axis=1)
+    if not finite.all():
+        # a polygon with a non-finite vertex fails before its edges count
+        v = np.where(finite[:, None], v, 0.0)
+    nxt = _successors(owner, starts)
+    edges = v[nxt] - v
+    turns = edges[:, 0] * edges[nxt, 1] - edges[:, 1] * edges[nxt, 0]
+    return first_fault([
+        (counts < 3, lambda i: _POLYGON_SHAPE.format((int(counts[i]), 2))),
+        (any_per(owner, ~finite, n), lambda i: "polygon vertices must be finite"),
+        (any_per(owner, np.hypot(edges[:, 0], edges[:, 1]) <= DEDUP_GRID, n),
+         lambda i: "duplicate consecutive vertices"),
+        (any_per(owner, turns <= 0.0, n),
+         lambda i: "vertices must make strict left turns (CCW, all extreme)"),
+    ])
+
+
+def halfspace_faults(G, h, counts, h_counts=None):
+    """Check a ragged stack of half-space sets: ``G`` is ``(N, 2)`` and ``h``
+    ``(N,)``, set i owns the next ``counts[i]`` rows of G and ``h_counts[i]``
+    entries of h (default: the same).  Returns ``first_fault`` of the rules
+    a `HalfSpaceSet` keeps: as many h entries as rows, unit rows, finite
+    data, and outward normals that fit in no open half-plane (bounded)."""
+    counts = np.asarray(counts)
+    h_counts = counts if h_counts is None else np.asarray(h_counts)
+    n = len(counts)
+    owner, starts = segments(counts)
+    h_owner, _ = segments(h_counts)
+    norms = np.hypot(G[:, 0], G[:, 1])
+    finite = any_per(owner, ~np.all(np.isfinite(G), axis=1), n) | any_per(
+        h_owner, ~np.isfinite(h), n
+    )
+    # per set, the sorted normal angles and the gaps between neighbours,
+    # the last one wrapping around to the first
+    ang = np.arctan2(G[:, 1], G[:, 0])
+    ang = ang[np.lexsort((ang, owner))]
+    gaps = np.empty_like(ang)
+    gaps[:-1] = ang[1:] - ang[:-1]
+    full = starts[1:] > starts[:-1]
+    last, first = starts[1:][full] - 1, starts[:-1][full]
+    gaps[last] = (ang[first] + 2.0 * np.pi) - ang[last]
+    return first_fault([
+        (counts != h_counts, lambda i: _HALFSPACE_SHAPE.format(
+            (int(counts[i]), 2), (int(h_counts[i]),))),
+        (any_per(owner, np.abs(norms - 1.0) > 1e-12, n),
+         lambda i: "rows of G must have unit Euclidean norm"),
+        (finite, lambda i: "half-space data must be finite"),
+        ((counts < 3) | any_per(owner, gaps >= np.pi, n),
+         lambda i: "half-space set is unbounded"),
+    ])
+
+
+def _raise_fault(fault):
+    if fault is not None:
+        raise ValueError(fault[1])
+
+
+def _unchecked(cls, **fields):
+    """An instance of a frozen dataclass holding already-checked fields."""
+    obj = object.__new__(cls)
+    for name, value in fields.items():
+        object.__setattr__(obj, name, value)
+    return obj
+
+
 @dataclass(frozen=True)
 class ConvexPolygon:
     """Strictly convex CCW polygon; ``vertices`` has shape ``(k, 2)``, k >= 3."""
@@ -50,17 +163,9 @@ class ConvexPolygon:
 
     def __post_init__(self):
         v = np.asarray(self.vertices, dtype=float)
-        if v.ndim != 2 or v.shape[1] != 2 or v.shape[0] < 3:
-            raise ValueError(f"polygon needs an (k>=3, 2) vertex array, got shape {v.shape}")
-        if not np.all(np.isfinite(v)):
-            raise ValueError("polygon vertices must be finite")
-        edges = np.roll(v, -1, axis=0) - v
-        if np.any(np.hypot(edges[:, 0], edges[:, 1]) <= DEDUP_GRID):
-            raise ValueError("duplicate consecutive vertices")
-        nxt = np.roll(edges, -1, axis=0)
-        turns = edges[:, 0] * nxt[:, 1] - edges[:, 1] * nxt[:, 0]
-        if np.any(turns <= 0.0):
-            raise ValueError("vertices must make strict left turns (CCW, all extreme)")
+        if v.ndim != 2 or v.shape[1] != 2:
+            raise ValueError(_POLYGON_SHAPE.format(v.shape))
+        _raise_fault(polygon_faults(v, [len(v)]))
         object.__setattr__(self, "vertices", _freeze(v))
 
     def __len__(self) -> int:
@@ -85,17 +190,8 @@ class HalfSpaceSet:
         G = np.asarray(self.G, dtype=float)
         h = np.asarray(self.h, dtype=float).ravel()
         if G.ndim != 2 or G.shape[1] != 2 or G.shape[0] != h.shape[0]:
-            raise ValueError(f"inconsistent shapes G {G.shape}, h {h.shape}")
-        norms = np.hypot(G[:, 0], G[:, 1])
-        if np.any(np.abs(norms - 1.0) > 1e-12):
-            raise ValueError("rows of G must have unit Euclidean norm")
-        if not (np.all(np.isfinite(G)) and np.all(np.isfinite(h))):
-            raise ValueError("half-space data must be finite")
-        # Boundedness: the outward normals must not fit in an open half-plane.
-        ang = np.sort(np.arctan2(G[:, 1], G[:, 0]))
-        gaps = np.diff(np.concatenate([ang, [ang[0] + 2.0 * np.pi]]))
-        if G.shape[0] < 3 or np.max(gaps) >= np.pi:
-            raise ValueError("half-space set is unbounded")
+            raise ValueError(_HALFSPACE_SHAPE.format(G.shape, h.shape))
+        _raise_fault(halfspace_faults(G, h, [len(G)]))
         object.__setattr__(self, "G", _freeze(G))
         object.__setattr__(self, "h", _freeze(h))
 

@@ -4,14 +4,16 @@ For each time t the positions of all trajectories still alive at t form a
 point cloud; its convex hull W_t is one cross-section of the tube.  The
 tube stops at the last t where at least three trajectories remain, so
 every cross-section is a genuine 2-d polygon.  Tubes serialize to JSON
-with 12 significant digits.  Reading a tube back re-checks each hull's
-vertices against its half-spaces to a tolerance that grows with the
-hull's distance from the origin, as that rounding error does, so every
-tube the package writes reads back.
+with 12 significant digits.  Reading a tube back re-checks all hulls in
+one pass over stacked arrays, each hull's vertices against its
+half-spaces to a tolerance that grows with the hull's distance from the
+origin, as that rounding error does, so every tube the package writes
+reads back.
 """
 
 import json
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -22,8 +24,15 @@ from .geometry import (
     ConvexPolygon,
     DegenerateInput,
     HalfSpaceSet,
+    _freeze,
+    _raise_fault,
+    _unchecked,
+    first_fault,
+    halfspace_faults,
     margins,
+    polygon_faults,
     quickhull,
+    segments,
     to_halfspaces,
 )
 
@@ -42,6 +51,43 @@ class InsufficientData(ValueError):
     """Too few trajectories to form a hull even at t = 0."""
 
 
+def hull_faults(t, support, v, v_counts, G, h, counts):
+    """Check that each hull of a ragged stack agrees with its own record.
+
+    Hull i has time index ``t[i]``, ``support[i]`` states, polygon i of the
+    stack ``(v, v_counts)`` and half-space set i of ``(G, h, counts)``, both
+    already checked on their own, so no hull is empty.  Returns
+    ``geometry.first_fault`` of the rules a `TimedHull` keeps: t >= 0,
+    support >= MIN_SUPPORT, and the two representations describe the same
+    set, every vertex inside the half-spaces and every half-space touched
+    by some vertex.  Rounding to 12 significant digits on write moves a
+    margin by a few 1e-11 of the largest coordinate, so the tolerance
+    scales with it.
+    """
+    t, support = np.asarray(t), np.asarray(support)
+    v_counts, counts = np.asarray(v_counts), np.asarray(counts)
+    _, v_starts = segments(v_counts)
+    owner, starts = segments(counts)
+    # every (row, vertex) pair of each hull, row by row: row r is repeated
+    # once per vertex of its hull and meets those vertices in order
+    reps = np.take(v_counts, owner)
+    _, blocks = segments(reps)
+    verts = np.arange(blocks[-1]) - np.repeat(blocks[:-1] - np.take(v_starts, owner), reps)
+    gap = margins(np.repeat(G, reps, axis=0), np.repeat(h, reps), np.take(v, verts, axis=0))
+    big = np.maximum.reduceat(np.max(np.abs(v), axis=1, initial=0.0), v_starts[:-1])
+    tol = 1e-9 * np.maximum(1.0, big)
+    # each hull's pairs are one block of v_counts * counts entries
+    worst = np.maximum.reduceat(gap, blocks[starts[:-1]])
+    slack = np.maximum.reduceat(np.minimum.reduceat(-gap, blocks[:-1]), starts[:-1])
+    return first_fault([
+        (t < 0, lambda i: f"hull at t={t[i]}: time index must be non-negative"),
+        (support < MIN_SUPPORT, lambda i: (
+            f"hull at t={t[i]} built from {support[i]} states; need {MIN_SUPPORT}")),
+        (worst > tol, lambda i: f"hull at t={t[i]}: vertices violate half-spaces"),
+        (slack > tol, lambda i: f"hull at t={t[i]}: slack half-space row"),
+    ])
+
+
 @dataclass(frozen=True)
 class TimedHull:
     """One tube cross-section: the hull at time index t."""
@@ -52,23 +98,10 @@ class TimedHull:
     support: int
 
     def __post_init__(self):
-        if self.t < 0:
-            raise ValueError("time index must be non-negative")
-        if self.support < MIN_SUPPORT:
-            raise ValueError(
-                f"hull at t={self.t} built from {self.support} states; need {MIN_SUPPORT}"
-            )
-        # the two representations must describe the same set: every vertex
-        # inside the half-spaces, every half-space touched by some vertex.
-        # Rounding to 12 significant digits on write moves a margin by a few
-        # 1e-11 of the largest coordinate, so the tolerance scales with it.
-        verts = self.polygon.vertices
-        gap = margins(self.halfspaces.G, self.halfspaces.h, verts[:, None])
-        tol = 1e-9 * max(1.0, float(np.max(np.abs(verts), initial=0.0)))
-        if gap.size == 0 or np.max(gap) > tol:
-            raise ValueError(f"hull at t={self.t}: vertices violate half-spaces")
-        if np.max(np.min(-gap, axis=0)) > tol:
-            raise ValueError(f"hull at t={self.t}: slack half-space row")
+        verts, hs = self.polygon.vertices, self.halfspaces
+        _raise_fault(
+            hull_faults([self.t], [self.support], verts, [len(verts)], hs.G, hs.h, [len(hs)])
+        )
 
 
 @dataclass(frozen=True)
@@ -88,6 +121,15 @@ class NaturalisticSet:
         for expect, hull in enumerate(self.hulls):
             if hull.t != expect:
                 raise ValueError("hull time indices must be contiguous from 0")
+
+    @cached_property
+    def rows(self):
+        """All hulls' half-spaces stacked: ``(G, h, start)``, where the rows
+        of the hull at step t are ``start[t]:start[t + 1]``."""
+        G = np.concatenate([hull.halfspaces.G for hull in self.hulls])
+        h = np.concatenate([hull.halfspaces.h for hull in self.hulls])
+        _, start = segments([len(hull.halfspaces) for hull in self.hulls])
+        return _freeze(G), _freeze(h), start
 
     def __len__(self):
         return len(self.hulls)
@@ -172,8 +214,12 @@ def hull_margins(natset, states):
     One array per step t = 0 .. min(tube horizon, T - 1), where tube and
     states overlap in time; a positive entry is a violated half-space.
     """
-    return [margins(hull.halfspaces.G, hull.halfspaces.h, x[POSITIONS])
-            for hull, x in zip(natset.hulls, states)]
+    G, h, start = natset.rows
+    steps = min(len(natset), len(states))
+    end = start[steps]
+    at = np.repeat(np.arange(steps), np.diff(start[: steps + 1]))
+    flat = margins(G[:end], h[:end], np.asarray(states)[at][:, POSITIONS])
+    return np.split(flat, start[1:steps]) if steps else []
 
 
 def trajectory_membership(natset, states):
@@ -230,27 +276,106 @@ def write_natset(natset, path):
         fh.write("\n")
 
 
+def _integer(value, key):
+    if type(value) is not int:
+        raise ValueError(f"{key} must be an integer, got {json.dumps(value)}")
+    return value
+
+
+def _stack(entries, key, t, tail):
+    """Every hull's ``key`` rows as one read-only float array of rows of
+    shape ``tail``, and each hull's row count."""
+    lists = [entry[key] for entry in entries]
+    try:
+        counts = [len(rows) for rows in lists]
+    except TypeError:
+        i = next(i for i, rows in enumerate(lists) if not hasattr(rows, "__len__"))
+        raise ValueError(
+            f"hull at t={t[i]}: {key} must be a list, got {json.dumps(lists[i])}"
+        ) from None
+    flat = [row for rows in lists for row in rows]
+    try:
+        arr = np.array(flat, dtype=float) if flat else np.zeros((0,) + tail)
+    except (TypeError, ValueError):
+        arr = None
+    if arr is None or arr.shape[1:] != tail:
+        # name the hull that holds the first malformed row
+        j = next(j for j, row in enumerate(flat) if _malformed(row, tail))
+        i = int(np.searchsorted(np.cumsum(counts), j, side="right"))
+        what = "[x, y] pairs" if tail else "numbers"
+        raise ValueError(
+            f"hull at t={t[i]}: {key} must hold {what}, got {json.dumps(flat[j])}"
+        )
+    return _freeze(arr), np.array(counts, dtype=np.int64)
+
+
+def _malformed(row, tail):
+    try:
+        return np.array(row, dtype=float).shape != tail
+    except (TypeError, ValueError):
+        return True
+
+
+def _check_hulls(t, support, v, v_counts, G, h, g_counts, h_counts):
+    """Raise the message of the first hull that fails any check, in the
+    order `ConvexPolygon`, `HalfSpaceSet` and `TimedHull` run them."""
+    faults = (polygon_faults(v, v_counts), halfspace_faults(G, h, g_counts, h_counts))
+    shape = [f for f in faults if f is not None]
+    # the hulls before the first polygon or half-space fault are well formed,
+    # so their two representations can be compared
+    n = min((i for i, _ in shape), default=len(t))
+    v_end, g_end = int(np.sum(v_counts[:n])), int(np.sum(g_counts[:n]))
+    fault = hull_faults(t[:n], support[:n], v[:v_end], v_counts[:n],
+                        G[:g_end], h[:g_end], g_counts[:n])
+    if fault is None and shape:
+        i, msg = min(shape, key=lambda f: f[0])
+        fault = i, f"hull at t={t[i]}: {msg}"
+    _raise_fault(fault)
+
+
 def read_natset(path):
-    """Load a tube file; every failure to parse it is a ParseError naming it."""
+    """Load a tube file; every failure to parse it is a ParseError naming it.
+
+    The hulls are read as one stack per field and checked together, with
+    the rules and messages of the constructors they would otherwise pass.
+    """
     try:
         with open(path, encoding="utf-8") as fh:
             doc = json.load(fh)
         dt = float(doc["dt"])
-        if int(doc["hull_dim"]) != 2:
+        if _integer(doc["hull_dim"], '"hull_dim"') != 2:
             raise ValueError("only 2-d hulls are supported")
         if doc["transform"] != _POSITION_SELECTOR:
             raise ValueError(
                 "only position hulls are supported, "
                 f"transform must be {_POSITION_SELECTOR}"
             )
-        hulls = []
-        for entry in doc["hulls"]:
-            poly = ConvexPolygon(np.array(entry["vertices"], dtype=float))
-            hs = HalfSpaceSet(
-                np.array(entry["G"], dtype=float), np.array(entry["h"], dtype=float)
+        entries = doc["hulls"]
+        t = [_integer(entry["t"], f'hulls[{i}]["t"]') for i, entry in enumerate(entries)]
+        support = [_integer(entry["support"], f'hulls[{i}]["support"]')
+                   for i, entry in enumerate(entries)]
+        v, v_counts = _stack(entries, "vertices", t, (2,))
+        G, g_counts = _stack(entries, "G", t, (2,))
+        h, h_counts = _stack(entries, "h", t, ())
+        # beyond int64 the arrays hold Python ints and still compare exactly
+        _check_hulls(np.array(t), np.array(support), v, v_counts, G, h, g_counts, h_counts)
+        _, v_start = segments(v_counts)
+        _, g_start = segments(g_counts)
+        hulls = tuple(
+            _unchecked(
+                TimedHull,
+                t=t[i],
+                polygon=_unchecked(ConvexPolygon, vertices=v[v_start[i]:v_start[i + 1]]),
+                halfspaces=_unchecked(
+                    HalfSpaceSet,
+                    G=G[g_start[i]:g_start[i + 1]],
+                    h=h[g_start[i]:g_start[i + 1]],
+                ),
+                support=support[i],
             )
-            hulls.append(TimedHull(int(entry["t"]), poly, hs, int(entry["support"])))
-        return NaturalisticSet(tuple(hulls), dt, doc.get("provenance", {}))
+            for i in range(len(entries))
+        )
+        return NaturalisticSet(hulls, dt, doc.get("provenance", {}))
     except (KeyError, TypeError) as exc:
         raise ParseError(f"{path}: bad tube file: {exc}") from None
     except ValueError as exc:

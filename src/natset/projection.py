@@ -150,12 +150,12 @@ def _program(candidate, natset, dyn):
 
     Cp, free_pos = cm.Gamma[0::2], free[0::2]
     # x_init is pinned, so t = 0 carries no constraint; its membership was
-    # the pre-check
-    tube = [natset.hulls[t].halfspaces for t in range(1, min(H, natset.horizon) + 1)]
-    sizes = [len(hs.h) for hs in tube]
-    G = np.concatenate([np.zeros((0, 2))] + [hs.G for hs in tube])
-    steps = np.repeat(np.arange(1, len(tube) + 1), sizes)
-    limit = -margins(G, np.concatenate([np.zeros(0)] + [hs.h for hs in tube]), free_pos[steps])
+    # the pre-check.  Rows of steps 1 .. T of the stacked tube, in order.
+    T = min(H, natset.horizon)
+    G_all, h_all, start = natset.rows
+    G = G_all[start[1]:start[T + 1]]
+    steps = np.repeat(np.arange(1, T + 1), np.diff(start[1 : T + 2]))
+    limit = -margins(G, h_all[start[1]:start[T + 1]], free_pos[steps])
     # rows no control influences are facts, not constraints: check and drop.
     # Rounding is monotone, so max |G[i] Cp[t]| is exactly the product of
     # the two maxima.
@@ -165,9 +165,8 @@ def _program(candidate, natset, dyn):
     if broken.size:
         j = broken[0]
         t = steps[j]
-        i = j - sum(sizes[: t - 1])
         raise SolverFailure(
-            f"hull row {i} at t={t} is violated by {-limit[j]:.6g} m "
+            f"hull row {j + start[1] - start[t]} at t={t} is violated by {-limit[j]:.6g} m "
             "and no control input can change it"
         )
     A = HullRows(Cp, steps[~fixed], G[~fixed])

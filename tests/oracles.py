@@ -4,11 +4,15 @@ Nothing here shares code with the package: the hull oracle is a plain O(n*k)
 gift-wrapping march, membership is even-odd ray casting, and both work from
 first principles on raw coordinate lists.  The per-point margin works one
 half-space row at a time in plain floats.  The QP oracle enumerates active
-sets and only borrows the package's result type.
+sets and only borrows the package's result type.  The one exception is
+the tube reader's reference, which builds hulls one at a time through the
+public constructors, the path `read_natset` checks in one batch.
 """
 
 import numpy as np
 
+from natset.geometry import ConvexPolygon, HalfSpaceSet
+from natset.natset import NaturalisticSet, TimedHull
 from natset.qpsolver import QPSolution, SolverStatus
 
 
@@ -146,3 +150,22 @@ def enumerate_oracle(qp):
         raise NoFeasibleActiveSet("no active set yields a feasible KKT point")
     obj, z, lam = best
     return QPSolution(z, obj, SolverStatus.OPTIMAL, 1 << k, lam)
+
+
+def read_hulls_one_by_one(doc):
+    """A tube document's hulls built one at a time through the public
+    constructors: the reference for `read_natset`'s batched check.
+
+    Returns the NaturalisticSet, or raises ValueError with the message
+    `read_natset` gives after the file name; polygon and half-space
+    faults are prefixed with the hull's time index.
+    """
+    hulls = []
+    for entry in doc["hulls"]:
+        try:
+            poly = ConvexPolygon(np.array(entry["vertices"], dtype=float))
+            hs = HalfSpaceSet(np.array(entry["G"], dtype=float), np.array(entry["h"], dtype=float))
+        except ValueError as exc:
+            raise ValueError(f"hull at t={entry['t']}: {exc}") from None
+        hulls.append(TimedHull(entry["t"], poly, hs, entry["support"]))
+    return NaturalisticSet(tuple(hulls), float(doc["dt"]), doc.get("provenance", {}))

@@ -454,6 +454,31 @@ def _infinite_dt(doc):
     doc["dt"] = float("inf")
 
 
+def _duplicate_vertex(doc):
+    vertices = doc["hulls"][3]["vertices"]
+    vertices.insert(1, list(vertices[0]))
+
+
+def _long_row(doc):
+    doc["hulls"][3]["G"][0] = [2.0 * g for g in doc["hulls"][3]["G"][0]]
+
+
+def _fractional_support(doc):
+    doc["hulls"][4]["support"] = 3.9
+
+
+def _boolean_t(doc):
+    doc["hulls"][1]["t"] = True
+
+
+def _fractional_hull_dim(doc):
+    doc["hull_dim"] = 2.7
+
+
+def _number_for_vertices(doc):
+    doc["hulls"][2]["vertices"] = 5
+
+
 @pytest.mark.parametrize(
     "spoil, cause",
     [
@@ -461,6 +486,12 @@ def _infinite_dt(doc):
         (None, "Expecting value"),
         (_text_dt, "could not convert string to float"),
         (_infinite_dt, "dt must be finite and > 0"),
+        (_duplicate_vertex, "hull at t=3: duplicate consecutive vertices"),
+        (_long_row, "hull at t=3: rows of G must have unit Euclidean norm"),
+        (_fractional_support, 'hulls[4]["support"] must be an integer, got 3.9'),
+        (_boolean_t, 'hulls[1]["t"] must be an integer, got true'),
+        (_fractional_hull_dim, '"hull_dim" must be an integer, got 2.7'),
+        (_number_for_vertices, "hull at t=2: vertices must be a list, got 5"),
     ],
 )
 def test_project_bad_tube_names_the_file(scene, tmp_path, capsys, spoil, cause):

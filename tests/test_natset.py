@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from natset.data import (
+    ParseError,
     RawActorState,
     Region,
     Task,
@@ -27,7 +28,7 @@ from natset.natset import (
     write_natset,
 )
 from natset.synthetic import default_spec, generate_scenario
-from oracles import point_margin
+from oracles import point_margin, read_hulls_one_by_one
 
 
 def make_traj(actor, positions, frame_rate=25.0):
@@ -265,3 +266,116 @@ def test_margins_do_not_depend_on_batch():
         for hull, got in zip(tube.hulls, hull_margins(tube, states)):
             hs = hull.halfspaces
             assert np.array_equal(got, margins(hs.G, hs.h, pts[hull.t, j]))
+
+
+def _move_vertex(dist):
+    def mutate(hull, rng):
+        j = rng.integers(len(hull["vertices"]))
+        angle = rng.uniform(0.0, 2.0 * np.pi)
+        hull["vertices"][j][0] += dist * np.cos(angle)
+        hull["vertices"][j][1] += dist * np.sin(angle)
+    return mutate
+
+
+def _reverse(hull, rng):
+    hull["vertices"].reverse()
+
+
+def _duplicate_vertex(hull, rng):
+    j = rng.integers(len(hull["vertices"]))
+    hull["vertices"].insert(j + 1, list(hull["vertices"][j]))
+
+
+def _delete_vertex(hull, rng):
+    del hull["vertices"][rng.integers(len(hull["vertices"]))]
+
+
+def _scale_row(hull, rng):
+    j = rng.integers(len(hull["h"]))
+    hull["G"][j] = [g * (1.0 + 1e-11) for g in hull["G"][j]]
+
+
+def _shift_h(shift):
+    def mutate(hull, rng):
+        hull["h"][rng.integers(len(hull["h"]))] += shift
+    return mutate
+
+
+def _delete_row(hull, rng):
+    j = rng.integers(len(hull["h"]))
+    del hull["G"][j]
+    del hull["h"][j]
+
+
+def _support_two(hull, rng):
+    hull["support"] = 2
+
+
+def _shift_t(step):
+    def mutate(hull, rng):
+        hull["t"] += step
+    return mutate
+
+
+MUTATIONS = {
+    "vertex_1e-12": _move_vertex(1e-12),
+    "vertex_1e-8": _move_vertex(1e-8),
+    "vertex_1e-3": _move_vertex(1e-3),
+    "vertex_0.5": _move_vertex(0.5),
+    "reverse": _reverse,
+    "duplicate_vertex": _duplicate_vertex,
+    "delete_vertex": _delete_vertex,
+    "scale_row": _scale_row,
+    "h_+1e-8": _shift_h(1e-8),
+    "h_-1e-8": _shift_h(-1e-8),
+    "h_+1e-3": _shift_h(1e-3),
+    "h_-1e-3": _shift_h(-1e-3),
+    "delete_row": _delete_row,
+    "support_2": _support_two,
+    "t_+1": _shift_t(1),
+    "t_-1": _shift_t(-1),
+}
+
+
+@pytest.fixture(scope="module")
+def tube_texts(tmp_path_factory):
+    """The bundled tube and an H=400 tube 180-360 m from the origin."""
+    spec = default_spec("straight_road_with_stop", count=200, seed=2, horizon=400)
+    trajectories, task = generate_scenario(spec)
+    start = Region(quickhull(np.asarray(task["start_polygon"])))
+    end = Region(quickhull(np.asarray(task["end_polygon"])))
+    far = tmp_path_factory.mktemp("far") / "tube.json"
+    write_natset(build_natset(filter_task(trajectories, start, end, task["min_speed"])), far)
+    bundled = Path(__file__).resolve().parents[1] / "demos" / "out" / "tube.json"
+    return [bundled.read_text(), far.read_text()]
+
+
+@pytest.mark.parametrize("name", list(MUTATIONS))
+def test_batched_read_matches_hull_by_hull(tube_texts, tmp_path, name):
+    # one hull mutated at a time: of the bundled tube the first, the last
+    # and two drawn at random, of the H=400 tube one drawn at random;
+    # read_natset must accept exactly the tubes the public constructors
+    # accept, and reject the others with the same message
+    rng = np.random.default_rng(sorted(MUTATIONS).index(name))
+    path = tmp_path / "tube.json"
+    bundled, far = tube_texts
+    count = len(json.loads(bundled)["hulls"])
+    cases = [(bundled, k) for k in (0, count - 1, *rng.integers(1, count - 1, 2))]
+    for text, k in cases + [(far, rng.integers(401))]:
+        doc = json.loads(text)
+        MUTATIONS[name](doc["hulls"][k], rng)
+        path.write_text(json.dumps(doc))
+        try:
+            want = read_hulls_one_by_one(doc)
+        except ValueError as exc:
+            with pytest.raises(ParseError) as err:
+                read_natset(path)
+            assert str(err.value) == f"{path}: {exc}"
+            continue
+        got = read_natset(path)
+        assert (got.dt, got.provenance) == (want.dt, want.provenance)
+        for a, b in zip(got.hulls, want.hulls, strict=True):
+            assert (a.t, a.support) == (b.t, b.support)
+            assert np.array_equal(a.polygon.vertices, b.polygon.vertices)
+            assert np.array_equal(a.halfspaces.G, b.halfspaces.G)
+            assert np.array_equal(a.halfspaces.h, b.halfspaces.h)
