@@ -18,7 +18,14 @@ from itertools import chain, islice
 import numpy as np
 
 from .dynamics import POSITIONS
-from .geometry import INSIDE_TOL, ConvexPolygon, quickhull, signed_violations, to_halfspaces
+from .geometry import (
+    INSIDE_TOL,
+    ConvexPolygon,
+    _freeze,
+    quickhull,
+    signed_violations,
+    to_halfspaces,
+)
 
 log = logging.getLogger(__name__)
 
@@ -87,17 +94,14 @@ class RawActorState:
 class Trajectory:
     """Time-ordered states of one actor, sampled at frame_rate Hz, held in
     `data`: a read-only (T, 7) array, T >= 1, of p_x, v_x, p_y, v_y, a_x,
-    a_y, heading.  `states` is such an array (copied unless read-only) or
-    RawActorStates."""
+    a_y, heading.  `states` is such an array (copied unless no one can
+    write it, see `geometry._freeze`) or RawActorStates."""
 
     def __init__(self, actor_id, frame_rate, states):
         if not isinstance(states, np.ndarray):
             states = [(s.position[0], s.velocity[0], s.position[1], s.velocity[1],
                        *s.acceleration, s.heading) for s in states]
-        data = np.asarray(states, dtype=float)
-        if data is states and data.flags.writeable:
-            data = data.copy()
-        data.setflags(write=False)
+        data = _freeze(states)
         if len(data) < 1:
             raise ValueError(f"trajectory {actor_id!r} has no states")
         if data.ndim != 2 or data.shape[1] != len(_DATA_COLUMNS):

@@ -10,7 +10,8 @@ Conventions used throughout the package:
   ``G y - h`` (`margins`) is a signed distance and tolerances stay metric.
 
 All functions are pure and all containers are frozen with read-only array
-buffers, so values can be shared freely across threads.
+buffers that no caller can write, so values can be shared freely across
+threads.
 """
 
 from __future__ import annotations
@@ -26,6 +27,12 @@ COLLINEAR_TOL = 1e-9
 # Coincidence grid for input deduplication before hull computation.
 DEDUP_GRID = 1e-9
 
+# Largest |x| or |y| a point may have, in meters: far beyond any map
+# projection, small enough that the DEDUP_GRID lattice fits in int64 and
+# that edge cross products stay finite.
+COORD_BOUND = 1e9
+_OUT_OF_BOUNDS = f"must be finite with |x|, |y| <= {COORD_BOUND:g} m"
+
 # A point lies inside a half-space set when its worst margin G p - h is at
 # most this many meters: the one inside rule for task regions, tube
 # membership and the projection's control-independent rows.
@@ -36,10 +43,22 @@ class DegenerateInput(ValueError):
     """All input points coincident or collinear within tolerance."""
 
 
-def _freeze(arr: np.ndarray) -> np.ndarray:
-    arr = np.ascontiguousarray(arr, dtype=float)
-    arr.flags.writeable = False
-    return arr
+def _freeze(arr) -> np.ndarray:
+    """``arr`` as a read-only float array that no one else can write: a
+    copy, unless it is read-only already and views only read-only arrays."""
+    out = np.asarray(arr, dtype=float)
+    if out is arr or out.base is not None:
+        # it may share memory with the caller: keep it only if no owner can write
+        base = out
+        while isinstance(base, np.ndarray):
+            if base.flags.writeable:
+                out = out.copy()
+                break
+            base = base.base
+    if not out.flags.c_contiguous:
+        out = out.copy()
+    out.flags.writeable = False
+    return out
 
 
 _POLYGON_SHAPE = "polygon needs an (k>=3, 2) vertex array, got shape {}"
@@ -85,21 +104,21 @@ def _successors(owner, starts):
 def polygon_faults(v, counts):
     """Check a ragged stack of polygons: ``v`` is ``(N, 2)``, polygon i owns
     the next ``counts[i]`` rows.  Returns ``first_fault`` of the rules a
-    `ConvexPolygon` keeps: at least 3 vertices, all finite, no two
+    `ConvexPolygon` keeps: at least 3 vertices, all within COORD_BOUND, no two
     consecutive ones within DEDUP_GRID, and strict left turns."""
     counts = np.asarray(counts)
     n = len(counts)
     owner, starts = segments(counts)
-    finite = np.all(np.isfinite(v), axis=1)
-    if not finite.all():
-        # a polygon with a non-finite vertex fails before its edges count
-        v = np.where(finite[:, None], v, 0.0)
+    bounded = np.all(np.abs(v) <= COORD_BOUND, axis=1)
+    if not bounded.all():
+        # a polygon with a far or non-finite vertex fails before its edges count
+        v = np.where(bounded[:, None], v, 0.0)
     nxt = _successors(owner, starts)
     edges = v[nxt] - v
     turns = edges[:, 0] * edges[nxt, 1] - edges[:, 1] * edges[nxt, 0]
     return first_fault([
         (counts < 3, lambda i: _POLYGON_SHAPE.format((int(counts[i]), 2))),
-        (any_per(owner, ~finite, n), lambda i: "polygon vertices must be finite"),
+        (any_per(owner, ~bounded, n), lambda i: f"polygon vertices {_OUT_OF_BOUNDS}"),
         (any_per(owner, np.hypot(edges[:, 0], edges[:, 1]) <= DEDUP_GRID, n),
          lambda i: "duplicate consecutive vertices"),
         (any_per(owner, turns <= 0.0, n),
@@ -118,7 +137,8 @@ def halfspace_faults(G, h, counts, h_counts=None):
     n = len(counts)
     owner, starts = segments(counts)
     h_owner, _ = segments(h_counts)
-    norms = np.hypot(G[:, 0], G[:, 1])
+    # an entry beyond 2 already rules out a unit row; clipping keeps hypot finite
+    norms = np.hypot(*np.clip(G, -2.0, 2.0).T)
     finite = any_per(owner, ~np.all(np.isfinite(G), axis=1), n) | any_per(
         h_owner, ~np.isfinite(h), n
     )
@@ -162,11 +182,11 @@ class ConvexPolygon:
     vertices: np.ndarray
 
     def __post_init__(self):
-        v = np.asarray(self.vertices, dtype=float)
+        v = _freeze(self.vertices)
         if v.ndim != 2 or v.shape[1] != 2:
             raise ValueError(_POLYGON_SHAPE.format(v.shape))
         _raise_fault(polygon_faults(v, [len(v)]))
-        object.__setattr__(self, "vertices", _freeze(v))
+        object.__setattr__(self, "vertices", v)
 
     def __len__(self) -> int:
         return len(self.vertices)
@@ -187,13 +207,13 @@ class HalfSpaceSet:
     h: np.ndarray
 
     def __post_init__(self):
-        G = np.asarray(self.G, dtype=float)
-        h = np.asarray(self.h, dtype=float).ravel()
+        G = _freeze(self.G)
+        h = _freeze(self.h).ravel()
         if G.ndim != 2 or G.shape[1] != 2 or G.shape[0] != h.shape[0]:
             raise ValueError(_HALFSPACE_SHAPE.format(G.shape, h.shape))
         _raise_fault(halfspace_faults(G, h, [len(G)]))
-        object.__setattr__(self, "G", _freeze(G))
-        object.__setattr__(self, "h", _freeze(h))
+        object.__setattr__(self, "G", G)
+        object.__setattr__(self, "h", h)
 
     def __len__(self) -> int:
         return len(self.h)
@@ -237,8 +257,8 @@ def quickhull(points) -> ConvexPolygon:
     pts = np.asarray(points, dtype=float)
     if pts.ndim != 2 or pts.shape[1] != 2:
         pts = pts.reshape(-1, 2)
-    if not np.all(np.isfinite(pts)):
-        raise ValueError("input points must be finite")
+    if not np.all(np.abs(pts) <= COORD_BOUND):
+        raise ValueError(f"input points {_OUT_OF_BOUNDS}")
     if pts.shape[0] < 3:
         raise DegenerateInput(f"need at least 3 points, got {pts.shape[0]}")
 

@@ -24,7 +24,6 @@ from .geometry import (
     ConvexPolygon,
     DegenerateInput,
     HalfSpaceSet,
-    _freeze,
     _raise_fault,
     _unchecked,
     first_fault,
@@ -129,7 +128,8 @@ class NaturalisticSet:
         G = np.concatenate([hull.halfspaces.G for hull in self.hulls])
         h = np.concatenate([hull.halfspaces.h for hull in self.hulls])
         _, start = segments([len(hull.halfspaces) for hull in self.hulls])
-        return _freeze(G), _freeze(h), start
+        G.flags.writeable = h.flags.writeable = False
+        return G, h, start
 
     def __len__(self):
         return len(self.hulls)
@@ -306,7 +306,8 @@ def _stack(entries, key, t, tail):
         raise ValueError(
             f"hull at t={t[i]}: {key} must hold {what}, got {json.dumps(flat[j])}"
         )
-    return _freeze(arr), np.array(counts, dtype=np.int64)
+    arr.flags.writeable = False
+    return arr, np.array(counts, dtype=np.int64)
 
 
 def _malformed(row, tail):

@@ -10,6 +10,7 @@ H x H block and its hull rows stay implicit (`HullRows`).
 """
 
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,9 +23,6 @@ from .qpsolver import QuadraticProgram, SolverStatus, solve
 
 # membership tolerance of the t = 0 pre-check on the pinned initial state
 FEAS_TOL = 1e-6
-# constraint rows unaffected by any control: below this norm they are
-# constants, checked once and dropped
-ZERO_ROW_TOL = 1e-14
 ACTIVE_TOL = 1e-6
 
 
@@ -156,11 +154,9 @@ def _program(candidate, natset, dyn):
     G = G_all[start[1]:start[T + 1]]
     steps = np.repeat(np.arange(1, T + 1), np.diff(start[1 : T + 2]))
     limit = -margins(G, h_all[start[1]:start[T + 1]], free_pos[steps])
-    # rows no control influences are facts, not constraints: check and drop.
-    # Rounding is monotone, so max |G[i] Cp[t]| is exactly the product of
-    # the two maxima.
-    scale = np.max(np.abs(G), axis=1, initial=0.0) * np.max(np.abs(Cp), axis=1)[steps]
-    fixed = scale < ZERO_ROW_TOL
+    # rows of a step no force reaches (all of Cp[t] zero: step 1 for the
+    # point mass) are facts, not constraints: check and drop
+    fixed = ~np.any(Cp, axis=1)[steps]
     broken = np.flatnonzero(fixed & (limit < -INSIDE_TOL))
     if broken.size:
         j = broken[0]
@@ -183,12 +179,11 @@ def project(candidate, natset, dyn):
     """
     if candidate.horizon < 1:
         raise ValueError("candidate must have at least 2 states")
-    if abs(candidate.dt - natset.dt) > 1e-12:
-        raise ValueError(
-            f"candidate dt {candidate.dt!r} does not match tube dt {natset.dt!r}"
-        )
-    if abs(dyn.dt - natset.dt) > 1e-12:
-        raise ValueError(f"dynamics dt {dyn.dt!r} does not match tube dt {natset.dt!r}")
+    # a relative rule: tube files keep dt to 12 significant digits, and the
+    # CLI samples a candidate at 1 / (1 / dt)
+    for name, dt in (("candidate", candidate.dt), ("dynamics", dyn.dt)):
+        if not math.isclose(dt, natset.dt, rel_tol=1e-9):
+            raise ValueError(f"{name} dt {dt!r} does not match tube dt {natset.dt!r}")
 
     x_init = candidate.states[0]
     H_a = candidate.horizon

@@ -479,6 +479,14 @@ def _number_for_vertices(doc):
     doc["hulls"][2]["vertices"] = 5
 
 
+def _huge_vertex(doc):
+    doc["hulls"][3]["vertices"][1] = [1e308, -1e308]
+
+
+def _huge_normal(doc):
+    doc["hulls"][3]["G"][0] = [1.7e308, 1.7e308]
+
+
 @pytest.mark.parametrize(
     "spoil, cause",
     [
@@ -492,6 +500,8 @@ def _number_for_vertices(doc):
         (_boolean_t, 'hulls[1]["t"] must be an integer, got true'),
         (_fractional_hull_dim, '"hull_dim" must be an integer, got 2.7'),
         (_number_for_vertices, "hull at t=2: vertices must be a list, got 5"),
+        (_huge_vertex, "hull at t=3: polygon vertices must be finite with |x|, |y| <= 1e+09 m"),
+        (_huge_normal, "hull at t=3: rows of G must have unit Euclidean norm"),
     ],
 )
 def test_project_bad_tube_names_the_file(scene, tmp_path, capsys, spoil, cause):

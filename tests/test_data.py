@@ -341,6 +341,12 @@ def test_trajectory_copies_a_writable_array():
     arr[0, 0] = 9.0
     assert tr.data[0, 0] == 0.0
     assert arr.flags.writeable
+    # a read-only view does not protect the data while its base is writable
+    view = arr.view()
+    view.flags.writeable = False
+    tr = Trajectory("a", 25.0, view)
+    arr[0, 0] = 7.0
+    assert tr.data[0, 0] == 9.0
 
 
 def test_trajectory_rejects_bad_arrays():

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from natset.geometry import (
+    COORD_BOUND,
     ConvexPolygon,
     DegenerateInput,
     HalfSpaceSet,
@@ -182,3 +183,36 @@ def test_polygon_area_and_extent():
 def test_immutability():
     with pytest.raises(ValueError):
         UNIT_SQUARE.vertices[0, 0] = 5.0
+
+
+def test_coordinates_beyond_the_bound_are_named():
+    # distinct corners whose DEDUP_GRID keys would overflow int64
+    far = [[2e10, 0.0], [3e10, 0.0], [3e10, 1.0], [2e10, 1.0]]
+    with pytest.raises(ValueError, match=r"\|x\|, \|y\| <= 1e\+09 m") as err:
+        quickhull(far)
+    assert not isinstance(err.value, DegenerateInput)
+    with pytest.raises(ValueError, match="polygon vertices must be finite with"):
+        ConvexPolygon(np.array(far))
+    # the cross products of its edges would overflow
+    with pytest.raises(ValueError, match="polygon vertices must be finite with"):
+        ConvexPolygon(np.array([[0.0, 0.0], [1e308, -1e308], [1.0, 1.0]]))
+    edge = [[-COORD_BOUND, -COORD_BOUND], [COORD_BOUND, -COORD_BOUND], [0.0, COORD_BOUND]]
+    assert len(quickhull(edge)) == 3
+
+
+def test_frozen_values_do_not_alias_the_callers_arrays():
+    base = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
+    poly = ConvexPolygon(base[:3])
+    base[1] = base[0]
+    assert poly.area == pytest.approx(0.5)
+    assert base.flags.writeable
+    G, h = UNIT_SQUARE_HS.G.copy(), UNIT_SQUARE_HS.h.copy()
+    hs = HalfSpaceSet(G, h)
+    G[0], h[0] = 0.0, -1.0
+    assert np.array_equal(hs.G, UNIT_SQUARE_HS.G) and np.array_equal(hs.h, UNIT_SQUARE_HS.h)
+    assert not hs.G.flags.writeable and G.flags.writeable and h.flags.writeable
+    # a read-only view of a writable array is copied; a read-only owner is shared
+    view = base.view()
+    view.flags.writeable = False
+    assert not np.shares_memory(ConvexPolygon(view[1:]).vertices, base)
+    assert ConvexPolygon(poly.vertices).vertices is poly.vertices

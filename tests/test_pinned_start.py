@@ -9,6 +9,8 @@ Each outcome is checked here with plain numpy on the hulls' G and h:
   FEAS_TOL, and the controls roll out to the states;
 * InitialStateOutsideTube: x_0 misses W_0 by more than FEAS_TOL;
 * SolverFailure: only when x_1 = A x_0 misses W_1 and the message names t=1.
+
+Forces scale with the mass, so no outcome may depend on the mass unit.
 """
 
 import numpy as np
@@ -31,6 +33,7 @@ from natset.projection import FEAS_TOL
 from natset.synthetic import KINDS, default_spec, generate_scenario, straight_candidate
 
 HORIZONS = (60, 100, 150, 200)
+MASSES = (1e-6, 1.0, 1e14)
 
 
 def tube_of(spec):
@@ -58,24 +61,25 @@ def margin(hull, states):
 
 
 def check_outcome(cand, ns, dyn):
-    """Project one candidate and verify its outcome; returns its kind."""
+    """Project one candidate and verify its outcome; returns its kind and,
+    when certified, the result."""
     x0 = cand.states[0]
     try:
         res = project(cand, ns, dyn)
     except InitialStateOutsideTube:
         assert margin(ns.hulls[0], x0)[0] > FEAS_TOL
-        return "outside_start"
+        return "outside_start", None
     except SolverFailure as exc:
         x1 = dyn.A @ x0
         assert margin(ns.hulls[1], x1)[0] > INSIDE_TOL, str(exc)
         assert "at t=1 " in str(exc), str(exc)
-        return "t1_miss"
+        return "t1_miss", None
     assert np.array_equal(res.states[0], x0)
     overlap = min(ns.horizon, cand.horizon)
     for t in range(overlap + 1):
         assert margin(ns.hulls[t], res.states[t])[0] <= FEAS_TOL, f"t={t}"
     assert np.max(np.abs(rollout(dyn, x0, res.controls) - res.states)) <= 1e-9
-    return "certified"
+    return "certified", res
 
 
 @pytest.mark.parametrize("seed", range(1, 9))
@@ -98,4 +102,20 @@ def test_dense_curved_scene_whose_first_step_misses_w1():
     dyn = double_integrator(ns.dt)
     assert margin(ns.hulls[0], cand.states[0])[0] <= FEAS_TOL
     assert margin(ns.hulls[1], dyn.A @ cand.states[0])[0] > FEAS_TOL
-    assert check_outcome(cand, ns, dyn) != "certified"
+    assert check_outcome(cand, ns, dyn)[0] != "certified"
+
+
+@pytest.mark.parametrize("seed", (1, 2))
+@pytest.mark.parametrize("kind", KINDS)
+def test_scene_grid_outcomes_do_not_depend_on_the_mass(kind, seed):
+    # only step 1 is out of every force's reach, whatever the mass
+    spec = default_spec(kind, count=40, seed=seed, horizon=100)
+    ns = tube_of(spec)
+    for tr in candidates_for(spec):
+        cand = CandidateTrajectory.from_trajectory(tr)
+        outcomes = {m: check_outcome(cand, ns, double_integrator(ns.dt, mass=m)) for m in MASSES}
+        kind_at_1, res_at_1 = outcomes[1.0]
+        for mass, (kind_at_m, res) in outcomes.items():
+            assert kind_at_m == kind_at_1, f"mass={mass:g}"
+            if res is not None:
+                assert res.active_constraints == res_at_1.active_constraints, f"mass={mass:g}"

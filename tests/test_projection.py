@@ -17,7 +17,6 @@ from natset.geometry import quickhull, to_halfspaces
 from natset.natset import NaturalisticSet, TimedHull, build_natset, hull_margins
 from natset.projection import (
     ACTIVE_TOL,
-    ZERO_ROW_TOL,
     CandidateTrajectory,
     InitialStateOutsideTube,
     SolverFailure,
@@ -226,6 +225,11 @@ def test_dt_mismatch_rejected():
     cand = CandidateTrajectory([[t, 1.0, 0.5, 0.0] for t in range(3)], dt=1.0)
     with pytest.raises(ValueError):
         project(cand, ns, double_integrator(dt=0.5))
+    # 1e-13 s against 5e-13 s is a fivefold mismatch, however few seconds apart
+    fine = NaturalisticSet(ns.hulls, dt=5e-13)
+    cand = CandidateTrajectory([[t, 1.0, 0.5, 0.0] for t in range(3)], dt=1e-13)
+    with pytest.raises(ValueError, match="candidate dt"):
+        project(cand, fine, double_integrator(dt=5e-13))
 
 
 def test_projection_json_round_trip(tmp_path):
@@ -309,7 +313,7 @@ def dense_program(candidate, natset, dyn):
     for t in range(1, min(H, natset.horizon) + 1):
         hs = natset.hulls[t].halfspaces
         coeff = hs.G @ Gamma_pos[t]
-        keep = np.max(np.abs(coeff), axis=1) >= ZERO_ROW_TOL
+        keep = np.any(coeff, axis=1)
         rows.append(coeff[keep])
         rhs.append((hs.h - hs.G @ free_pos[t])[keep])
     return 0.5 * (P + P.T), q, np.concatenate(rows), np.concatenate(rhs)
