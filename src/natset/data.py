@@ -19,6 +19,7 @@ import numpy as np
 
 from .dynamics import POSITIONS
 from .geometry import (
+    COORD_BOUND,
     INSIDE_TOL,
     ConvexPolygon,
     _freeze,
@@ -194,31 +195,35 @@ class TaskDataset:
         return out, horizons
 
 
-def _scan(rows, first_row, where):
+def _scan(path, rows, first_row, where):
     """Raise the ParseError naming the first malformed row of a batch."""
     for row_num, row in enumerate(rows, start=first_row):
+        at = f"{path}: row {row_num}"
         # a short row reads None past its end, as csv.DictReader fills it
         cell = {name: row[i] if i < len(row) else None for name, i in where.items()}
         if not cell["trackId"]:
-            raise ParseError(f"row {row_num}: empty trackId")
+            raise ParseError(f"{at}: empty trackId")
         try:
             frame = int(cell["frame"])
         except (TypeError, ValueError):
-            raise ParseError(f"row {row_num}: frame is not an integer: {cell['frame']!r}") from None
+            raise ParseError(f"{at}: frame is not an integer: {cell['frame']!r}") from None
         if frame < 0:
-            raise ParseError(f"row {row_num}: negative frame {frame}")
+            raise ParseError(f"{at}: negative frame {frame}")
         values = {}
         for name in REQUIRED_COLUMNS[2:]:
             try:
                 values[name] = float(cell[name])
             except (TypeError, ValueError):
-                raise ParseError(f"row {row_num}: column {name!r} is not numeric: "
-                                 f"{cell[name]!r}") from None
+                raise ParseError(f"{at}: column {name!r} is not numeric: {cell[name]!r}") from None
         for name, value in values.items():
             if not math.isfinite(value):
-                raise ParseError(f"row {row_num}: column {name!r} is not finite: {cell[name]!r}")
+                raise ParseError(f"{at}: column {name!r} is not finite: {cell[name]!r}")
+        for name in ("xCenter", "yCenter"):
+            if abs(values[name]) > COORD_BOUND:
+                raise ParseError(f"{at}: column {name!r} of trackId {cell['trackId']!r} "
+                                 f"is beyond {COORD_BOUND:g} m: {cell[name]!r}")
     # every row is well formed, so the batch failed on a frame beyond 64 bits
-    raise ParseError(f"rows {first_row}-{first_row + len(rows) - 1}: frame out of range")
+    raise ParseError(f"{path}: rows {first_row}-{first_row + len(rows) - 1}: frame out of range")
 
 
 def load_trajectories(path, frame_rate=25.0):
@@ -226,8 +231,9 @@ def load_trajectories(path, frame_rate=25.0):
 
     The file must carry at least the REQUIRED_COLUMNS header names; extra
     columns (as in full inD tracks exports) are ignored.  Frames for each
-    actor must form a contiguous range once sorted.  Rows are converted by
-    column in batches; a batch that fails a check is scanned row by row.
+    actor must form a contiguous range once sorted, and every position
+    must lie within COORD_BOUND.  Rows are converted by column in batches;
+    a batch that fails a check is scanned row by row.
     """
     codes, parts = {}, []  # trackId -> order of first appearance; batches
     with open(path, newline="", encoding="utf-8") as fh:
@@ -251,11 +257,12 @@ def load_trajectories(path, frame_rate=25.0):
                 frames = np.fromiter(map(int, fields[where["frame"]]), np.int64, n)
                 cells = chain.from_iterable(fields[where[c]] for c in _DATA_COLUMNS)
                 states = np.fromiter(map(float, cells), float, 7 * n).reshape(7, n).T
-                valid = "" not in ids and frames.min() >= 0 and np.isfinite(states).all()
+                valid = ("" not in ids and frames.min() >= 0 and np.isfinite(states).all()
+                         and np.abs(states[:, POSITIONS]).max() <= COORD_BOUND)
             except (IndexError, ValueError, OverflowError):
                 valid = False
             if not valid:
-                _scan(batch, row_num, where)
+                _scan(path, batch, row_num, where)
             code = np.fromiter((codes.setdefault(a, len(codes)) for a in ids), np.int64, n)
             parts.append((code, frames, states))
             row_num += n

@@ -115,8 +115,9 @@ class NaturalisticSet:
         object.__setattr__(self, "hulls", tuple(self.hulls))
         if not self.hulls:
             raise ValueError("a tube needs at least one hull")
-        if not (np.isfinite(self.dt) and self.dt > 0):
-            raise ValueError(f"dt must be finite and > 0, got dt={self.dt}")
+        # a subnormal dt passes > 0 but has no finite frame rate 1 / dt
+        if not (np.isfinite(self.dt) and self.dt > 0 and np.isfinite(1.0 / float(self.dt))):
+            raise ValueError(f"dt must be finite and > 0 with a finite 1/dt, got dt={self.dt}")
         for expect, hull in enumerate(self.hulls):
             if hull.t != expect:
                 raise ValueError("hull time indices must be contiguous from 0")

@@ -21,12 +21,20 @@ The solver reaches rows only through ``A @ z`` (all k products),
 only when that row enters the working set, and the certificate needs
 only the working rows.
 
-With P = L L' the Cholesky factor kept by the program and N the working
-rows as columns, the method keeps L^{-1} N = Q [R; 0] with Q orthogonal
-and R upper triangular: a row enters by one Householder reflection and
-leaves by Givens rotations.  Optimal returns carry a KKT certificate
-checked against the original problem data, so callers can trust the
-status field.
+With P = L L' the Cholesky factor kept by the program and N the m working
+rows as columns, the method keeps the thin factor L^{-1} N = Q1 R: Q1 is
+n x m with orthonormal columns and R is m x m upper triangular; the rest
+of an orthogonal Q is never formed.  For a violated row a and
+y = L^{-1} a, the multiplier direction is R^{-1} Q1'y and the primal step
+is along L^{-T} (y - Q1 Q1'y), the part of y outside the working span.
+A row enters by classical Gram-Schmidt with one reorthogonalization,
+which appends the column (Q1'y, |y - Q1 Q1'y|) to R and the normalized
+remainder to Q1; it is dependent on the working set when that remainder
+is below _DEPENDENT_TOL |y|.  A row leaves by Givens rotations of R's
+rows and Q1's columns, after which Q1's last column drops.  Triangular
+solves call LAPACK's dtrtrs directly.  Optimal returns carry a KKT
+certificate checked against the original problem data, so callers can
+trust the status field whatever the rounding of the factor.
 """
 
 from dataclasses import dataclass, field
@@ -34,6 +42,7 @@ from enum import Enum
 
 import numpy as np
 import scipy.linalg
+from scipy.linalg.lapack import dtrtrs
 
 
 class DimensionMismatch(ValueError):
@@ -158,12 +167,22 @@ def _row_norms(A):
     return A.row_norms() if hasattr(A, "row_norms") else np.linalg.norm(A, axis=1)
 
 
-def _triangular(qp, v, trans="N"):
-    """L^{-1} v, or L^{-T} v with trans="T", for the full factor L (x) I_c."""
-    out = scipy.linalg.solve_triangular(
-        qp.L, qp.blocks(v), lower=True, trans=trans, check_finite=False
-    )
-    return out.ravel()
+def _trtrs(a, b, lower=0, trans=0):
+    """a^{-1} b, or a^{-T} b with trans=1, for a Fortran-ordered triangular a.
+
+    LAPACK's dtrtrs reads a's leading n columns, n = a.shape[1], with a's
+    row count as its leading dimension, so a column slice of a larger
+    factor needs no copy.
+    """
+    x, info = dtrtrs(a, b, lower=lower, trans=trans)
+    if info:
+        raise np.linalg.LinAlgError(f"dtrtrs returned info={info}")
+    return x
+
+
+def _triangular(qp, v, trans=0):
+    """L^{-1} v, or L^{-T} v with trans=1, for the full factor L (x) I_c."""
+    return _trtrs(qp.L, qp.blocks(v), lower=1, trans=trans).ravel()
 
 
 def _certificate(qp, z, lam):
@@ -193,12 +212,26 @@ def _certificate(qp, z, lam):
     return passed, np.max(residual, initial=0.0), viol
 
 
-def _drop(Q, R, m, j):
+def _split(Q1t, y):
+    """(Q1'y, y - Q1 Q1'y) for Q1 given by its transpose, the working columns.
+
+    Classical Gram-Schmidt with one reorthogonalization: the second pass
+    removes what rounding left of y's working-span part, so the remainder
+    is orthogonal to Q1 to working precision even when it is small.
+    """
+    w = Q1t @ y
+    d = y - Q1t.T @ w
+    c = Q1t @ d
+    return w + c, d - Q1t.T @ c
+
+
+def _drop(Qt, R, m, j):
     """Remove working column j of the m-column factor in place.
 
     Shifting R's later columns left leaves one subdiagonal entry per
     column; a Givens rotation of rows (i, i+1) zeroes each, and the same
-    rotation of Q's columns keeps L^{-1} N = Q [R; 0].
+    rotation of Q1's columns (Qt's rows) keeps L^{-1} N = Q1 R.  Q1's last
+    column then lies outside the smaller working span, and is dropped.
     """
     R[:m, j : m - 1] = R[:m, j + 1 : m]
     for i in range(j, m - 1):
@@ -207,23 +240,16 @@ def _drop(Q, R, m, j):
         G = np.array([[a / h, b / h], [-b / h, a / h]])
         R[i : i + 2, i : m - 1] = G @ R[i : i + 2, i : m - 1]
         R[i + 1, i] = 0.0
-        Q[:, i : i + 2] = Q[:, i : i + 2] @ G.T
+        Qt[i : i + 2] = G @ Qt[i : i + 2]
 
 
-def _add(Q, R, m, w):
-    """Append the row with w = Q' L^{-1} a as working column m, in place.
-
-    One Householder reflection of Q's trailing columns maps w[m:] onto its
-    first axis, which makes the new column of R.
-    """
-    w2 = w[m:]
-    sigma = -np.copysign(np.linalg.norm(w2), w2[0])
-    v = w2.copy()
-    v[0] -= sigma
-    tail = Q[:, m:]
-    tail -= np.outer(tail @ v, v * (2.0 / (v @ v)))
-    R[:m, m] = w[:m]
-    R[m, m] = sigma
+def _grown(Qt, R, m):
+    """Qt and R, whose room the m working rows fill, copied with room for 2m."""
+    Qt2 = np.empty((2 * m, Qt.shape[1]))
+    Qt2[:m] = Qt
+    R2 = np.zeros((2 * m, 2 * m), order="F")
+    R2[:m, :m] = R
+    return Qt2, R2
 
 
 def solve(qp):
@@ -239,7 +265,11 @@ def solve(qp):
     z = scipy.linalg.cho_solve((qp.L, True), qp.blocks(-qp.q), check_finite=False).ravel()
     working = []  # row indices, in R's column order
     u = np.zeros(0)  # their multipliers
-    Q = R = norms = None  # made when the first row is violated
+    # L^{-1} N = Q1 R for the working rows N as columns; Q1 is kept as its
+    # transpose Qt and R in Fortran order, both with room for more rows
+    cap = min(n, 8)
+    Qt, R = np.empty((cap, n)), np.zeros((cap, cap), order="F")
+    norms = None  # made when the first row is violated
     steps = 0
     status = None
     while status is None:
@@ -249,13 +279,13 @@ def solve(qp):
         if not violated.size:
             status = SolverStatus.OPTIMAL
             break
-        if Q is None:
-            Q, R = np.eye(n), np.zeros((n, n))
+        if norms is None:
             norms = _row_norms(qp.A)
             norms[norms == 0.0] = 1.0
         p = int(violated[np.argmax(margins[violated] / norms[violated])])
         a = qp.A[p]
         y = _triangular(qp, a)
+        y_norm = np.linalg.norm(y)
         u_p = 0.0
         while True:
             if steps == _MAX_STEPS:
@@ -263,9 +293,8 @@ def solve(qp):
                 break
             steps += 1
             m = len(working)
-            w = Q.T @ y
-            w2 = w[m:]
-            r = scipy.linalg.solve_triangular(R[:m, :m], w[:m], check_finite=False)
+            w, d = _split(Qt[:m], y)
+            r = _trtrs(R[:, :m], w)
             # dual step limit: the first working multiplier to reach zero
             blocking = np.flatnonzero(r > 0.0)
             t1, j = np.inf, -1
@@ -273,8 +302,8 @@ def solve(qp):
                 ratios = u[blocking] / r[blocking]
                 j = int(blocking[np.argmin(ratios)])
                 t1 = float(ratios.min())
-            norm2 = float(w2 @ w2)
-            if np.sqrt(norm2) <= _DEPENDENT_TOL * np.linalg.norm(w):
+            norm2 = float(d @ d)
+            if np.sqrt(norm2) <= _DEPENDENT_TOL * y_norm:
                 if j < 0:
                     status = SolverStatus.INFEASIBLE
                     break
@@ -283,15 +312,19 @@ def solve(qp):
                 # primal step limit: row p becomes tight
                 t2 = float(a @ z - qp.b[p]) / norm2
                 t = min(t1, t2)
-                z = z - t * _triangular(qp, Q[:, m:] @ w2, trans="T")
+                z = z - t * _triangular(qp, d, trans=1)
                 if t2 <= t1:
-                    _add(Q, R, m, w)
+                    if m == len(Qt):
+                        Qt, R = _grown(Qt, R, m)
+                    Qt[m] = d / np.sqrt(norm2)
+                    R[:m, m] = w
+                    R[m, m] = np.sqrt(norm2)
                     working.append(p)
                     u = np.append(u - t * r, u_p + t)
                     break
             u = np.delete(u - t * r, j)
             u_p += t
-            _drop(Q, R, m, j)
+            _drop(Qt, R, m, j)
             del working[j]
 
     lam = np.zeros(k)

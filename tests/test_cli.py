@@ -169,6 +169,32 @@ def test_build_exit_2_names_non_finite_row(tmp_path, scene, capsys, bad):
     assert "row 8" in err and "yVelocity" in err
 
 
+def test_build_exit_2_names_the_far_position(tmp_path, scene, capsys):
+    # a finite position beyond COORD_BOUND fails at ingest, not in a hull
+    _, paths, _ = scene
+    lines = paths["tracks"].read_text().splitlines()
+    header = lines[0].split(",")
+    fields = lines[7].split(",")
+    fields[header.index("xCenter")] = "1e308"
+    lines[7] = ",".join(fields)
+    tracks = tmp_path / "far.csv"
+    tracks.write_text("\n".join(lines) + "\n")
+    code, _, err = run(
+        [
+            "build",
+            "--tracks", str(tracks),
+            "--task", str(paths["task"]),
+            "--out", str(tmp_path / "tube.json"),
+        ],
+        capsys,
+    )
+    track = fields[header.index("trackId")]
+    assert code == 2
+    assert err == (f"error: {tracks}: row 8: column 'xCenter' of trackId {track!r} "
+                   "is beyond 1e+09 m: '1e308'\n")
+    assert not (tmp_path / "tube.json").exists()
+
+
 DEMO_OUT = Path(__file__).resolve().parents[1] / "demos" / "out"
 
 
@@ -527,6 +553,27 @@ def test_project_bad_tube_names_the_file(scene, tmp_path, capsys, spoil, cause):
     assert code == 2
     assert err.startswith(f"error: {tube}: ")
     assert cause in err
+
+
+def test_project_subnormal_tube_dt_names_the_tube(tmp_path, capsys):
+    # 1 / 1e-320 overflows, so no candidate could be sampled at the tube's rate
+    doc = json.loads((DEMO_OUT / "tube.json").read_text())
+    doc["dt"] = 1e-320
+    tube = tmp_path / "subnormal_dt_tube.json"
+    tube.write_text(json.dumps(doc))
+    code, _, err = run(
+        [
+            "project",
+            "--natset", str(tube),
+            "--candidate", str(DEMO_OUT / "scene" / "candidate.csv"),
+            "--dyn", "dt=0.04",
+            "--out", str(tmp_path / "proj.json"),
+        ],
+        capsys,
+    )
+    assert code == 2
+    assert err == f"error: {tube}: dt must be finite and > 0 with a finite 1/dt, got dt=1e-320\n"
+    assert not (tmp_path / "proj.json").exists()
 
 
 def test_build_collinear_region_names_the_task_file(scene, tmp_path, capsys):

@@ -269,6 +269,8 @@ BAD_ROWS = {
     "short row": ("1,9,0.0\n", "row 11: column 'yCenter' is not numeric: None"),
     "NaN": ("1,9,0.0,nan,1.0,0.0,0.0,0.0,0.0\n", "row 11: column 'yCenter' is not finite"),
     "inf": ("1,9,0.0,0.0,1.0,0.0,0.0,0.0,-inf\n", "row 11: column 'heading' is not finite"),
+    "far position": ("1,9,0.0,-1e308,1.0,0.0,0.0,0.0,0.0\n",
+                     "row 11: column 'yCenter' of trackId '1' is beyond 1e\\+09 m: '-1e308'"),
 }
 
 
@@ -282,8 +284,10 @@ def test_load_names_the_bad_row(tmp_path, monkeypatch, case, later):
     rows = [row("1", f, 0.1 * f, 0.0) for f in range(5)] + ["\n"]
     rows += [row("2", f, 0.1 * f, 1.0) for f in range(4)] + [line]
     rows += [row("2", 4, 0.0, 1.0), later]
-    with pytest.raises(ParseError, match=message):
-        load_trajectories(write_csv(tmp_path / "bad.csv", rows))
+    bad = write_csv(tmp_path / "bad.csv", rows)
+    with pytest.raises(ParseError, match=message) as err:
+        load_trajectories(bad)
+    assert str(err.value).startswith(f"{bad}: row 11: ")
 
 
 @pytest.mark.parametrize(

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import shutil
@@ -299,6 +300,53 @@ def test_straight_candidate_demo_script_prints_the_tight_steps(tmp_path):
         assert (tmp_path / "out" / name).read_bytes() == (demos / "out" / name).read_bytes()
 
 
+def task_tube(kind, horizon=None):
+    """The 40-track, seed-7 tube of one scene kind, as the demos build it."""
+    spec = default_spec(kind, count=40, seed=7, **({} if horizon is None else {"horizon": horizon}))
+    trajectories, task_cfg = generate_scenario(spec)
+    start = Region(quickhull(np.asarray(task_cfg["start_polygon"])))
+    end = Region(quickhull(np.asarray(task_cfg["end_polygon"])))
+    return build_natset(filter_task(trajectories, start, end, task_cfg["min_speed"])), spec
+
+
+# (horizon, held-out seed, candidate): stop-and-go tracks projected into the
+# seed-7 stop-and-go tube, with their active-set steps, final working-set
+# size and the first 16 hex digits of the sha256 of its sorted rows as
+# little-endian int64; steps minus twice the drops is the size, so the last
+# three take one to three drops each
+STOP_AND_GO_PATHS = (
+    ((100, 1001, 10), 60, 60, "56f5780dc8286e67"),
+    ((150, 1003, 10), 135, 131, "73554574560b94b0"),
+    ((200, 1001, 10), 193, 191, "9cecff9a7906c69b"),
+    ((200, 1003, 10), 213, 207, "5958f9be71e40e21"),
+)
+
+
+def test_solver_path_is_pinned():
+    # status, step count and working set of the active-set method on the
+    # demo chord and on step-heavy stop-and-go candidates; a change to the
+    # factor updates must not change which rows enter or leave
+    tube, spec = task_tube("curved_road")
+    candidate = CandidateTrajectory.from_trajectory(straight_candidate(spec))
+    sol = solve(_program(candidate, tube, double_integrator(spec.dt)))
+    assert (sol.status, sol.iterations) == (SolverStatus.OPTIMAL, 9)
+    assert np.flatnonzero(sol.lam).tolist() == [163, 190, 207, 215, 241, 250, 293]
+    tubes = {}
+    for (horizon, seed, idx), steps, size, digest in STOP_AND_GO_PATHS:
+        if horizon not in tubes:
+            tubes[horizon] = task_tube("straight_road_with_stop", horizon)[0]
+        tube = tubes[horizon]
+        held_out, _ = generate_scenario(
+            default_spec("straight_road_with_stop", count=24, seed=seed, horizon=horizon)
+        )
+        candidate = CandidateTrajectory(held_out[idx].dyn_states, tube.dt)
+        sol = solve(_program(candidate, tube, double_integrator(tube.dt)))
+        working = np.flatnonzero(sol.lam)
+        key = (horizon, seed, idx)
+        assert (sol.status, sol.iterations, working.size) == (SolverStatus.OPTIMAL, steps, size), key
+        assert hashlib.sha256(working.astype("<i8").tobytes()).hexdigest()[:16] == digest, key
+
+
 def dense_program(candidate, natset, dyn):
     """Reference: the projection QP with P, q and A formed densely from the
     planar condensed map, one hull row at a time."""
@@ -407,7 +455,7 @@ def long_tube():
 
 def test_projection_allocates_no_dense_constraint_matrix(long_tube):
     # a dense A alone would be 5291 rows x 800 columns, 32 MiB; candidate 9
-    # takes active-set steps, whose two 800 x 800 factors take 10 MiB
+    # takes 17 active-set steps, whose thin factor keeps 32 rows of 800
     tube, candidates = long_tube
     dyn = double_integrator(tube.dt)
     tracemalloc.start()

@@ -268,3 +268,75 @@ def test_solution_arrays_read_only():
     sol = solve(QuadraticProgram([[2.0]], [0.0], [[-1.0]], [-1.0]))
     with pytest.raises(ValueError):
         sol.z[0] = 99.0
+
+
+def midsize_qps(count, seed, n=100, k=400):
+    """Random programs with 100 variables and 400 rows that repeat each other.
+
+    The first quarter of the rows are fresh.  Every later row is a signed
+    multiple of an earlier row (by 0.25-2, exactly parallel, or by 3, which
+    rounds to nearly parallel) or, three times in ten, the sum of two
+    earlier rows, which lies in their span up to rounding.  Row norms span
+    eight binary decades.  The right-hand sides keep a random point
+    feasible, except that every second program moves one row past it, so
+    some programs are infeasible.  A large linear term makes about 80 rows
+    active at the optimum.
+    """
+    rng = np.random.default_rng(seed)
+    out = []
+    for idx in range(count):
+        M = rng.standard_normal((n, n))
+        P = M.T @ M / n + 0.1 * np.eye(n)
+        q = 10.0 * rng.standard_normal(n)
+        A = rng.standard_normal((k, n))
+        for i in range(k // 4, k):
+            s, t = rng.integers(0, i, size=2)
+            if rng.random() < 0.3:
+                A[i] = A[s] + A[t]
+            else:
+                A[i] = rng.choice((1.0, -1.0)) * rng.choice((0.25, 0.5, 1.0, 2.0, 3.0)) * A[s]
+        A *= 2.0 ** rng.integers(0, 9, size=(k, 1))
+        x0 = rng.standard_normal(n)
+        b = A @ x0 + rng.uniform(0.0, 1.0, size=k)
+        if idx % 2:
+            i = int(rng.integers(k // 4, k))
+            b[i] = A[i] @ x0 - 0.5 - 10.0 * rng.random()
+        out.append(QuadraticProgram(P, q, A, b))
+    return out
+
+
+def test_midsize_degenerate_programs_certify_and_match_linprog(monkeypatch):
+    # n = 100, k = 400: long working sets, long Givens chains on a drop, and
+    # rows that depend on the working set, which the small programs above
+    # never reach
+    drop_chains, dependent = [], []
+    split, drop = qpsolver._split, qpsolver._drop
+
+    def recording_split(Q1t, y):
+        w, d = split(Q1t, y)
+        dependent.append(np.linalg.norm(d) <= qpsolver._DEPENDENT_TOL * np.linalg.norm(y))
+        return w, d
+
+    def recording_drop(Qt, R, m, j):
+        drop_chains.append(m - 1 - j)
+        drop(Qt, R, m, j)
+
+    monkeypatch.setattr(qpsolver, "_split", recording_split)
+    monkeypatch.setattr(qpsolver, "_drop", recording_drop)
+    outcomes = []
+    for idx, qp in enumerate(midsize_qps(6, seed=0)):
+        del dependent[:]
+        lp = linprog(np.zeros(qp.n), A_ub=qp.A, b_ub=qp.b, bounds=(None, None), method="highs")
+        assert lp.status in (0, 2), idx
+        sol = solve(qp)
+        if lp.status == 2:
+            assert sol.status is SolverStatus.INFEASIBLE, idx
+        else:
+            assert sol.status is SolverStatus.OPTIMAL, idx
+            assert qpsolver._certificate(qp, sol.z, sol.lam)[0], idx
+            assert np.count_nonzero(sol.lam) >= 50, idx
+        outcomes.append((sol.status, any(dependent)))
+    # both outcomes, and dependent rows on the way to an optimum as well
+    assert (SolverStatus.INFEASIBLE, True) in outcomes
+    assert (SolverStatus.OPTIMAL, True) in outcomes
+    assert len(drop_chains) >= 50 and max(drop_chains) >= 40
