@@ -3,13 +3,14 @@
 Subcommands: build (tracks + task -> tube JSON with stats on stdout),
 project (tube + candidate -> projection JSON), gen (synthetic scenario
 directories), export-svg (figure rendering).  Exit codes are a stable
-contract: 0 success, 2 parse or validation failure, 3 empty or
-undersized dataset, 4 candidate starting outside the tube, 5 solver
-failure.
+contract: 0 success, 2 parse or validation failure (an --out file that
+cannot be written included), 3 empty or undersized dataset, 4 candidate
+starting outside the tube, 5 solver failure.
 """
 
 import argparse
 import sys
+from contextlib import contextmanager
 from pathlib import Path
 
 from .data import (
@@ -53,13 +54,24 @@ def _require(args, *names):
             raise ParseError(f"input file for --{name.replace('_', '-')} not found: {path}")
 
 
+@contextmanager
+def _writing(path):
+    """Around a writer: a failure to write the --out file is a ParseError
+    naming it."""
+    try:
+        yield
+    except OSError as exc:
+        raise ParseError(f"cannot write --out {path}: {exc.strerror or exc}") from None
+
+
 def cmd_build(args):
     _require(args, "tracks", "task")
     start, end, min_speed, frame_rate = load_task(args.task)
     trajectories = load_trajectories(args.tracks, frame_rate=frame_rate)
     dataset = filter_task(trajectories, start, end, min_speed)
     natset = build_natset(dataset, trim=args.trim)
-    write_natset(natset, args.out)
+    with _writing(args.out):
+        write_natset(natset, args.out)
     print(f"trajectories: {len(dataset)}")
     print(f"horizon: {natset.horizon}")
     print(f"{'t':>4} {'support':>8} {'area':>12}")
@@ -86,7 +98,8 @@ def cmd_project(args):
         )
     candidate = CandidateTrajectory.from_trajectory(trajectories[0])
     result = project(candidate, natset, dyn)
-    write_projection(result, candidate, args.out)
+    with _writing(args.out):
+        write_projection(result, candidate, args.out)
     print(f"status: {result.status.value}")
     print(f"objective: {result.objective:.9g}")
     print(f"wrote {args.out}")
@@ -113,7 +126,8 @@ def cmd_export_svg(args):
     if args.projection is not None:
         _require(args, "projection")
         projection_doc = read_projection(args.projection)
-    write_svg(natset, args.out, projection_doc)
+    with _writing(args.out):
+        write_svg(natset, args.out, projection_doc)
     print(f"wrote {args.out}")
     return EXIT_OK
 

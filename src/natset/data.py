@@ -291,9 +291,13 @@ def load_trajectories(path, frame_rate=25.0):
            for k, actor in enumerate(actors[:stop])]
     if bad.size:
         prev, nxt = int(frames[bad[0]]), int(frames[bad[0] + 1])
+        # file rows of the two frames, numbered as _scan numbers them; a
+        # stable sort keeps a repeated frame's rows in file order
+        first, second = order[bad[0]] + 2, order[bad[0] + 1] + 2
+        rows = f"{path}: rows {first} and {second}: actor {actors[stop]}"
         if nxt == prev:
-            raise ParseError(f"actor {actors[stop]}: duplicate frame {nxt}")
-        raise GapError(f"actor {actors[stop]}: missing frame {prev + 1}")
+            raise ParseError(f"{rows}: duplicate frame {nxt}")
+        raise GapError(f"{rows}: missing frame {prev + 1}")
     return out
 
 

@@ -209,18 +209,45 @@ def build_natset(dataset, trim=0):
     return NaturalisticSet(tuple(hulls), dt, provenance)
 
 
+def _flat_margins(natset, states):
+    """Margins G p - h of the positions p of (T, 4) states, all steps in one
+    flat array, and ``start``: step t's margins are ``start[t]:start[t + 1]``.
+
+    Steps run over t = 0 .. min(tube horizon, T - 1), where tube and states
+    overlap in time.  Every hull has at least three rows, so no step's
+    margins are empty.
+    """
+    G, h, start = natset.rows
+    steps = min(len(natset), len(states))
+    end = start[steps]
+    at = np.repeat(np.arange(steps), np.diff(start[: steps + 1]))
+    return margins(G[:end], h[:end], np.asarray(states)[at][:, POSITIONS]), start[: steps + 1]
+
+
 def hull_margins(natset, states):
     """Margins G p - h of the positions p of (T, 4) states against the hulls.
 
     One array per step t = 0 .. min(tube horizon, T - 1), where tube and
     states overlap in time; a positive entry is a violated half-space.
     """
-    G, h, start = natset.rows
-    steps = min(len(natset), len(states))
-    end = start[steps]
-    at = np.repeat(np.arange(steps), np.diff(start[: steps + 1]))
-    flat = margins(G[:end], h[:end], np.asarray(states)[at][:, POSITIONS])
-    return np.split(flat, start[1:steps]) if steps else []
+    flat, start = _flat_margins(natset, states)
+    return np.split(flat, start[1:-1]) if len(start) > 1 else []
+
+
+def step_violations(natset, states):
+    """The largest margin of each step of `hull_margins`, as one array."""
+    flat, start = _flat_margins(natset, states)
+    return np.maximum.reduceat(flat, start[:-1])
+
+
+def step_rows_within(natset, states, tol):
+    """Per step of `hull_margins`, the list of its row indices whose margin
+    lies within tol of zero, cut from one pass over all steps."""
+    flat, start = _flat_margins(natset, states)
+    hit = np.flatnonzero(np.abs(flat) <= tol)
+    cut = np.searchsorted(hit, start).tolist()
+    rows = (hit - np.repeat(start[:-1], np.diff(cut))).tolist()
+    return [rows[a:b] for a, b in zip(cut[:-1], cut[1:])]
 
 
 def trajectory_membership(natset, states):
@@ -229,7 +256,7 @@ def trajectory_membership(natset, states):
     Entries run over t = 0 .. min(tube horizon, T - 1); a position counts as
     inside within INSIDE_TOL meters.
     """
-    return [bool(np.max(m) <= INSIDE_TOL) for m in hull_margins(natset, states)]
+    return (step_violations(natset, states) <= INSIDE_TOL).tolist()
 
 
 def natset_stats(natset):
@@ -249,8 +276,50 @@ def _round12(x):
     return float(f"{float(x):.11e}")
 
 
-def _round12_nested(rows):
-    return [[_round12(v) for v in row] for row in rows]
+def _slots(shape, pad):
+    """A ``%r`` template of a float array's nested lists, laid out as
+    ``json.dump(indent=2)`` lays them out after the line break ``pad``."""
+    if not shape:
+        return "%r"
+    if not shape[0]:
+        return "[]"
+    item = pad + "  " + _slots(shape[1:], pad + "  ")
+    return "[" + ",".join([item] * shape[0]) + pad + "]"
+
+
+def _json_text(value, depth=0):
+    """``value`` as ``json.dump(value, indent=2)`` writes it ``depth``
+    levels deep, where ``value`` may hold float ndarrays: each is written as
+    its nested lists of values rounded to 12 significant digits.
+
+    Dicts with string keys and lists of dicts are laid out here, so that
+    arrays may sit inside them; every other value is json's own text.  An
+    array is rounded and formatted in one pass, as json formats a float,
+    by ``repr``; one holding NaN or infinity goes through json, which
+    spells those NaN and Infinity.
+    """
+    pad = "\n" + "  " * depth
+    if isinstance(value, np.ndarray):
+        flat = value.ravel().tolist()
+        rounded = list(map(float, ("%.11e " * len(flat) % tuple(flat)).split()))
+        if np.isfinite(value).all():
+            return _slots(value.shape, pad) % tuple(rounded)
+        value = np.reshape(rounded, value.shape).tolist()
+    elif isinstance(value, dict) and value and all(isinstance(key, str) for key in value):
+        items = (f"{json.dumps(key)}: {_json_text(v, depth + 1)}" for key, v in value.items())
+        return "{" + ",".join(pad + "  " + item for item in items) + pad + "}"
+    elif isinstance(value, list) and value and all(isinstance(v, dict) for v in value):
+        return "[" + ",".join(pad + "  " + _json_text(v, depth + 1) for v in value) + pad + "]"
+    return json.dumps(value, indent=2).replace("\n", pad)
+
+
+def _write_json(doc, path):
+    """Write `_json_text` of doc and a final newline; the text is complete
+    before the file is opened, so a document that fails to render leaves
+    no file behind."""
+    text = _json_text(doc) + "\n"
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(text)
 
 
 def write_natset(natset, path):
@@ -263,18 +332,16 @@ def write_natset(natset, path):
             {
                 "t": hull.t,
                 "support": hull.support,
-                "vertices": _round12_nested(hull.polygon.vertices),
-                "G": _round12_nested(hull.halfspaces.G),
-                "h": [_round12(v) for v in hull.halfspaces.h],
+                "vertices": hull.polygon.vertices,
+                "G": hull.halfspaces.G,
+                "h": hull.halfspaces.h,
             }
             for hull in natset.hulls
         ],
     }
     if natset.provenance:
         doc["provenance"] = natset.provenance
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=2)
-        fh.write("\n")
+    _write_json(doc, path)
 
 
 def _integer(value, key):

@@ -18,7 +18,7 @@ import numpy as np
 from .data import ParseError, Trajectory
 from .dynamics import condense, per_axis, rollout
 from .geometry import INSIDE_TOL, margins
-from .natset import _round12, _round12_nested, hull_margins
+from .natset import _round12, _write_json, step_rows_within, step_violations
 from .qpsolver import QuadraticProgram, SolverStatus, solve
 
 # membership tolerance of the t = 0 pre-check on the pinned initial state
@@ -96,7 +96,7 @@ def naturalism_report(candidate, natset):
 
     Entries beyond the tube horizon are None: there is no hull to violate.
     """
-    out = [float(np.max(m)) for m in hull_margins(natset, candidate.states)]
+    out = step_violations(natset, candidate.states).tolist()
     return out + [None] * (candidate.horizon + 1 - len(out))
 
 
@@ -200,7 +200,7 @@ def project(candidate, natset, dyn):
     diff = states.ravel() - candidate.states.ravel()
     objective = float(diff @ diff)
 
-    active = [np.flatnonzero(np.abs(m) <= ACTIVE_TOL) for m in hull_margins(natset, states)]
+    active = step_rows_within(natset, states, ACTIVE_TOL)
 
     return ProjectionResult(
         states=states,
@@ -217,17 +217,15 @@ def write_projection(result, candidate, path):
     doc = {
         "status": result.status.value,
         "objective": _round12(result.objective),
-        "states": _round12_nested(result.states),
-        "controls": _round12_nested(result.controls),
+        "states": result.states,
+        "controls": result.controls,
         "violations_before": [
             None if v is None else _round12(v) for v in result.violation_report
         ],
         "active_constraints": [list(map(int, rows)) for rows in result.active_constraints],
-        "candidate_states": _round12_nested(candidate.states),
+        "candidate_states": candidate.states,
     }
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=2)
-        fh.write("\n")
+    _write_json(doc, path)
 
 
 def read_projection(path):

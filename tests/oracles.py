@@ -4,10 +4,14 @@ Nothing here shares code with the package: the hull oracle is a plain O(n*k)
 gift-wrapping march, membership is even-odd ray casting, and both work from
 first principles on raw coordinate lists.  The per-point margin works one
 half-space row at a time in plain floats.  The QP oracle enumerates active
-sets and only borrows the package's result type.  The one exception is
+sets and only borrows the package's result type.  The exceptions are
 the tube reader's reference, which builds hulls one at a time through the
-public constructors, the path `read_natset` checks in one batch.
+public constructors, the path `read_natset` checks in one batch, and the
+writers' references, which round one value at a time and lay the document
+out with `json.dump(indent=2)`.
 """
+
+import json
 
 import numpy as np
 
@@ -169,3 +173,57 @@ def read_hulls_one_by_one(doc):
             raise ValueError(f"hull at t={entry['t']}: {exc}") from None
         hulls.append(TimedHull(entry["t"], poly, hs, entry["support"]))
     return NaturalisticSet(tuple(hulls), float(doc["dt"]), doc.get("provenance", {}))
+
+
+def _round12(x):
+    return float(f"{float(x):.11e}")
+
+
+def _round12_nested(rows):
+    return [[_round12(v) for v in row] for row in rows]
+
+
+def _dump(doc, path):
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(doc, fh, indent=2)
+        fh.write("\n")
+
+
+def write_natset_reference(natset, path):
+    """A tube file as json.dump(indent=2) of values rounded one at a time:
+    the reference for `write_natset`'s one-pass renderer."""
+    doc = {
+        "dt": _round12(natset.dt),
+        "hull_dim": 2,
+        "transform": [[1.0, 0.0, 0.0, 0.0], [0.0, 0.0, 1.0, 0.0]],
+        "hulls": [
+            {
+                "t": hull.t,
+                "support": hull.support,
+                "vertices": _round12_nested(hull.polygon.vertices),
+                "G": _round12_nested(hull.halfspaces.G),
+                "h": [_round12(v) for v in hull.halfspaces.h],
+            }
+            for hull in natset.hulls
+        ],
+    }
+    if natset.provenance:
+        doc["provenance"] = natset.provenance
+    _dump(doc, path)
+
+
+def write_projection_reference(result, candidate, path):
+    """A projection file as json.dump(indent=2) of values rounded one at a
+    time: the reference for `write_projection`'s one-pass renderer."""
+    doc = {
+        "status": result.status.value,
+        "objective": _round12(result.objective),
+        "states": _round12_nested(result.states),
+        "controls": _round12_nested(result.controls),
+        "violations_before": [
+            None if v is None else _round12(v) for v in result.violation_report
+        ],
+        "active_constraints": [list(map(int, rows)) for rows in result.active_constraints],
+        "candidate_states": _round12_nested(candidate.states),
+    }
+    _dump(doc, path)

@@ -675,3 +675,48 @@ def test_build_exit_2_names_task_file_and_bad_number(scene, tmp_path, capsys, ke
     assert code == 2
     assert f"{task}: bad task config: {key} must be finite" in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "edit, cause",
+    [
+        ("repeat", "rows 3 and 4: actor 0: duplicate frame 1"),
+        ("drop", "rows 3 and 4: actor 0: missing frame 2"),
+    ],
+)
+def test_build_exit_2_names_the_rows_of_a_bad_actor(tmp_path, capsys, edit, cause):
+    header, *lines = (DEMO_OUT / "scene" / "tracks.csv").read_text().splitlines(keepends=True)
+    # lines[1] is actor 0's frame 1 and lines[2] its frame 2; the blank line
+    # after the header is not counted, so frame 1 stays on row 3
+    if edit == "repeat":
+        lines.insert(1, lines[1])
+    else:
+        del lines[2]
+    tracks = tmp_path / "tracks.csv"
+    tracks.write_text(header + "\n" + "".join(lines))
+    out = tmp_path / "tube.json"
+    code, _, err = run(
+        ["build", "--tracks", str(tracks), "--task", str(DEMO_OUT / "scene" / "task.json"),
+         "--out", str(out)],
+        capsys,
+    )
+    assert code == 2
+    assert err == f"error: {tracks}: {cause}\n"
+    assert not out.exists()
+
+
+def test_unwritable_out_exits_2_naming_it(scene, tmp_path, capsys):
+    _, paths, _ = scene
+    tube = build_natset_file(scene, capsys)
+    out = tmp_path / "missing" / "out.json"
+    commands = {
+        "build": ["--tracks", str(paths["tracks"]), "--task", str(paths["task"])],
+        "project": ["--natset", str(tube), "--candidate", str(paths["candidate"]),
+                    "--dyn", f"dt={read_natset(tube).dt!r}"],
+        "export-svg": ["--natset", str(tube)],
+    }
+    for command, inputs in commands.items():
+        code, _, err = run([command, *inputs, "--out", str(out)], capsys)
+        assert code == 2, command
+        assert err == f"error: cannot write --out {out}: No such file or directory\n"
+    assert not out.parent.exists()

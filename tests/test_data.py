@@ -300,9 +300,13 @@ def test_load_names_the_bad_row(tmp_path, monkeypatch, case, later):
 def test_load_names_the_bad_actor(tmp_path, frames, error, message):
     # "zed" is broken too and comes first in the file, but "car" sorts first
     rows = [row("car", f, 0.0, 0.0) for f in frames] + [row("zed", f, 0.0, 0.0) for f in (0, 0)]
+    path = write_csv(tmp_path / "frames.csv", rows[::-1])
     with pytest.raises(error) as err:
-        load_trajectories(write_csv(tmp_path / "frames.csv", rows[::-1]))
-    assert str(err.value) == message
+        load_trajectories(path)
+    # zed fills rows 2-3 and car's frames follow from the last: the repeated
+    # frame 1 is on rows 5 and 6, and frames 1 and 3 around the gap on rows 5 and 4
+    where = {ParseError: "rows 5 and 6", GapError: "rows 5 and 4"}[error]
+    assert str(err.value) == f"{path}: {where}: {message}"
 
 
 def test_load_reports_actors_in_sorted_order(tmp_path):

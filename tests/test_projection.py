@@ -14,8 +14,15 @@ import scipy.linalg
 import natset
 from natset.data import RawActorState, Region, Task, TaskDataset, Trajectory, filter_task
 from natset.dynamics import condense, double_integrator, rollout
-from natset.geometry import quickhull, to_halfspaces
-from natset.natset import NaturalisticSet, TimedHull, build_natset, hull_margins
+from natset.geometry import INSIDE_TOL, quickhull, to_halfspaces
+from natset.natset import (
+    NaturalisticSet,
+    TimedHull,
+    build_natset,
+    hull_margins,
+    step_rows_within,
+    trajectory_membership,
+)
 from natset.projection import (
     ACTIVE_TOL,
     CandidateTrajectory,
@@ -515,3 +522,47 @@ def test_long_horizon_controls_match_the_long_double_optimum(long_tube):
         assert float(np.max(np.abs(res.controls - exact))) <= 1e-8 * scale
         compared += 1
     assert compared >= 12
+
+
+def per_step_reference(tube, states):
+    """Membership, violations and active rows step by step over `hull_margins`."""
+    per_step = hull_margins(tube, states)
+    return (
+        [bool(np.max(m) <= INSIDE_TOL) for m in per_step],
+        [float(np.max(m)) for m in per_step],
+        [np.flatnonzero(np.abs(m) <= ACTIVE_TOL).tolist() for m in per_step],
+    )
+
+
+def test_step_reductions_match_the_per_step_reference():
+    # every hull's right edge is x = 0, so a position's margin there is its x
+    tube = NaturalisticSet(tuple(box_hull(-1.0, 0.0, -1.0, 1.0, t) for t in range(5)), dt=1.0)
+    xs = [ACTIVE_TOL, -ACTIVE_TOL, INSIDE_TOL, -INSIDE_TOL, 2 * ACTIVE_TOL, -0.5, 0.5, 0.0]
+    met = set()
+    for T in (3, 5, 8):  # shorter than, as long as and longer than the tube
+        states = np.array([[xs[t], 0.0, 0.1 * t - 0.3, 0.0] for t in range(T)])
+        inside, worst, active = per_step_reference(tube, states)
+        assert trajectory_membership(tube, states) == inside
+        report = naturalism_report(CandidateTrajectory(states, 1.0), tube)
+        assert report == worst + [None] * (T - len(worst))
+        assert step_rows_within(tube, states, ACTIVE_TOL) == active
+        met.update(np.concatenate(hull_margins(tube, states)).tolist())
+    assert {ACTIVE_TOL, -ACTIVE_TOL, INSIDE_TOL, -INSIDE_TOL} <= met
+
+
+def test_active_constraints_match_the_per_step_reference():
+    spec = default_spec("curved_road", count=40, seed=7)
+    trajectories, task_cfg = generate_scenario(spec)
+    start = Region(quickhull(np.asarray(task_cfg["start_polygon"])))
+    end = Region(quickhull(np.asarray(task_cfg["end_polygon"])))
+    tube = build_natset(filter_task(trajectories, start, end, task_cfg["min_speed"]))
+    chord = straight_candidate(spec).dyn_states
+    # ten more constant-velocity steps past the tube's end
+    step = spec.dt * np.array([chord[-1, 1], 0.0, chord[-1, 3], 0.0])
+    tail = chord[-1] + np.outer(np.arange(1, 11), step)
+    dyn = double_integrator(spec.dt)
+    for states in (chord[:30], chord[: tube.horizon + 1], np.vstack([chord, tail])):
+        res = project(CandidateTrajectory(states, spec.dt), tube, dyn)
+        _, _, active = per_step_reference(tube, res.states)
+        assert any(active)
+        assert res.active_constraints == tuple(map(tuple, active))
