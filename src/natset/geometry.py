@@ -43,10 +43,10 @@ class DegenerateInput(ValueError):
     """All input points coincident or collinear within tolerance."""
 
 
-def _freeze(arr) -> np.ndarray:
-    """``arr`` as a read-only float array that no one else can write: a
-    copy, unless it is read-only already and views only read-only arrays."""
-    out = np.asarray(arr, dtype=float)
+def _freeze(arr, dtype=float) -> np.ndarray:
+    """``arr`` as a read-only array of ``dtype`` that no one else can write:
+    a copy, unless it is read-only already and views only read-only arrays."""
+    out = np.asarray(arr, dtype=dtype)
     if out is arr or out.base is not None:
         # it may share memory with the caller: keep it only if no owner can write
         base = out
@@ -86,6 +86,15 @@ def segments(counts):
     counts = np.asarray(counts, dtype=np.int64)
     starts = np.concatenate([[0], np.cumsum(counts)])
     return np.repeat(np.arange(len(counts)), counts), starts
+
+
+def padded(starts, counts):
+    """Row indices of each segment of a ragged stack as one row as wide as
+    the widest segment (at least 1), padded with repeats of its first
+    index: repeats move no maximum, minimum or sorted gap."""
+    cols = np.arange(max(np.max(counts, initial=0), 1))
+    first = starts[:-1, None]
+    return np.where(cols < counts[:, None], first + cols, first)
 
 
 def any_per(owner, flags, n):
@@ -142,22 +151,19 @@ def halfspace_faults(G, h, counts, h_counts=None):
     finite = any_per(owner, ~np.all(np.isfinite(G), axis=1), n) | any_per(
         h_owner, ~np.isfinite(h), n
     )
-    # per set, the sorted normal angles and the gaps between neighbours,
-    # the last one wrapping around to the first
-    ang = np.arctan2(G[:, 1], G[:, 0])
-    ang = ang[np.lexsort((ang, owner))]
-    gaps = np.empty_like(ang)
-    gaps[:-1] = ang[1:] - ang[:-1]
-    full = starts[1:] > starts[:-1]
-    last, first = starts[1:][full] - 1, starts[:-1][full]
-    gaps[last] = (ang[first] + 2.0 * np.pi) - ang[last]
+    # per set, its normal angles sorted in one row (see `padded`; an empty
+    # set reads a spare 0), the gaps between neighbours and the one wrapping
+    # around from the last to the first
+    ang = np.append(np.arctan2(G[:, 1], G[:, 0]), 0.0)[padded(starts, counts)]
+    ang.sort(axis=1)
+    wrap = (ang[:, 0] + 2.0 * np.pi) - ang[:, -1]
     return first_fault([
         (counts != h_counts, lambda i: _HALFSPACE_SHAPE.format(
             (int(counts[i]), 2), (int(h_counts[i]),))),
         (any_per(owner, np.abs(norms - 1.0) > 1e-12, n),
          lambda i: "rows of G must have unit Euclidean norm"),
         (finite, lambda i: "half-space data must be finite"),
-        ((counts < 3) | any_per(owner, gaps >= np.pi, n),
+        ((counts < 3) | (wrap >= np.pi) | np.any(np.diff(ang, axis=1) >= np.pi, axis=1),
          lambda i: "half-space set is unbounded"),
     ])
 
@@ -167,12 +173,10 @@ def _raise_fault(fault):
         raise ValueError(fault[1])
 
 
-def _unchecked(cls, **fields):
-    """An instance of a frozen dataclass holding already-checked fields."""
-    obj = object.__new__(cls)
-    for name, value in fields.items():
-        object.__setattr__(obj, name, value)
-    return obj
+def polygon_area(v) -> float:
+    """Enclosed area of CCW vertices ``v`` via the shoelace formula (m^2)."""
+    w = np.roll(v, -1, axis=0)
+    return 0.5 * float(np.sum(v[:, 0] * w[:, 1] - w[:, 0] * v[:, 1]))
 
 
 @dataclass(frozen=True)
@@ -193,10 +197,8 @@ class ConvexPolygon:
 
     @property
     def area(self) -> float:
-        """Enclosed area via the shoelace formula (m^2)."""
-        v = self.vertices
-        w = np.roll(v, -1, axis=0)
-        return 0.5 * float(np.sum(v[:, 0] * w[:, 1] - w[:, 0] * v[:, 1]))
+        """Enclosed area (m^2), by `polygon_area`."""
+        return polygon_area(self.vertices)
 
 
 @dataclass(frozen=True)

@@ -3,17 +3,24 @@
 For each time t the positions of all trajectories still alive at t form a
 point cloud; its convex hull W_t is one cross-section of the tube.  The
 tube stops at the last t where at least three trajectories remain, so
-every cross-section is a genuine 2-d polygon.  Tubes serialize to JSON
-with 12 significant digits.  Reading a tube back re-checks all hulls in
-one pass over stacked arrays, each hull's vertices against its
-half-spaces to a tolerance that grows with the hull's distance from the
-origin, as that rounding error does, so every tube the package writes
-reads back.
+every cross-section is a genuine 2-d polygon.
+
+A `NaturalisticSet` holds its hulls only as stacked arrays: all vertices
+and all half-space rows, each with per-hull offsets.  Building, reading,
+writing and projection use these stacks, and the constructor checks all
+hulls in one pass over them; `hulls` is a read-only per-hull view of them,
+built on first use.  Tubes serialize to JSON with 12 significant digits.
+Each hull's vertices are checked against its half-spaces to a tolerance
+that grows with the hull's distance from the origin, as that rounding
+error does, so every tube the package writes reads back.
 """
 
 import json
+from array import array
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import chain
+from typing import NamedTuple
 
 import numpy as np
 
@@ -24,11 +31,13 @@ from .geometry import (
     ConvexPolygon,
     DegenerateInput,
     HalfSpaceSet,
+    _freeze,
     _raise_fault,
-    _unchecked,
     first_fault,
     halfspace_faults,
     margins,
+    padded,
+    polygon_area,
     polygon_faults,
     quickhull,
     segments,
@@ -56,28 +65,23 @@ def hull_faults(t, support, v, v_counts, G, h, counts):
     Hull i has time index ``t[i]``, ``support[i]`` states, polygon i of the
     stack ``(v, v_counts)`` and half-space set i of ``(G, h, counts)``, both
     already checked on their own, so no hull is empty.  Returns
-    ``geometry.first_fault`` of the rules a `TimedHull` keeps: t >= 0,
+    ``geometry.first_fault`` of the rules each tube hull keeps: t >= 0,
     support >= MIN_SUPPORT, and the two representations describe the same
     set, every vertex inside the half-spaces and every half-space touched
     by some vertex.  Rounding to 12 significant digits on write moves a
     margin by a few 1e-11 of the largest coordinate, so the tolerance
     scales with it.
     """
-    t, support = np.asarray(t), np.asarray(support)
-    v_counts, counts = np.asarray(v_counts), np.asarray(counts)
-    _, v_starts = segments(v_counts)
+    t, support, v_counts = np.asarray(t), np.asarray(support), np.asarray(v_counts)
     owner, starts = segments(counts)
-    # every (row, vertex) pair of each hull, row by row: row r is repeated
-    # once per vertex of its hull and meets those vertices in order
-    reps = np.take(v_counts, owner)
-    _, blocks = segments(reps)
-    verts = np.arange(blocks[-1]) - np.repeat(blocks[:-1] - np.take(v_starts, owner), reps)
-    gap = margins(np.repeat(G, reps, axis=0), np.repeat(h, reps), np.take(v, verts, axis=0))
-    big = np.maximum.reduceat(np.max(np.abs(v), axis=1, initial=0.0), v_starts[:-1])
-    tol = 1e-9 * np.maximum(1.0, big)
-    # each hull's pairs are one block of v_counts * counts entries
-    worst = np.maximum.reduceat(gap, blocks[starts[:-1]])
-    slack = np.maximum.reduceat(np.minimum.reduceat(-gap, blocks[:-1]), starts[:-1])
+    _, v_starts = segments(v_counts)
+    # each hull's vertices as one row of a block (see `padded`)
+    block = v[padded(v_starts, v_counts)]
+    # each row's largest margin over the vertices of its hull
+    reach = np.max(margins(G[:, None], h[:, None], block[owner]), axis=1, initial=-np.inf)
+    tol = 1e-9 * np.maximum(1.0, np.max(np.abs(block), axis=(1, 2), initial=0.0))
+    worst = np.maximum.reduceat(reach, starts[:-1])
+    slack = np.maximum.reduceat(-reach, starts[:-1])
     return first_fault([
         (t < 0, lambda i: f"hull at t={t[i]}: time index must be non-negative"),
         (support < MIN_SUPPORT, lambda i: (
@@ -87,57 +91,120 @@ def hull_faults(t, support, v, v_counts, G, h, counts):
     ])
 
 
-@dataclass(frozen=True)
-class TimedHull:
-    """One tube cross-section: the hull at time index t."""
+class TimedHull(NamedTuple):
+    """One tube cross-section: the hull at time index t, built from
+    ``support`` states.  `NaturalisticSet.from_hulls` checks it; in
+    `NaturalisticSet.hulls` the polygon and half-spaces are views."""
 
     t: int
     polygon: ConvexPolygon
     halfspaces: HalfSpaceSet
     support: int
 
-    def __post_init__(self):
-        verts, hs = self.polygon.vertices, self.halfspaces
-        _raise_fault(
-            hull_faults([self.t], [self.support], verts, [len(verts)], hs.G, hs.h, [len(hs)])
-        )
+
+@dataclass(frozen=True)
+class PolygonView:
+    """A polygon of a tube: read-only vertex rows of its stack."""
+
+    vertices: np.ndarray
+
+    def __len__(self):
+        return len(self.vertices)
+
+    @property
+    def area(self):
+        return polygon_area(self.vertices)
+
+
+@dataclass(frozen=True)
+class HalfSpaceView:
+    """A half-space set of a tube: read-only rows of its stacks."""
+
+    G: np.ndarray
+    h: np.ndarray
+
+    def __len__(self):
+        return len(self.h)
 
 
 @dataclass(frozen=True)
 class NaturalisticSet:
-    """The tube {W_0, ..., W_H} of position hulls plus the sampling step."""
+    """The tube {W_0, ..., W_H} of position hulls plus the sampling step.
 
-    hulls: tuple
+    Hull t has the vertices ``vertices[v_start[t]:v_start[t + 1]]``, the
+    half-space rows ``G`` and ``h`` over ``start[t]:start[t + 1]``, and was
+    built from ``support[t]`` states.  The arrays are frozen, and every hull
+    is checked with the rules and messages of `ConvexPolygon`,
+    `HalfSpaceSet` and `hull_faults`.
+    """
+
+    vertices: np.ndarray
+    v_start: np.ndarray
+    G: np.ndarray
+    h: np.ndarray
+    start: np.ndarray
+    support: np.ndarray
     dt: float
     provenance: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        object.__setattr__(self, "hulls", tuple(self.hulls))
-        if not self.hulls:
+        for name in ("vertices", "v_start", "G", "h", "start", "support"):
+            dtype = float if name in ("vertices", "G", "h") else None
+            object.__setattr__(self, name, _freeze(getattr(self, name), dtype))
+        n = len(self.support)
+        if not n:
             raise ValueError("a tube needs at least one hull")
+        v, G, h, v_start, start = self.vertices, self.G, self.h, self.v_start, self.start
+        if not (v_start.shape == start.shape == (n + 1,) and v_start[0] == start[0] == 0
+                and v.shape == (v_start[-1], 2) and G.shape == (start[-1], 2) == h.shape + (2,)):
+            raise ValueError("tube stacks and their offsets do not match")
+        counts = np.diff(start)
+        _check_hulls(np.arange(n), self.support, v, np.diff(v_start), G, h, counts, counts)
         # a subnormal dt passes > 0 but has no finite frame rate 1 / dt
         if not (np.isfinite(self.dt) and self.dt > 0 and np.isfinite(1.0 / float(self.dt))):
             raise ValueError(f"dt must be finite and > 0 with a finite 1/dt, got dt={self.dt}")
-        for expect, hull in enumerate(self.hulls):
-            if hull.t != expect:
-                raise ValueError("hull time indices must be contiguous from 0")
+
+    @classmethod
+    def from_hulls(cls, hulls, dt, provenance=None):
+        """The tube of `TimedHull`s with time indices 0, 1, 2, ...: their
+        arrays stacked and checked together."""
+        hulls = tuple(hulls)
+        v, v_start = _join([hull.polygon.vertices for hull in hulls], (2,))
+        G, start = _join([hull.halfspaces.G for hull in hulls], (2,))
+        h, _ = _join([hull.halfspaces.h for hull in hulls], ())
+        support = [hull.support for hull in hulls]
+        tube = cls(v, v_start, G, h, start, support, dt, {} if provenance is None else provenance)
+        if any(hull.t != t for t, hull in enumerate(hulls)):
+            raise ValueError("hull time indices must be contiguous from 0")
+        return tube
 
     @cached_property
-    def rows(self):
-        """All hulls' half-spaces stacked: ``(G, h, start)``, where the rows
-        of the hull at step t are ``start[t]:start[t + 1]``."""
-        G = np.concatenate([hull.halfspaces.G for hull in self.hulls])
-        h = np.concatenate([hull.halfspaces.h for hull in self.hulls])
-        _, start = segments([len(hull.halfspaces) for hull in self.hulls])
-        G.flags.writeable = h.flags.writeable = False
-        return G, h, start
+    def hulls(self):
+        """Every hull as a `TimedHull` of read-only views of the stacks."""
+        v = _cut(self.vertices, self.v_start)
+        G, h = _cut(self.G, self.start), _cut(self.h, self.start)
+        return tuple(
+            TimedHull(t, PolygonView(v[t]), HalfSpaceView(G[t], h[t]), support)
+            for t, support in enumerate(self.support.tolist())
+        )
 
     def __len__(self):
-        return len(self.hulls)
+        return len(self.support)
 
     @property
     def horizon(self):
-        return len(self.hulls) - 1
+        return len(self.support) - 1
+
+
+def _join(parts, tail):
+    """Arrays of rows of shape ``tail`` as one stack, and its offsets."""
+    return np.concatenate([np.empty((0,) + tail), *parts]), np.cumsum([0] + list(map(len, parts)))
+
+
+def _cut(arr, start):
+    """The runs ``arr[start[t]:start[t + 1]]`` of a stack, as views."""
+    start = start.tolist()
+    return [arr[a:b] for a, b in zip(start[:-1], start[1:])]
 
 
 def _inflate(points):
@@ -206,7 +273,7 @@ def build_natset(dataset, trim=0):
         provenance["start_polygon"] = task.start.polygon.vertices.tolist()
         provenance["end_polygon"] = task.end.polygon.vertices.tolist()
         provenance["min_speed"] = task.min_speed
-    return NaturalisticSet(tuple(hulls), dt, provenance)
+    return NaturalisticSet.from_hulls(hulls, dt, provenance)
 
 
 def _flat_margins(natset, states):
@@ -217,7 +284,7 @@ def _flat_margins(natset, states):
     overlap in time.  Every hull has at least three rows, so no step's
     margins are empty.
     """
-    G, h, start = natset.rows
+    G, h, start = natset.G, natset.h, natset.start
     steps = min(len(natset), len(states))
     end = start[steps]
     at = np.repeat(np.arange(steps), np.diff(start[: steps + 1]))
@@ -262,13 +329,9 @@ def trajectory_membership(natset, states):
 def natset_stats(natset):
     """Vertex count, area and support per time index."""
     return [
-        {
-            "t": hull.t,
-            "vertices": len(hull.polygon),
-            "area": hull.polygon.area,
-            "support": hull.support,
-        }
-        for hull in natset.hulls
+        {"t": t, "vertices": len(v), "area": polygon_area(v), "support": support}
+        for t, (v, support) in enumerate(zip(_cut(natset.vertices, natset.v_start),
+                                             natset.support.tolist()))
     ]
 
 
@@ -324,19 +387,15 @@ def _write_json(doc, path):
 
 def write_natset(natset, path):
     """Serialize to JSON with 12 significant digits per float."""
+    v = _cut(natset.vertices, natset.v_start)
+    G, h = _cut(natset.G, natset.start), _cut(natset.h, natset.start)
     doc = {
         "dt": _round12(natset.dt),
         "hull_dim": 2,
         "transform": _POSITION_SELECTOR,
         "hulls": [
-            {
-                "t": hull.t,
-                "support": hull.support,
-                "vertices": hull.polygon.vertices,
-                "G": hull.halfspaces.G,
-                "h": hull.halfspaces.h,
-            }
-            for hull in natset.hulls
+            {"t": t, "support": support, "vertices": v[t], "G": G[t], "h": h[t]}
+            for t, support in enumerate(natset.support.tolist())
         ],
     }
     if natset.provenance:
@@ -344,50 +403,66 @@ def write_natset(natset, path):
     _write_json(doc, path)
 
 
-def _integer(value, key):
-    if type(value) is not int:
-        raise ValueError(f"{key} must be an integer, got {json.dumps(value)}")
+_NUMBERS = (int, float)
+
+
+def _typed(value, key, types=(int,), what="an integer"):
+    if type(value) not in types:
+        raise ValueError(f"{key} must be {what}, got {json.dumps(value)}")
     return value
+
+
+def _integers(entries, key):
+    """Every hull's ``key``, which must be an integer, as a list."""
+    values = [entry[key] for entry in entries]
+    if not set(map(type, values)) <= {int}:
+        i = next(i for i, value in enumerate(values) if type(value) is not int)
+        _typed(values[i], f'hulls[{i}]["{key}"]')
+    return values
+
+
+def _numbers(rows, tail):
+    """The numbers in ``rows`` as one flat float array, or None unless every
+    row is a JSON number (``tail`` is ``()``) or a list of ``tail[0]`` of
+    them; a bool or a string is not a number."""
+    try:
+        if tail:
+            if not set(map(len, rows)) <= {tail[0]}:
+                return None
+            rows = list(chain.from_iterable(rows))
+        # a string, null, list or object here raises TypeError
+        values = np.array(array("d", rows))
+    except (TypeError, OverflowError):
+        return None
+    # a bool reads as 0 or 1, so only entries of those values can be one
+    maybe = np.flatnonzero((values == 0.0) | (values == 1.0)).tolist()
+    return None if any(type(rows[j]) is bool for j in maybe) else values
 
 
 def _stack(entries, key, t, tail):
     """Every hull's ``key`` rows as one read-only float array of rows of
-    shape ``tail``, and each hull's row count."""
+    shape ``tail``, and the list of each hull's row count."""
     lists = [entry[key] for entry in entries]
-    try:
-        counts = [len(rows) for rows in lists]
-    except TypeError:
-        i = next(i for i, rows in enumerate(lists) if not hasattr(rows, "__len__"))
-        raise ValueError(
-            f"hull at t={t[i]}: {key} must be a list, got {json.dumps(lists[i])}"
-        ) from None
-    flat = [row for rows in lists for row in rows]
-    try:
-        arr = np.array(flat, dtype=float) if flat else np.zeros((0,) + tail)
-    except (TypeError, ValueError):
-        arr = None
-    if arr is None or arr.shape[1:] != tail:
+    for i, rows in enumerate(lists):
+        if type(rows) is not list:
+            raise ValueError(f"hull at t={t[i]}: {key} must be a list, got {json.dumps(rows)}")
+    flat = list(chain.from_iterable(lists))
+    values = _numbers(flat, tail)
+    counts = list(map(len, lists))
+    if values is None:
         # name the hull that holds the first malformed row
-        j = next(j for j, row in enumerate(flat) if _malformed(row, tail))
+        j = next(j for j, row in enumerate(flat) if _numbers([row], tail) is None)
         i = int(np.searchsorted(np.cumsum(counts), j, side="right"))
-        what = "[x, y] pairs" if tail else "numbers"
-        raise ValueError(
-            f"hull at t={t[i]}: {key} must hold {what}, got {json.dumps(flat[j])}"
-        )
+        what = "[x, y] pairs of numbers" if tail else "numbers"
+        raise ValueError(f"hull at t={t[i]}: {key} must hold {what}, got {json.dumps(flat[j])}")
+    arr = values.reshape((-1,) + tail)
     arr.flags.writeable = False
-    return arr, np.array(counts, dtype=np.int64)
-
-
-def _malformed(row, tail):
-    try:
-        return np.array(row, dtype=float).shape != tail
-    except (TypeError, ValueError):
-        return True
+    return arr, counts
 
 
 def _check_hulls(t, support, v, v_counts, G, h, g_counts, h_counts):
     """Raise the message of the first hull that fails any check, in the
-    order `ConvexPolygon`, `HalfSpaceSet` and `TimedHull` run them."""
+    order `ConvexPolygon`, `HalfSpaceSet` and `hull_faults` run them."""
     faults = (polygon_faults(v, v_counts), halfspace_faults(G, h, g_counts, h_counts))
     shape = [f for f in faults if f is not None]
     # the hulls before the first polygon or half-space fault are well formed,
@@ -405,47 +480,40 @@ def _check_hulls(t, support, v, v_counts, G, h, g_counts, h_counts):
 def read_natset(path):
     """Load a tube file; every failure to parse it is a ParseError naming it.
 
-    The hulls are read as one stack per field and checked together, with
-    the rules and messages of the constructors they would otherwise pass.
+    Each hull field is read straight into its stack, and the stacks are
+    checked as `NaturalisticSet` checks them; no per-hull object is built.
     """
     try:
         with open(path, encoding="utf-8") as fh:
             doc = json.load(fh)
-        dt = float(doc["dt"])
-        if _integer(doc["hull_dim"], '"hull_dim"') != 2:
+        dt = float(_typed(doc["dt"], '"dt"', _NUMBERS, "a number"))
+        if _typed(doc["hull_dim"], '"hull_dim"') != 2:
             raise ValueError("only 2-d hulls are supported")
         if doc["transform"] != _POSITION_SELECTOR:
             raise ValueError(
                 "only position hulls are supported, "
                 f"transform must be {_POSITION_SELECTOR}"
             )
+        provenance = doc.get("provenance", {})
+        if type(provenance) is not dict:
+            raise ValueError(f'"provenance" must be a JSON object, got {json.dumps(provenance)}')
         entries = doc["hulls"]
-        t = [_integer(entry["t"], f'hulls[{i}]["t"]') for i, entry in enumerate(entries)]
-        support = [_integer(entry["support"], f'hulls[{i}]["support"]')
-                   for i, entry in enumerate(entries)]
+        t, support = _integers(entries, "t"), _integers(entries, "support")
         v, v_counts = _stack(entries, "vertices", t, (2,))
         G, g_counts = _stack(entries, "G", t, (2,))
         h, h_counts = _stack(entries, "h", t, ())
-        # beyond int64 the arrays hold Python ints and still compare exactly
-        _check_hulls(np.array(t), np.array(support), v, v_counts, G, h, g_counts, h_counts)
-        _, v_start = segments(v_counts)
-        _, g_start = segments(g_counts)
-        hulls = tuple(
-            _unchecked(
-                TimedHull,
-                t=t[i],
-                polygon=_unchecked(ConvexPolygon, vertices=v[v_start[i]:v_start[i + 1]]),
-                halfspaces=_unchecked(
-                    HalfSpaceSet,
-                    G=G[g_start[i]:g_start[i + 1]],
-                    h=h[g_start[i]:g_start[i + 1]],
-                ),
-                support=support[i],
-            )
-            for i in range(len(entries))
+        contiguous = t == list(range(len(t)))
+        if not contiguous or g_counts != h_counts:
+            # no tube holds these: name the first hull at fault, as a read
+            # hull by hull would (beyond int64 t is exact as Python ints)
+            _check_hulls(np.array(t), np.array(support), v, v_counts, G, h, g_counts, h_counts)
+        tube = NaturalisticSet(
+            v, np.cumsum([0, *v_counts]), G, h, np.cumsum([0, *g_counts]), support, dt, provenance
         )
-        return NaturalisticSet(hulls, dt, doc.get("provenance", {}))
+        if not contiguous:
+            raise ValueError("hull time indices must be contiguous from 0")
+        return tube
     except (KeyError, TypeError) as exc:
         raise ParseError(f"{path}: bad tube file: {exc}") from None
-    except ValueError as exc:
+    except (ValueError, OverflowError) as exc:
         raise ParseError(f"{path}: {exc}") from None

@@ -150,10 +150,10 @@ def _program(candidate, natset, dyn):
     # x_init is pinned, so t = 0 carries no constraint; its membership was
     # the pre-check.  Rows of steps 1 .. T of the stacked tube, in order.
     T = min(H, natset.horizon)
-    G_all, h_all, start = natset.rows
-    G = G_all[start[1]:start[T + 1]]
+    start = natset.start
+    G = natset.G[start[1]:start[T + 1]]
     steps = np.repeat(np.arange(1, T + 1), np.diff(start[1 : T + 2]))
-    limit = -margins(G, h_all[start[1]:start[T + 1]], free_pos[steps])
+    limit = -margins(G, natset.h[start[1]:start[T + 1]], free_pos[steps])
     # rows of a step no force reaches (all of Cp[t] zero: step 1 for the
     # point mass) are facts, not constraints: check and drop
     fixed = ~np.any(Cp, axis=1)[steps]

@@ -5,8 +5,9 @@ gift-wrapping march, membership is even-odd ray casting, and both work from
 first principles on raw coordinate lists.  The per-point margin works one
 half-space row at a time in plain floats.  The QP oracle enumerates active
 sets and only borrows the package's result type.  The exceptions are
-the tube reader's reference, which builds hulls one at a time through the
-public constructors, the path `read_natset` checks in one batch, and the
+the tube reader's reference, which checks hulls one at a time through the
+public constructors and `hull_faults`, the rules `read_natset` checks in
+one batch, and the
 writers' references, which round one value at a time and lay the document
 out with `json.dump(indent=2)`.
 """
@@ -16,7 +17,7 @@ import json
 import numpy as np
 
 from natset.geometry import ConvexPolygon, HalfSpaceSet
-from natset.natset import NaturalisticSet, TimedHull
+from natset.natset import NaturalisticSet, TimedHull, hull_faults
 from natset.qpsolver import QPSolution, SolverStatus
 
 
@@ -158,7 +159,8 @@ def enumerate_oracle(qp):
 
 def read_hulls_one_by_one(doc):
     """A tube document's hulls built one at a time through the public
-    constructors: the reference for `read_natset`'s batched check.
+    constructors, each checked by `hull_faults` as a batch of one: the
+    reference for `read_natset`'s batched check.
 
     Returns the NaturalisticSet, or raises ValueError with the message
     `read_natset` gives after the file name; polygon and half-space
@@ -171,8 +173,12 @@ def read_hulls_one_by_one(doc):
             hs = HalfSpaceSet(np.array(entry["G"], dtype=float), np.array(entry["h"], dtype=float))
         except ValueError as exc:
             raise ValueError(f"hull at t={entry['t']}: {exc}") from None
+        fault = hull_faults([entry["t"]], [entry["support"]], poly.vertices, [len(poly)],
+                            hs.G, hs.h, [len(hs)])
+        if fault is not None:
+            raise ValueError(fault[1])
         hulls.append(TimedHull(entry["t"], poly, hs, entry["support"]))
-    return NaturalisticSet(tuple(hulls), float(doc["dt"]), doc.get("provenance", {}))
+    return NaturalisticSet.from_hulls(hulls, float(doc["dt"]), doc.get("provenance", {}))
 
 
 def _round12(x):

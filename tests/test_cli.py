@@ -518,7 +518,7 @@ def _huge_normal(doc):
     [
         (_slack_row, "hull at t=5: slack half-space row"),
         (None, "Expecting value"),
-        (_text_dt, "could not convert string to float"),
+        (_text_dt, '"dt" must be a number, got "abc"'),
         (_infinite_dt, "dt must be finite and > 0"),
         (_duplicate_vertex, "hull at t=3: duplicate consecutive vertices"),
         (_long_row, "hull at t=3: rows of G must have unit Euclidean norm"),
@@ -553,6 +553,62 @@ def test_project_bad_tube_names_the_file(scene, tmp_path, capsys, spoil, cause):
     assert code == 2
     assert err.startswith(f"error: {tube}: ")
     assert cause in err
+
+
+def _set(path, value):
+    """A spoiler that puts value at the key path of the tube document."""
+    def spoil(doc):
+        *head, last = path
+        for key in head:
+            doc = doc[key]
+        doc[last] = value
+    return spoil
+
+
+# a JSON string or bool where the tube holds a number, and a provenance that
+# is not a JSON object, with the start of the message that names them
+NOT_NUMBERS = {
+    "dt_text": (_set(["dt"], "0.04"), '"dt" must be a number, got "0.04"'),
+    "dt_bool": (_set(["dt"], True), '"dt" must be a number, got true'),
+    "vertex_text": (_set(["hulls", 2, "vertices", 1, 0], "1.5"),
+                    'hull at t=2: vertices must hold [x, y] pairs of numbers, got ["1.5", '),
+    "vertex_bool": (_set(["hulls", 4, "vertices", 0, 1], False),
+                    "hull at t=4: vertices must hold [x, y] pairs of numbers, got ["),
+    "G_text": (_set(["hulls", 3, "G", 0, 1], "0.6"),
+               'hull at t=3: G must hold [x, y] pairs of numbers, got ['),
+    "G_bool": (_set(["hulls", 1, "G", 2, 0], True),
+               "hull at t=1: G must hold [x, y] pairs of numbers, got [true, "),
+    "h_text": (_set(["hulls", 5, "h", 0], "0.6"), 'hull at t=5: h must hold numbers, got "0.6"'),
+    "h_bool": (_set(["hulls", 0, "h", 3], True), "hull at t=0: h must hold numbers, got true"),
+    "provenance_list": (_set(["provenance"], [1, 2]),
+                        '"provenance" must be a JSON object, got [1, 2]'),
+}
+
+
+@pytest.mark.parametrize("name", list(NOT_NUMBERS))
+def test_tube_values_must_be_json_numbers(scene, tmp_path, capsys, name):
+    spec, paths, _ = scene
+    spoil, message = NOT_NUMBERS[name]
+    doc = json.loads(build_natset_file(scene, capsys).read_text())
+    spoil(doc)
+    tube = tmp_path / "tube.json"
+    tube.write_text(json.dumps(doc))
+    with pytest.raises(ParseError) as err:
+        read_natset(tube)
+    assert str(err.value).startswith(f"{tube}: {message}")
+    code, _, err = run(
+        [
+            "project",
+            "--natset", str(tube),
+            "--candidate", str(paths["candidate"]),
+            "--dyn", f"dt={spec.dt}",
+            "--out", str(tmp_path / "proj.json"),
+        ],
+        capsys,
+    )
+    assert code == 2
+    assert err.startswith(f"error: {tube}: {message}")
+    assert not (tmp_path / "proj.json").exists()
 
 
 def test_project_subnormal_tube_dt_names_the_tube(tmp_path, capsys):

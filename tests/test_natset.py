@@ -1,4 +1,5 @@
 import json
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -14,11 +15,20 @@ from natset.data import (
     filter_task,
     slice_at,
 )
-from natset.dynamics import POSITIONS
-from natset.geometry import margins, quickhull, signed_violations, to_halfspaces
+from natset.dynamics import POSITIONS, double_integrator
+from natset.geometry import (
+    ConvexPolygon,
+    HalfSpaceSet,
+    margins,
+    quickhull,
+    signed_violations,
+    to_halfspaces,
+)
 from natset.natset import (
+    HalfSpaceView,
     InsufficientData,
     NaturalisticSet,
+    PolygonView,
     TimedHull,
     build_natset,
     hull_margins,
@@ -27,6 +37,7 @@ from natset.natset import (
     trajectory_membership,
     write_natset,
 )
+from natset.projection import CandidateTrajectory, project, write_projection
 from natset.synthetic import default_spec, generate_scenario
 from oracles import point_margin, read_hulls_one_by_one
 
@@ -125,7 +136,7 @@ def test_membership_single_state_overlap():
 def test_stats_unit_square():
     poly = quickhull([(0, 0), (1, 0), (1, 1), (0, 1)])
     hulls = [TimedHull(t, poly, to_halfspaces(poly), 4) for t in range(3)]
-    stats = natset_stats(NaturalisticSet(tuple(hulls), dt=0.04))
+    stats = natset_stats(NaturalisticSet.from_hulls(hulls, dt=0.04))
     assert [s["area"] for s in stats] == pytest.approx([1.0, 1.0, 1.0])
     assert all(s["vertices"] == 4 and s["support"] == 4 for s in stats)
 
@@ -133,7 +144,7 @@ def test_stats_unit_square():
 def test_stats_area_scales_quadratically():
     small = quickhull([(0, 0), (1, 0), (1, 1), (0, 1)])
     big = quickhull([(0, 0), (2, 0), (2, 2), (0, 2)])
-    ns = NaturalisticSet(
+    ns = NaturalisticSet.from_hulls(
         (
             TimedHull(0, small, to_halfspaces(small), 4),
             TimedHull(1, big, to_halfspaces(big), 4),
@@ -217,11 +228,11 @@ def test_trim_never_leaves_fewer_than_three():
 def test_timed_hull_validation():
     poly = quickhull([(0, 0), (1, 0), (1, 1), (0, 1)])
     hs = to_halfspaces(poly)
-    with pytest.raises(ValueError):
-        TimedHull(0, poly, hs, 2)
+    with pytest.raises(ValueError, match="built from 2 states"):
+        NaturalisticSet.from_hulls([TimedHull(0, poly, hs, 2)], dt=0.04)
     shifted = quickhull([(5, 5), (6, 5), (6, 6), (5, 6)])
-    with pytest.raises(ValueError):
-        TimedHull(0, shifted, hs, 4)
+    with pytest.raises(ValueError, match="vertices violate half-spaces"):
+        NaturalisticSet.from_hulls([TimedHull(0, shifted, hs, 4)], dt=0.04)
 
 
 def test_mixed_frame_rates_rejected():
@@ -239,7 +250,7 @@ def test_contiguity_enforced():
     hull0 = TimedHull(0, poly, to_halfspaces(poly), 3)
     hull2 = TimedHull(2, poly, to_halfspaces(poly), 3)
     with pytest.raises(ValueError):
-        NaturalisticSet((hull0, hull2), dt=0.04)
+        NaturalisticSet.from_hulls((hull0, hull2), dt=0.04)
 
 
 def test_margins_do_not_depend_on_batch():
@@ -379,3 +390,99 @@ def test_batched_read_matches_hull_by_hull(tube_texts, tmp_path, name):
             assert np.array_equal(a.polygon.vertices, b.polygon.vertices)
             assert np.array_equal(a.halfspaces.G, b.halfspaces.G)
             assert np.array_equal(a.halfspaces.h, b.halfspaces.h)
+
+
+def round12(arr):
+    return np.vectorize(lambda x: float(f"{x:.11e}"), otypes=[float])(arr)
+
+
+def test_read_back_holds_the_built_stacks_rounded_once(tmp_path):
+    # four tracks, one of which ends early: the support drops from 4 to 3
+    built = build_natset(fan_dataset((5, 7, 9, 12)))
+    assert built.support.tolist() == [4] * 6 + [3] * 2
+    write_natset(built, tmp_path / "tube.json")
+    back = read_natset(tmp_path / "tube.json")
+    for name in ("v_start", "start", "support"):
+        assert np.array_equal(getattr(back, name), getattr(built, name))
+    for name in ("vertices", "G", "h"):
+        assert np.array_equal(getattr(back, name), round12(getattr(built, name)))
+    assert (back.dt, back.provenance) == (float(f"{built.dt:.11e}"), built.provenance)
+
+
+def test_write_of_read_gives_the_same_bytes(tube_texts, tmp_path):
+    # the bundled tube and the H=400 tube 180-360 m from the origin
+    for text in tube_texts:
+        path = tmp_path / "tube.json"
+        path.write_text(text)
+        write_natset(read_natset(path), tmp_path / "again.json")
+        assert (tmp_path / "again.json").read_text() == text
+
+
+def test_read_and_project_build_no_per_hull_object(tube_texts, tmp_path, monkeypatch):
+    path = tmp_path / "tube.json"
+    path.write_text(tube_texts[1])
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("built a per-hull object")
+
+    for cls in (ConvexPolygon, HalfSpaceSet, PolygonView, HalfSpaceView):
+        monkeypatch.setattr(cls, "__init__", refuse)
+    monkeypatch.setattr(TimedHull, "__new__", refuse)
+    tube = read_natset(path)
+    # a candidate through the middle of every hull, at the speed that
+    # reaches the next middle in one step
+    counts = np.diff(tube.v_start)
+    middle = np.add.reduceat(tube.vertices, tube.v_start[:-1]) / counts[:, None]
+    states = np.zeros((len(tube), 4))
+    states[:, POSITIONS] = middle
+    states[:-1, [1, 3]] = np.diff(middle, axis=0) / tube.dt
+    candidate = CandidateTrajectory(states, tube.dt)
+    result = project(candidate, tube, double_integrator(tube.dt))
+    write_projection(result, candidate, tmp_path / "projection.json")
+    assert "hulls" not in vars(tube)
+    monkeypatch.undo()
+
+    for t in (0, 1, 200, tube.horizon):
+        hull = tube.hulls[t]
+        v = tube.vertices[tube.v_start[t]:tube.v_start[t + 1]]
+        rows = slice(tube.start[t], tube.start[t + 1])
+        assert (hull.t, hull.support) == (t, tube.support[t])
+        assert len(hull.polygon) == len(v) and len(hull.halfspaces) == rows.stop - rows.start
+        for got, want in ((hull.polygon.vertices, v), (hull.halfspaces.G, tube.G[rows]),
+                          (hull.halfspaces.h, tube.h[rows])):
+            assert np.shares_memory(got, want) and np.array_equal(got, want)
+            assert not got.flags.writeable
+        with pytest.raises(AttributeError):
+            hull.polygon.vertices = v.copy()
+        with pytest.raises(AttributeError):
+            hull.support = 7
+    assert tube.hulls is tube.hulls
+
+
+def test_integer_coordinates_are_numbers(tmp_path):
+    # a unit box written with JSON integers: every entry is 0 or 1, the
+    # values a bool would read as
+    hull = {"t": 0, "support": 3, "vertices": [[0, 0], [1, 0], [1, 1], [0, 1]],
+            "G": [[0, -1], [1, 0], [0, 1], [-1, 0]], "h": [0, 1, 1, 0]}
+    doc = {"dt": 1, "hull_dim": 2, "transform": [[1, 0, 0, 0], [0, 0, 1, 0]],
+           "hulls": [hull, dict(hull, t=1)]}
+    path = tmp_path / "tube.json"
+    path.write_text(json.dumps(doc))
+    tube = read_natset(path)
+    assert tube.dt == 1.0 and tube.vertices.dtype == float
+    assert natset_stats(tube)[1] == {"t": 1, "vertices": 4, "area": 1.0, "support": 3}
+
+
+def test_stacks_and_offsets_must_agree():
+    tube = build_natset(random_dataset())
+    with pytest.raises(ValueError, match="stacks and their offsets do not match"):
+        replace(tube, start=tube.start[:-1])
+    with pytest.raises(ValueError, match="stacks and their offsets do not match"):
+        replace(tube, h=tube.h[1:])
+    with pytest.raises(ValueError, match="a tube needs at least one hull"):
+        replace(tube, v_start=[0], start=[0], support=[])
+    # the constructor checks what it holds, as a read does
+    h = tube.h.copy()
+    h[0] += 1e-3
+    with pytest.raises(ValueError, match="hull at t=0: slack half-space row"):
+        replace(tube, h=h)

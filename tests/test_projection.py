@@ -5,6 +5,7 @@ import shutil
 import subprocess
 import sys
 import tracemalloc
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -84,7 +85,7 @@ def two_step_tube():
         box_hull(0.0, 2.0, 0.0, 1.0, 1),
         box_hull(0.0, 1.0, 0.0, 1.0, 2),
     )
-    return NaturalisticSet(hulls, dt=1.0)
+    return NaturalisticSet.from_hulls(hulls, dt=1.0)
 
 
 def test_two_step_reachable_projection():
@@ -201,7 +202,7 @@ def test_initial_state_outside_tube():
         box_hull(0.0, 2.0, 0.0, 1.0, 1),
         box_hull(0.0, 1.0, 0.0, 1.0, 2),
     )
-    ns = NaturalisticSet(hulls, dt=1.0)
+    ns = NaturalisticSet.from_hulls(hulls, dt=1.0)
     dyn = double_integrator(dt=1.0, mass=1.0)
     cand = CandidateTrajectory([[t, 1.0, 0.5, 0.0] for t in range(3)], dt=1.0)
     with pytest.raises(InitialStateOutsideTube) as err:
@@ -217,7 +218,7 @@ def test_unreachable_fixed_step_is_solver_failure():
         box_hull(5.0, 6.0, 5.0, 6.0, 1),  # p1 = p0 + dt v0 cannot reach this
         box_hull(0.0, 1.0, 0.0, 1.0, 2),
     )
-    ns = NaturalisticSet(hulls, dt=1.0)
+    ns = NaturalisticSet.from_hulls(hulls, dt=1.0)
     dyn = double_integrator(dt=1.0, mass=1.0)
     cand = CandidateTrajectory([[t, 1.0, 0.5, 0.0] for t in range(3)], dt=1.0)
     with pytest.raises(SolverFailure) as err:
@@ -234,7 +235,7 @@ def test_dt_mismatch_rejected():
     with pytest.raises(ValueError):
         project(cand, ns, double_integrator(dt=0.5))
     # 1e-13 s against 5e-13 s is a fivefold mismatch, however few seconds apart
-    fine = NaturalisticSet(ns.hulls, dt=5e-13)
+    fine = replace(ns, dt=5e-13)
     cand = CandidateTrajectory([[t, 1.0, 0.5, 0.0] for t in range(3)], dt=1e-13)
     with pytest.raises(ValueError, match="candidate dt"):
         project(cand, fine, double_integrator(dt=5e-13))
@@ -292,19 +293,44 @@ def test_straight_candidate_demo_reproduces_committed_projection(tmp_path):
     assert (tmp_path / "projection.json").read_bytes() == committed.read_bytes()
 
 
+def run_demo(name, tmp_path):
+    """Run demos/<name> from a copy in tmp_path, so its outputs land in
+    tmp_path/out; exit 0 is required."""
+    script = tmp_path / name
+    shutil.copy(Path(__file__).resolve().parents[1] / "demos" / name, script)
+    env = dict(os.environ, PYTHONPATH=str(Path(natset.__file__).parents[1]))
+    return subprocess.run([sys.executable, str(script)], capture_output=True, text=True,
+                          env=env, timeout=120, check=True)
+
+
 def test_straight_candidate_demo_script_prints_the_tight_steps(tmp_path):
     demos = Path(__file__).resolve().parents[1] / "demos"
-    script = tmp_path / "project_straight_candidate.py"
-    shutil.copy(demos / "project_straight_candidate.py", script)
-    env = dict(os.environ, PYTHONPATH=str(Path(natset.__file__).parents[1]))
-    run = subprocess.run([sys.executable, str(script)], capture_output=True, text=True,
-                         env=env, timeout=120, check=True)
+    run = run_demo("project_straight_candidate.py", tmp_path)
     committed = json.loads((demos / "out" / "projection.json").read_text())
     tight = [t for t, rows in enumerate(committed["active_constraints"]) if rows]
     assert (tight[0], tight[-1]) == (21, 36)
     assert "steps with a tight hull constraint: 21..36\n" in run.stdout
     for name in ("projection.json", "projection.svg"):
         assert (tmp_path / "out" / name).read_bytes() == (demos / "out" / name).read_bytes()
+
+
+def test_build_tube_demo_script_reproduces_its_committed_outputs(tmp_path):
+    run_demo("build_tube_from_arcs.py", tmp_path)
+    committed = Path(__file__).resolve().parents[1] / "demos" / "out"
+    names = ["tube.json", "tube.svg"] + [
+        str(p.relative_to(committed)) for p in sorted((committed / "scene").iterdir())
+    ]
+    written = sorted(str(p.relative_to(tmp_path / "out")) for p in (tmp_path / "out").rglob("*"))
+    assert written == sorted(names + ["scene"])
+    for name in names:
+        assert (tmp_path / "out" / name).read_bytes() == (committed / name).read_bytes(), name
+
+
+def test_stop_and_go_demo_script_keeps_both_drivers_inside(tmp_path):
+    shown = run_demo("stop_and_go_branching.py", tmp_path).stdout
+    assert "pass-through member inside tube at all steps: True\n" in shown
+    assert "synthetic non-stopping driver inside tube: True\n" in shown
+    assert shown.count("extent=") == 11
 
 
 def task_tube(kind, horizon=None):
@@ -385,7 +411,7 @@ def random_tube_around(candidate, rng):
         radii = rng.uniform(0.5, 2.0, size=count)
         poly = quickhull(center + radii[:, None] * np.column_stack([np.cos(angles), np.sin(angles)]))
         hulls.append(TimedHull(t, poly, to_halfspaces(poly), 4))
-    return NaturalisticSet(tuple(hulls), dt=candidate.dt)
+    return NaturalisticSet.from_hulls(hulls, dt=candidate.dt)
 
 
 def assert_relative(actual, expected, rtol):
@@ -536,7 +562,7 @@ def per_step_reference(tube, states):
 
 def test_step_reductions_match_the_per_step_reference():
     # every hull's right edge is x = 0, so a position's margin there is its x
-    tube = NaturalisticSet(tuple(box_hull(-1.0, 0.0, -1.0, 1.0, t) for t in range(5)), dt=1.0)
+    tube = NaturalisticSet.from_hulls((box_hull(-1.0, 0.0, -1.0, 1.0, t) for t in range(5)), dt=1.0)
     xs = [ACTIVE_TOL, -ACTIVE_TOL, INSIDE_TOL, -INSIDE_TOL, 2 * ACTIVE_TOL, -0.5, 0.5, 0.0]
     met = set()
     for T in (3, 5, 8):  # shorter than, as long as and longer than the tube

@@ -73,7 +73,7 @@ def test_projection_file_with_non_finite_values_matches_the_reference(tmp_path):
 def test_projected_demo_candidate_matches_the_reference(tmp_path):
     # a tube shorter than the candidate, so the report ends in None entries
     spec = default_spec("curved_road", count=40, seed=7)
-    tube = NaturalisticSet(tuple(box(-30.0, 30.0, -5.0, 40.0, t) for t in range(20)), spec.dt)
+    tube = NaturalisticSet.from_hulls((box(-30.0, 30.0, -5.0, 40.0, t) for t in range(20)), spec.dt)
     candidate = CandidateTrajectory.from_trajectory(straight_candidate(spec))
     result = project(candidate, tube, double_integrator(spec.dt))
     assert result.violation_report[-1] is None
@@ -91,7 +91,7 @@ PROVENANCE = {
 @pytest.mark.parametrize("provenance", [PROVENANCE, {}])
 def test_tube_file_matches_the_reference_and_reads_back_to_it(tmp_path, provenance):
     hulls = (box(0.0, 9.9999999999951, 0.0, 1.0, 0), box(-1e-5, 1e8 / 3, -0.0, 0.1 + 0.2, 1))
-    tube = NaturalisticSet(hulls, dt=1 / 3, provenance=provenance)
+    tube = NaturalisticSet.from_hulls(hulls, dt=1 / 3, provenance=provenance)
     first = same_bytes(tmp_path, write_natset, write_natset_reference, tube)
     assert (b'"provenance"' in first) == bool(provenance)
     back = read_natset(tmp_path / "new.json")
@@ -100,7 +100,7 @@ def test_tube_file_matches_the_reference_and_reads_back_to_it(tmp_path, provenan
 
 
 def test_failed_render_leaves_the_file_as_it_was(tmp_path):
-    tube = NaturalisticSet((box(0.0, 1.0, 0.0, 1.0, 0),), dt=0.1, provenance={"bad": {1, 2}})
+    tube = NaturalisticSet.from_hulls([box(0.0, 1.0, 0.0, 1.0, 0)], dt=0.1, provenance={"bad": {1, 2}})
     path = tmp_path / "tube.json"
     path.write_text("old")
     with pytest.raises(TypeError, match="not JSON serializable"):
