@@ -139,7 +139,10 @@ def _parse_dyn(text):
         key, sep, value = chunk.partition("=")
         if not sep:
             raise ParseError(f"--dyn expects key=value pairs, got {chunk!r}")
-        fields[key.strip()] = value.strip()
+        key = key.strip()
+        if key in fields:
+            raise ParseError(f"--dyn repeats the key {key!r}")
+        fields[key] = value.strip()
     unknown = set(fields) - {"dt", "mass"}
     if unknown:
         raise ParseError(f"--dyn got unknown keys {sorted(unknown)}")

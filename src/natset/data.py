@@ -11,6 +11,7 @@ import csv
 import json
 import logging
 import math
+from array import array
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain, islice
@@ -344,25 +345,56 @@ def slice_at(dataset, t):
     return pts
 
 
+_NUMBERS = (int, float)
+
+
+def _typed(value, key, types=(int,), what="an integer"):
+    if type(value) not in types:
+        raise ValueError(f"{key} must be {what}, got {json.dumps(value)}")
+    return value
+
+
+def _numbers(rows, tail):
+    """The numbers in ``rows`` as one flat float array, or None unless every
+    row is a JSON number (``tail`` is ``()``) or a list of ``tail[0]`` of
+    them; a bool or a string is not a number."""
+    try:
+        if tail:
+            if not set(map(len, rows)) <= {tail[0]}:
+                return None
+            rows = list(chain.from_iterable(rows))
+        # a string, null, list or object here raises TypeError
+        values = np.array(array("d", rows))
+    except (TypeError, OverflowError):
+        return None
+    # a bool reads as 0 or 1, so only entries of those values can be one
+    maybe = np.flatnonzero((values == 0.0) | (values == 1.0)).tolist()
+    return None if any(type(rows[j]) is bool for j in maybe) else values
+
+
 def load_task(path):
     """Read a task config JSON: regions, speed floor, frame rate.
 
     Every failure to parse it, the regions' hulls included, is a
-    ParseError naming the file.
+    ParseError naming the file.  Every value must be a JSON number, as in
+    a tube file: a bool or a string is not one.
     """
     try:
         with open(path, encoding="utf-8") as fh:
             cfg = json.load(fh)
-        start_pts = np.array(cfg["start_polygon"], dtype=float)
-        end_pts = np.array(cfg["end_polygon"], dtype=float)
-        min_speed = float(cfg.get("min_speed", 0.5))
-        frame_rate = float(cfg.get("frame_rate", 25.0))
+        points = {key: _numbers(cfg[key], (2,)) for key in ("start_polygon", "end_polygon")}
+        for key, pts in points.items():
+            if pts is None:
+                raise ValueError(
+                    f"{key} must hold [x, y] pairs of numbers, got {json.dumps(cfg[key])}"
+                )
+        min_speed = float(_typed(cfg.get("min_speed", 0.5), "min_speed", _NUMBERS, "a number"))
+        frame_rate = float(_typed(cfg.get("frame_rate", 25.0), "frame_rate", _NUMBERS, "a number"))
         if not math.isfinite(min_speed):
             raise ValueError(f"min_speed must be finite, got {min_speed}")
         if not (math.isfinite(frame_rate) and frame_rate > 0):
             raise ValueError(f"frame_rate must be finite and > 0, got {frame_rate}")
-        start = Region(quickhull(start_pts))
-        end = Region(quickhull(end_pts))
+        start, end = (Region(quickhull(pts)) for pts in points.values())
     except (KeyError, TypeError, ValueError) as exc:
         raise ParseError(f"{path}: bad task config: {exc}") from None
     return start, end, min_speed, frame_rate

@@ -6,17 +6,19 @@ tube stops at the last t where at least three trajectories remain, so
 every cross-section is a genuine 2-d polygon.
 
 A `NaturalisticSet` holds its hulls only as stacked arrays: all vertices
-and all half-space rows, each with per-hull offsets.  Building, reading,
-writing and projection use these stacks, and the constructor checks all
-hulls in one pass over them; `hulls` is a read-only per-hull view of them,
-built on first use.  Tubes serialize to JSON with 12 significant digits.
-Each hull's vertices are checked against its half-spaces to a tolerance
-that grows with the hull's distance from the origin, as that rounding
-error does, so every tube the package writes reads back.
+and all half-space rows, cut into hulls by one offsets array.  A hull's
+rows are its polygon's edges: row j is the outward unit normal of the
+edge from vertex j to vertex j + 1, so a hull has as many rows as
+vertices.  Building, reading, writing and projection use these stacks,
+and the constructor checks all hulls in one pass over them; `hulls`
+builds checked per-hull objects over them on first use.  Tubes serialize
+to JSON with 12 significant digits.  Each hull's vertices are checked
+against its rows to a tolerance that grows with the hull's distance from
+the origin, as that rounding error does, so every tube the package
+writes reads back.
 """
 
 import json
-from array import array
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import chain
@@ -24,7 +26,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .data import ParseError, slice_at
+from .data import _NUMBERS, ParseError, _numbers, _typed, slice_at
 from .dynamics import NX, POSITIONS
 from .geometry import (
     INSIDE_TOL,
@@ -33,6 +35,7 @@ from .geometry import (
     HalfSpaceSet,
     _freeze,
     _raise_fault,
+    _successors,
     first_fault,
     halfspace_faults,
     margins,
@@ -66,35 +69,49 @@ def hull_faults(t, support, v, v_counts, G, h, counts):
     stack ``(v, v_counts)`` and half-space set i of ``(G, h, counts)``, both
     already checked on their own, so no hull is empty.  Returns
     ``geometry.first_fault`` of the rules each tube hull keeps: t >= 0,
-    support >= MIN_SUPPORT, and the two representations describe the same
-    set, every vertex inside the half-spaces and every half-space touched
-    by some vertex.  Rounding to 12 significant digits on write moves a
-    margin by a few 1e-11 of the largest coordinate, so the tolerance
-    scales with it.
+    support >= MIN_SUPPORT, every vertex inside the half-spaces, one row per
+    edge, and row j through both ends of edge j, vertices j and j + 1
+    (cyclically).  A row through both ends of its edge with every vertex
+    inside is that edge's outward line, so the rows and the polygon are one
+    set.  Rounding to 12 significant digits on write moves a margin by a few
+    1e-11 of the largest coordinate, so the tolerance scales with it.
     """
-    t, support, v_counts = np.asarray(t), np.asarray(support), np.asarray(v_counts)
+    t, support = np.asarray(t), np.asarray(support)
+    v_counts, counts = (np.asarray(c, dtype=np.int64) for c in (v_counts, counts))
     owner, starts = segments(counts)
     _, v_starts = segments(v_counts)
-    # each hull's vertices as one row of a block (see `padded`)
+    # each hull's vertices as one row of a block (see `padded`), and each
+    # row's margins over the vertices of its hull: hull i's margins are the
+    # flat run over its rows starts[i]:starts[i + 1], `width` per row
     block = v[padded(v_starts, v_counts)]
-    # each row's largest margin over the vertices of its hull
-    reach = np.max(margins(G[:, None], h[:, None], block[owner]), axis=1, initial=-np.inf)
+    width = block.shape[1]
+    reach = margins(G[:, None], h[:, None], block[owner]).ravel()
+    # row j of a hull meets its edge's ends, vertices j and j + 1 (cyclically),
+    # at these flat indices; a hull whose row and vertex counts differ fails
+    # before its ends are read, and "clip" keeps its indices in bounds
+    rows = np.arange(len(owner))
+    at = rows * width - starts[owner]
+    ends = np.minimum(np.take(reach, at + rows, mode="clip"),
+                      np.take(reach, at + _successors(owner, starts), mode="clip"))
     tol = 1e-9 * np.maximum(1.0, np.max(np.abs(block), axis=(1, 2), initial=0.0))
-    worst = np.maximum.reduceat(reach, starts[:-1])
-    slack = np.maximum.reduceat(-reach, starts[:-1])
+    worst = np.maximum.reduceat(reach, starts[:-1] * width)
+    slack = np.maximum.reduceat(-ends, starts[:-1])
     return first_fault([
         (t < 0, lambda i: f"hull at t={t[i]}: time index must be non-negative"),
         (support < MIN_SUPPORT, lambda i: (
             f"hull at t={t[i]} built from {support[i]} states; need {MIN_SUPPORT}")),
         (worst > tol, lambda i: f"hull at t={t[i]}: vertices violate half-spaces"),
+        (counts != v_counts, lambda i: (
+            f"hull at t={t[i]}: {counts[i]} half-space rows for {v_counts[i]} vertices; "
+            "need one row per edge")),
         (slack > tol, lambda i: f"hull at t={t[i]}: slack half-space row"),
     ])
 
 
 class TimedHull(NamedTuple):
     """One tube cross-section: the hull at time index t, built from
-    ``support`` states.  `NaturalisticSet.from_hulls` checks it; in
-    `NaturalisticSet.hulls` the polygon and half-spaces are views."""
+    ``support`` states, whose half-space rows are its polygon's edges.
+    `NaturalisticSet.from_hulls` checks a sequence of them."""
 
     t: int
     polygon: ConvexPolygon
@@ -103,43 +120,18 @@ class TimedHull(NamedTuple):
 
 
 @dataclass(frozen=True)
-class PolygonView:
-    """A polygon of a tube: read-only vertex rows of its stack."""
-
-    vertices: np.ndarray
-
-    def __len__(self):
-        return len(self.vertices)
-
-    @property
-    def area(self):
-        return polygon_area(self.vertices)
-
-
-@dataclass(frozen=True)
-class HalfSpaceView:
-    """A half-space set of a tube: read-only rows of its stacks."""
-
-    G: np.ndarray
-    h: np.ndarray
-
-    def __len__(self):
-        return len(self.h)
-
-
-@dataclass(frozen=True)
 class NaturalisticSet:
     """The tube {W_0, ..., W_H} of position hulls plus the sampling step.
 
-    Hull t has the vertices ``vertices[v_start[t]:v_start[t + 1]]``, the
-    half-space rows ``G`` and ``h`` over ``start[t]:start[t + 1]``, and was
-    built from ``support[t]`` states.  The arrays are frozen, and every hull
-    is checked with the rules and messages of `ConvexPolygon`,
+    Hull t has the vertices ``vertices[start[t]:start[t + 1]]`` and, over
+    the same range, the half-space rows ``G`` and ``h``: row j is the
+    outward unit normal of the edge from vertex j to vertex j + 1.  It was
+    built from ``support[t]`` states.  The arrays are frozen, and every
+    hull is checked with the rules and messages of `ConvexPolygon`,
     `HalfSpaceSet` and `hull_faults`.
     """
 
     vertices: np.ndarray
-    v_start: np.ndarray
     G: np.ndarray
     h: np.ndarray
     start: np.ndarray
@@ -148,18 +140,18 @@ class NaturalisticSet:
     provenance: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        for name in ("vertices", "v_start", "G", "h", "start", "support"):
+        for name in ("vertices", "G", "h", "start", "support"):
             dtype = float if name in ("vertices", "G", "h") else None
             object.__setattr__(self, name, _freeze(getattr(self, name), dtype))
         n = len(self.support)
         if not n:
             raise ValueError("a tube needs at least one hull")
-        v, G, h, v_start, start = self.vertices, self.G, self.h, self.v_start, self.start
-        if not (v_start.shape == start.shape == (n + 1,) and v_start[0] == start[0] == 0
-                and v.shape == (v_start[-1], 2) and G.shape == (start[-1], 2) == h.shape + (2,)):
+        v, G, h, start = self.vertices, self.G, self.h, self.start
+        if not (start.shape == (n + 1,) and start[0] == 0
+                and v.shape == G.shape == (start[-1], 2) == h.shape + (2,)):
             raise ValueError("tube stacks and their offsets do not match")
         counts = np.diff(start)
-        _check_hulls(np.arange(n), self.support, v, np.diff(v_start), G, h, counts, counts)
+        _check_hulls(np.arange(n), self.support, v, counts, G, h, counts, counts)
         # a subnormal dt passes > 0 but has no finite frame rate 1 / dt
         if not (np.isfinite(self.dt) and self.dt > 0 and np.isfinite(1.0 / float(self.dt))):
             raise ValueError(f"dt must be finite and > 0 with a finite 1/dt, got dt={self.dt}")
@@ -169,22 +161,21 @@ class NaturalisticSet:
         """The tube of `TimedHull`s with time indices 0, 1, 2, ...: their
         arrays stacked and checked together."""
         hulls = tuple(hulls)
-        v, v_start = _join([hull.polygon.vertices for hull in hulls], (2,))
-        G, start = _join([hull.halfspaces.G for hull in hulls], (2,))
-        h, _ = _join([hull.halfspaces.h for hull in hulls], ())
-        support = [hull.support for hull in hulls]
-        tube = cls(v, v_start, G, h, start, support, dt, {} if provenance is None else provenance)
-        if any(hull.t != t for t, hull in enumerate(hulls)):
-            raise ValueError("hull time indices must be contiguous from 0")
-        return tube
+        stacks = (_join([hull.polygon.vertices for hull in hulls], (2,)),
+                  _join([hull.halfspaces.G for hull in hulls], (2,)),
+                  _join([hull.halfspaces.h for hull in hulls], ()))
+        return _assemble([hull.t for hull in hulls], [hull.support for hull in hulls], stacks,
+                         dt, {} if provenance is None else provenance)
 
     @cached_property
     def hulls(self):
-        """Every hull as a `TimedHull` of read-only views of the stacks."""
-        v = _cut(self.vertices, self.v_start)
-        G, h = _cut(self.G, self.start), _cut(self.h, self.start)
+        """Every hull as a `TimedHull` over read-only slices of the stacks.
+        Its `ConvexPolygon` and `HalfSpaceSet` check the hull again, one
+        hull at a time, which takes longer than reading the tube, so the
+        package's own commands never build these."""
+        v, G, h = (_cut(arr, self.start) for arr in (self.vertices, self.G, self.h))
         return tuple(
-            TimedHull(t, PolygonView(v[t]), HalfSpaceView(G[t], h[t]), support)
+            TimedHull(t, ConvexPolygon(v[t]), HalfSpaceSet(G[t], h[t]), support)
             for t, support in enumerate(self.support.tolist())
         )
 
@@ -197,14 +188,27 @@ class NaturalisticSet:
 
 
 def _join(parts, tail):
-    """Arrays of rows of shape ``tail`` as one stack, and its offsets."""
-    return np.concatenate([np.empty((0,) + tail), *parts]), np.cumsum([0] + list(map(len, parts)))
+    """Arrays of rows of shape ``tail`` as one stack, and their row counts."""
+    return np.concatenate([np.empty((0,) + tail), *parts]), list(map(len, parts))
 
 
 def _cut(arr, start):
     """The runs ``arr[start[t]:start[t + 1]]`` of a stack, as views."""
     start = start.tolist()
     return [arr[a:b] for a, b in zip(start[:-1], start[1:])]
+
+
+def _assemble(t, support, stacks, dt, provenance):
+    """The tube whose hull i has time index ``t[i]``, ``support[i]`` states
+    and the next ``counts[i]`` rows of each ``(stack, counts)`` of
+    ``stacks``: the vertices, G and h."""
+    (v, v_counts), (G, g_counts), (h, h_counts) = stacks
+    if not (v_counts == g_counts == h_counts and t == list(range(len(t)))):
+        # no tube holds these: name the first hull at fault, as a check hull
+        # by hull would (beyond int64 t is exact as Python ints)
+        _check_hulls(np.array(t), np.array(support), v, v_counts, G, h, g_counts, h_counts)
+        raise ValueError("hull time indices must be contiguous from 0")
+    return NaturalisticSet(v, G, h, np.cumsum([0, *g_counts]), support, dt, provenance)
 
 
 def _inflate(points):
@@ -330,7 +334,7 @@ def natset_stats(natset):
     """Vertex count, area and support per time index."""
     return [
         {"t": t, "vertices": len(v), "area": polygon_area(v), "support": support}
-        for t, (v, support) in enumerate(zip(_cut(natset.vertices, natset.v_start),
+        for t, (v, support) in enumerate(zip(_cut(natset.vertices, natset.start),
                                              natset.support.tolist()))
     ]
 
@@ -387,8 +391,7 @@ def _write_json(doc, path):
 
 def write_natset(natset, path):
     """Serialize to JSON with 12 significant digits per float."""
-    v = _cut(natset.vertices, natset.v_start)
-    G, h = _cut(natset.G, natset.start), _cut(natset.h, natset.start)
+    v, G, h = (_cut(arr, natset.start) for arr in (natset.vertices, natset.G, natset.h))
     doc = {
         "dt": _round12(natset.dt),
         "hull_dim": 2,
@@ -403,15 +406,6 @@ def write_natset(natset, path):
     _write_json(doc, path)
 
 
-_NUMBERS = (int, float)
-
-
-def _typed(value, key, types=(int,), what="an integer"):
-    if type(value) not in types:
-        raise ValueError(f"{key} must be {what}, got {json.dumps(value)}")
-    return value
-
-
 def _integers(entries, key):
     """Every hull's ``key``, which must be an integer, as a list."""
     values = [entry[key] for entry in entries]
@@ -419,24 +413,6 @@ def _integers(entries, key):
         i = next(i for i, value in enumerate(values) if type(value) is not int)
         _typed(values[i], f'hulls[{i}]["{key}"]')
     return values
-
-
-def _numbers(rows, tail):
-    """The numbers in ``rows`` as one flat float array, or None unless every
-    row is a JSON number (``tail`` is ``()``) or a list of ``tail[0]`` of
-    them; a bool or a string is not a number."""
-    try:
-        if tail:
-            if not set(map(len, rows)) <= {tail[0]}:
-                return None
-            rows = list(chain.from_iterable(rows))
-        # a string, null, list or object here raises TypeError
-        values = np.array(array("d", rows))
-    except (TypeError, OverflowError):
-        return None
-    # a bool reads as 0 or 1, so only entries of those values can be one
-    maybe = np.flatnonzero((values == 0.0) | (values == 1.0)).tolist()
-    return None if any(type(rows[j]) is bool for j in maybe) else values
 
 
 def _stack(entries, key, t, tail):
@@ -455,9 +431,8 @@ def _stack(entries, key, t, tail):
         i = int(np.searchsorted(np.cumsum(counts), j, side="right"))
         what = "[x, y] pairs of numbers" if tail else "numbers"
         raise ValueError(f"hull at t={t[i]}: {key} must hold {what}, got {json.dumps(flat[j])}")
-    arr = values.reshape((-1,) + tail)
-    arr.flags.writeable = False
-    return arr, counts
+    values.flags.writeable = False
+    return values.reshape((-1,) + tail), counts
 
 
 def _check_hulls(t, support, v, v_counts, G, h, g_counts, h_counts):
@@ -489,7 +464,9 @@ def read_natset(path):
         dt = float(_typed(doc["dt"], '"dt"', _NUMBERS, "a number"))
         if _typed(doc["hull_dim"], '"hull_dim"') != 2:
             raise ValueError("only 2-d hulls are supported")
-        if doc["transform"] != _POSITION_SELECTOR:
+        # a bool is not a number here either
+        transform = _numbers(doc["transform"], (NX,))
+        if transform is None or transform.reshape(-1, NX).tolist() != _POSITION_SELECTOR:
             raise ValueError(
                 "only position hulls are supported, "
                 f"transform must be {_POSITION_SELECTOR}"
@@ -499,20 +476,9 @@ def read_natset(path):
             raise ValueError(f'"provenance" must be a JSON object, got {json.dumps(provenance)}')
         entries = doc["hulls"]
         t, support = _integers(entries, "t"), _integers(entries, "support")
-        v, v_counts = _stack(entries, "vertices", t, (2,))
-        G, g_counts = _stack(entries, "G", t, (2,))
-        h, h_counts = _stack(entries, "h", t, ())
-        contiguous = t == list(range(len(t)))
-        if not contiguous or g_counts != h_counts:
-            # no tube holds these: name the first hull at fault, as a read
-            # hull by hull would (beyond int64 t is exact as Python ints)
-            _check_hulls(np.array(t), np.array(support), v, v_counts, G, h, g_counts, h_counts)
-        tube = NaturalisticSet(
-            v, np.cumsum([0, *v_counts]), G, h, np.cumsum([0, *g_counts]), support, dt, provenance
-        )
-        if not contiguous:
-            raise ValueError("hull time indices must be contiguous from 0")
-        return tube
+        stacks = [_stack(entries, key, t, tail)
+                  for key, tail in (("vertices", (2,)), ("G", (2,)), ("h", ()))]
+        return _assemble(t, support, stacks, dt, provenance)
     except (KeyError, TypeError) as exc:
         raise ParseError(f"{path}: bad tube file: {exc}") from None
     except (ValueError, OverflowError) as exc:

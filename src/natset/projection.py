@@ -57,8 +57,8 @@ class CandidateTrajectory:
             raise ValueError("candidate needs at least one state")
         if not np.all(np.isfinite(arr)):
             raise ValueError("candidate contains non-finite states")
-        if not self.dt > 0:
-            raise ValueError("dt must be positive")
+        if not (np.isfinite(self.dt) and self.dt > 0):
+            raise ValueError(f"dt must be finite and > 0, got dt={self.dt}")
         arr.setflags(write=False)
         object.__setattr__(self, "states", arr)
 

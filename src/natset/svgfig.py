@@ -11,6 +11,8 @@ byte-identical files.
 import numpy as np
 
 from .dynamics import POSITIONS
+from .geometry import polygon_area
+from .natset import _cut
 
 _CANVAS = 720.0
 _PAD = 1.0
@@ -57,8 +59,8 @@ class _Frame:
 def render_svg(natset, projection_doc=None):
     """Compose the figure of a NaturalisticSet and an optional projection
     document (a dict with "candidate_states" and/or "states" arrays)."""
-    polygons = [hull.polygon for hull in natset.hulls]
-    everything = [poly.vertices for poly in polygons]
+    polygons = _cut(natset.vertices, natset.start)
+    everything = list(polygons)
     paths = []
     if projection_doc is not None:
         for key, stroke, dash in (
@@ -73,8 +75,8 @@ def render_svg(natset, projection_doc=None):
             paths.append((xy, stroke, dash))
     frame = _Frame(np.vstack(everything))
 
-    areas = [poly.area for poly in polygons]
-    # the densest slice anchors the opacity ramp; a ConvexPolygon's area is
+    areas = list(map(polygon_area, polygons))
+    # the densest slice anchors the opacity ramp; a tube polygon's area is
     # positive
     ref = min(areas)
 
@@ -84,10 +86,10 @@ def render_svg(natset, projection_doc=None):
         f'height="{_fmt(frame.height)}" '
         f'viewBox="0 0 {_fmt(frame.width)} {_fmt(frame.height)}">',
     ]
-    for poly, area in zip(polygons, areas):
+    for vertices, area in zip(polygons, areas):
         opacity = min(_MAX_OPACITY, max(_MIN_OPACITY, _MAX_OPACITY * ref / area))
         parts.append(
-            f'<polygon points="{frame.points_attr(poly.vertices)}" fill="{_HULL_FILL}" '
+            f'<polygon points="{frame.points_attr(vertices)}" fill="{_HULL_FILL}" '
             f'fill-opacity="{opacity:.3f}" stroke="{_HULL_STROKE}" '
             'stroke-width="0.8"/>'
         )

@@ -11,8 +11,9 @@ import pytest
 
 import natset
 from natset.cli import main
-from natset.data import ParseError
-from natset.natset import read_natset
+from natset.data import ParseError, load_task
+from natset.geometry import ConvexPolygon, HalfSpaceSet
+from natset.natset import NaturalisticSet, TimedHull, read_natset
 from natset.projection import read_projection
 from natset.synthetic import default_spec, write_scenario
 
@@ -582,6 +583,8 @@ NOT_NUMBERS = {
     "h_bool": (_set(["hulls", 0, "h", 3], True), "hull at t=0: h must hold numbers, got true"),
     "provenance_list": (_set(["provenance"], [1, 2]),
                         '"provenance" must be a JSON object, got [1, 2]'),
+    "transform_bool": (_set(["transform"], [[True, False, 0, 0], [0, 0, True, 0]]),
+                       "only position hulls are supported, transform must be "),
 }
 
 
@@ -608,6 +611,63 @@ def test_tube_values_must_be_json_numbers(scene, tmp_path, capsys, name):
     )
     assert code == 2
     assert err.startswith(f"error: {tube}: {message}")
+    assert not (tmp_path / "proj.json").exists()
+
+
+def _triangle_rows(hull):
+    # the unit square's vertices with the rows of y >= 0, x >= 0, x + y <= 2:
+    # every vertex is inside and every row touches a vertex
+    hull["vertices"] = [[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]]
+    r = 0.5 ** 0.5
+    hull["G"] = [[0.0, -1.0], [-1.0, 0.0], [r, r]]
+    hull["h"] = [0.0, 0.0, 2.0 * r]
+    return "3 half-space rows for 4 vertices; need one row per edge"
+
+
+def _rows_rotated_by_one(hull):
+    hull["G"] = hull["G"][1:] + hull["G"][:1]
+    hull["h"] = hull["h"][1:] + hull["h"][:1]
+    return "slack half-space row"
+
+
+def _edge_row_deleted(hull):
+    del hull["G"][2]
+    del hull["h"][2]
+    n = len(hull["vertices"])
+    return f"{n - 1} half-space rows for {n} vertices; need one row per edge"
+
+
+@pytest.mark.parametrize("spoil", [_triangle_rows, _rows_rotated_by_one, _edge_row_deleted])
+def test_hull_rows_must_be_the_polygon_edges(scene, tmp_path, capsys, spoil):
+    # a hull whose rows describe some other set than its polygon
+    spec, paths, _ = scene
+    doc = json.loads(build_natset_file(scene, capsys).read_text())
+    t = next(t for t, hull in enumerate(doc["hulls"]) if len(hull["vertices"]) >= 5)
+    message = f"hull at t={t}: {spoil(doc['hulls'][t])}"
+    tube = tmp_path / "tube.json"
+    tube.write_text(json.dumps(doc))
+    with pytest.raises(ParseError) as err:
+        read_natset(tube)
+    assert str(err.value) == f"{tube}: {message}"
+    hulls = [
+        TimedHull(e["t"], ConvexPolygon(e["vertices"]), HalfSpaceSet(e["G"], e["h"]), e["support"])
+        for e in doc["hulls"]
+    ]
+    with pytest.raises(ValueError) as err:
+        NaturalisticSet.from_hulls(hulls, doc["dt"])
+    assert str(err.value) == message
+    code, _, err = run(
+        [
+            "project",
+            "--natset", str(tube),
+            "--candidate", str(paths["candidate"]),
+            "--dyn", f"dt={spec.dt}",
+            "--out", str(tmp_path / "proj.json"),
+        ],
+        capsys,
+    )
+    assert code == 2
+    assert err == f"error: {tube}: {message}\n"
     assert not (tmp_path / "proj.json").exists()
 
 
@@ -731,6 +791,58 @@ def test_build_exit_2_names_task_file_and_bad_number(scene, tmp_path, capsys, ke
     assert code == 2
     assert f"{task}: bad task config: {key} must be finite" in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "key, value, cause",
+    [
+        ("min_speed", True, "min_speed must be a number, got true"),
+        ("frame_rate", True, "frame_rate must be a number, got true"),
+        ("frame_rate", "25", 'frame_rate must be a number, got "25"'),
+        ("start_polygon", [[0, 0], [1, 0], [1, True], [0, 1]],
+         "start_polygon must hold [x, y] pairs of numbers, got [[0, 0], [1, 0], [1, true], [0, 1]]"),
+        ("end_polygon", [[40, -2], [45, -2], ["45", 2], [40, 2]],
+         'end_polygon must hold [x, y] pairs of numbers, got [[40, -2], [45, -2], ["45", 2], '),
+    ],
+    ids=["min_speed_bool", "frame_rate_bool", "frame_rate_text", "start_bool", "end_text"],
+)
+def test_task_values_must_be_json_numbers(scene, tmp_path, capsys, key, value, cause):
+    # a bool or a string is not a number in a task file, as in a tube file
+    _, paths, _ = scene
+    task = tmp_path / "task.json"
+    cfg = json.loads(paths["task"].read_text())
+    cfg[key] = value
+    task.write_text(json.dumps(cfg))
+    with pytest.raises(ParseError) as err:
+        load_task(task)
+    assert str(err.value).startswith(f"{task}: bad task config: {cause}")
+    out = tmp_path / "tube.json"
+    code, _, err = run(
+        ["build", "--tracks", str(paths["tracks"]), "--task", str(task), "--out", str(out)],
+        capsys,
+    )
+    assert code == 2
+    assert err.startswith(f"error: {task}: bad task config: {cause}")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("dyn, key", [("dt=0.1,dt=0.2", "dt"), ("dt=0.1,mass=1, mass=2", "mass")])
+def test_project_dyn_repeated_key_exits_2(scene, tmp_path, capsys, dyn, key):
+    _, paths, _ = scene
+    tube = build_natset_file(scene, capsys)
+    code, _, err = run(
+        [
+            "project",
+            "--natset", str(tube),
+            "--candidate", str(paths["candidate"]),
+            "--dyn", dyn,
+            "--out", str(tmp_path / "proj.json"),
+        ],
+        capsys,
+    )
+    assert code == 2
+    assert err == f"error: --dyn repeats the key {key!r}\n"
+    assert not (tmp_path / "proj.json").exists()
 
 
 @pytest.mark.parametrize(

@@ -24,11 +24,10 @@ from natset.geometry import (
     signed_violations,
     to_halfspaces,
 )
+from natset.cli import main
 from natset.natset import (
-    HalfSpaceView,
     InsufficientData,
     NaturalisticSet,
-    PolygonView,
     TimedHull,
     build_natset,
     hull_margins,
@@ -402,7 +401,7 @@ def test_read_back_holds_the_built_stacks_rounded_once(tmp_path):
     assert built.support.tolist() == [4] * 6 + [3] * 2
     write_natset(built, tmp_path / "tube.json")
     back = read_natset(tmp_path / "tube.json")
-    for name in ("v_start", "start", "support"):
+    for name in ("start", "support"):
         assert np.array_equal(getattr(back, name), getattr(built, name))
     for name in ("vertices", "G", "h"):
         assert np.array_equal(getattr(back, name), round12(getattr(built, name)))
@@ -425,14 +424,14 @@ def test_read_and_project_build_no_per_hull_object(tube_texts, tmp_path, monkeyp
     def refuse(*args, **kwargs):
         raise AssertionError("built a per-hull object")
 
-    for cls in (ConvexPolygon, HalfSpaceSet, PolygonView, HalfSpaceView):
+    for cls in (ConvexPolygon, HalfSpaceSet):
         monkeypatch.setattr(cls, "__init__", refuse)
     monkeypatch.setattr(TimedHull, "__new__", refuse)
     tube = read_natset(path)
     # a candidate through the middle of every hull, at the speed that
     # reaches the next middle in one step
-    counts = np.diff(tube.v_start)
-    middle = np.add.reduceat(tube.vertices, tube.v_start[:-1]) / counts[:, None]
+    counts = np.diff(tube.start)
+    middle = np.add.reduceat(tube.vertices, tube.start[:-1]) / counts[:, None]
     states = np.zeros((len(tube), 4))
     states[:, POSITIONS] = middle
     states[:-1, [1, 3]] = np.diff(middle, axis=0) / tube.dt
@@ -444,7 +443,7 @@ def test_read_and_project_build_no_per_hull_object(tube_texts, tmp_path, monkeyp
 
     for t in (0, 1, 200, tube.horizon):
         hull = tube.hulls[t]
-        v = tube.vertices[tube.v_start[t]:tube.v_start[t + 1]]
+        v = tube.vertices[tube.start[t]:tube.start[t + 1]]
         rows = slice(tube.start[t], tube.start[t + 1])
         assert (hull.t, hull.support) == (t, tube.support[t])
         assert len(hull.polygon) == len(v) and len(hull.halfspaces) == rows.stop - rows.start
@@ -480,9 +479,33 @@ def test_stacks_and_offsets_must_agree():
     with pytest.raises(ValueError, match="stacks and their offsets do not match"):
         replace(tube, h=tube.h[1:])
     with pytest.raises(ValueError, match="a tube needs at least one hull"):
-        replace(tube, v_start=[0], start=[0], support=[])
+        replace(tube, start=[0], support=[])
     # the constructor checks what it holds, as a read does
     h = tube.h.copy()
     h[0] += 1e-3
     with pytest.raises(ValueError, match="hull at t=0: slack half-space row"):
         replace(tube, h=h)
+
+
+def test_hulls_are_checked_objects_whose_rows_are_their_edges():
+    for tube in (build_natset(random_dataset()), build_natset(fan_dataset((5, 7, 9, 12)))):
+        for hull in tube.hulls:
+            assert type(hull.polygon) is ConvexPolygon
+            assert type(hull.halfspaces) is HalfSpaceSet
+            edges = to_halfspaces(hull.polygon)
+            assert np.array_equal(edges.G, hull.halfspaces.G)
+            assert np.array_equal(edges.h, hull.halfspaces.h)
+
+
+def test_export_svg_builds_no_per_hull_object(tube_texts, tmp_path, monkeypatch, capsys):
+    path = tmp_path / "tube.json"
+    path.write_text(tube_texts[1])
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("built a per-hull object")
+
+    for cls in (ConvexPolygon, HalfSpaceSet):
+        monkeypatch.setattr(cls, "__init__", refuse)
+    monkeypatch.setattr(TimedHull, "__new__", refuse)
+    assert main(["export-svg", "--natset", str(path), "--out", str(tmp_path / "tube.svg")]) == 0
+    assert (tmp_path / "tube.svg").read_text().count("<polygon") == 401

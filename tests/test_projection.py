@@ -592,3 +592,9 @@ def test_active_constraints_match_the_per_step_reference():
         _, _, active = per_step_reference(tube, res.states)
         assert any(active)
         assert res.active_constraints == tuple(map(tuple, active))
+
+
+@pytest.mark.parametrize("dt", [float("inf"), float("nan"), 0.0, -0.1])
+def test_candidate_requires_finite_positive_dt(dt):
+    with pytest.raises(ValueError, match="dt must be finite and > 0"):
+        CandidateTrajectory(np.zeros((3, 4)), dt)
