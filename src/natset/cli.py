@@ -15,7 +15,6 @@ from pathlib import Path
 
 from .data import (
     EmptyTask,
-    GapError,
     ParseError,
     filter_task,
     load_task,
@@ -49,9 +48,10 @@ EXIT_SOLVER = 5
 
 def _require(args, *names):
     for name in names:
-        path = getattr(args, name)
-        if path is None or not Path(path).exists():
-            raise ParseError(f"input file for --{name.replace('_', '-')} not found: {path}")
+        path = Path(getattr(args, name))
+        if not path.is_file():
+            cause = "is not a file" if path.exists() else "not found"
+            raise ParseError(f"input file for --{name.replace('_', '-')} {cause}: {path}")
 
 
 @contextmanager
@@ -91,12 +91,10 @@ def cmd_project(args):
             f"{args.candidate}: expected a single candidate trajectory, "
             f"found {len(trajectories)}"
         )
-    if len(trajectories[0]) < 2:
-        raise ParseError(
-            f"{args.candidate}: candidate must have at least 2 states, "
-            f"found {len(trajectories[0])}"
-        )
-    candidate = CandidateTrajectory.from_trajectory(trajectories[0])
+    try:
+        candidate = CandidateTrajectory.from_trajectory(trajectories[0])
+    except ValueError as exc:
+        raise ParseError(f"{args.candidate}: {exc}") from None
     result = project(candidate, natset, dyn)
     with _writing(args.out):
         write_projection(result, candidate, args.out)
@@ -202,9 +200,6 @@ def main(argv=None):
     args = _build_parser().parse_args(argv)
     try:
         return COMMANDS[args.command](args)
-    except (ParseError, GapError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
     except (EmptyTask, InsufficientData) as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_EMPTY
@@ -215,7 +210,8 @@ def main(argv=None):
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_SOLVER
     except ValueError as exc:
-        # invalid scenario specs and malformed numeric arguments land here
+        # parse and validation failures: malformed or unreadable files (a
+        # ParseError or GapError), invalid specs and numeric arguments
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
 

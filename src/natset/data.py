@@ -18,7 +18,7 @@ from itertools import chain, islice
 
 import numpy as np
 
-from .dynamics import POSITIONS
+from .dynamics import POSITIONS, positive
 from .geometry import (
     COORD_BOUND,
     INSIDE_TOL,
@@ -110,8 +110,7 @@ class Trajectory:
             raise ValueError(f"trajectory {actor_id!r}: states must be a (T, 7) array")
         if not np.isfinite(data).all():
             raise ValueError("actor state contains non-finite entries")
-        if not (math.isfinite(frame_rate) and frame_rate > 0):
-            raise ValueError(f"frame_rate must be finite and > 0, got {frame_rate}")
+        positive("frame_rate", frame_rate)
         self.actor_id = actor_id
         self.frame_rate = frame_rate
         self.data = data
@@ -165,6 +164,10 @@ class Task:
     start: Region
     end: Region
     min_speed: float
+
+    def __post_init__(self):
+        if not math.isfinite(self.min_speed):
+            raise ValueError(f"min_speed must be finite, got {self.min_speed}")
 
 
 @dataclass(frozen=True)
@@ -237,36 +240,39 @@ def load_trajectories(path, frame_rate=25.0):
     a batch that fails a check is scanned row by row.
     """
     codes, parts = {}, []  # trackId -> order of first appearance; batches
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None:
-            raise ParseError(f"{path}: empty file, expected a CSV header")
-        missing = [c for c in REQUIRED_COLUMNS if c not in header]
-        if missing:
-            raise ParseError(f"{path}: header is missing columns {missing}")
-        # a repeated column name reads its last copy, as csv.DictReader does
-        where = {name: i for i, name in enumerate(header) if name in REQUIRED_COLUMNS}
-        rows = filter(None, reader)  # blank lines are skipped and not counted
-        row_num = 2
-        for batch in iter(lambda: list(islice(rows, CHUNK_ROWS)), []):
-            n = len(batch)
-            try:
-                # zip stops at the shortest row, so a short row drops a column
-                fields = list(zip(*batch))
-                ids = fields[where["trackId"]]
-                frames = np.fromiter(map(int, fields[where["frame"]]), np.int64, n)
-                cells = chain.from_iterable(fields[where[c]] for c in _DATA_COLUMNS)
-                states = np.fromiter(map(float, cells), float, 7 * n).reshape(7, n).T
-                valid = ("" not in ids and frames.min() >= 0 and np.isfinite(states).all()
-                         and np.abs(states[:, POSITIONS]).max() <= COORD_BOUND)
-            except (IndexError, ValueError, OverflowError):
-                valid = False
-            if not valid:
-                _scan(path, batch, row_num, where)
-            code = np.fromiter((codes.setdefault(a, len(codes)) for a in ids), np.int64, n)
-            parts.append((code, frames, states))
-            row_num += n
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            reader = csv.reader(fh)
+            header = next(reader, None)
+            if header is None:
+                raise ParseError(f"{path}: empty file, expected a CSV header")
+            missing = [c for c in REQUIRED_COLUMNS if c not in header]
+            if missing:
+                raise ParseError(f"{path}: header is missing columns {missing}")
+            # a repeated column name reads its last copy, as csv.DictReader does
+            where = {name: i for i, name in enumerate(header) if name in REQUIRED_COLUMNS}
+            rows = filter(None, reader)  # blank lines are skipped and not counted
+            row_num = 2
+            for batch in iter(lambda: list(islice(rows, CHUNK_ROWS)), []):
+                n = len(batch)
+                try:
+                    # zip stops at the shortest row, so a short row drops a column
+                    fields = list(zip(*batch))
+                    ids = fields[where["trackId"]]
+                    frames = np.fromiter(map(int, fields[where["frame"]]), np.int64, n)
+                    cells = chain.from_iterable(fields[where[c]] for c in _DATA_COLUMNS)
+                    states = np.fromiter(map(float, cells), float, 7 * n).reshape(7, n).T
+                    valid = ("" not in ids and frames.min() >= 0 and np.isfinite(states).all()
+                             and np.abs(states[:, POSITIONS]).max() <= COORD_BOUND)
+                except (IndexError, ValueError, OverflowError):
+                    valid = False
+                if not valid:
+                    _scan(path, batch, row_num, where)
+                code = np.fromiter((codes.setdefault(a, len(codes)) for a in ids), np.int64, n)
+                parts.append((code, frames, states))
+                row_num += n
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: {exc}") from None
     if not parts:
         return []
 
@@ -312,6 +318,7 @@ def filter_task(trajectories, start, end, min_speed=0.5):
     no-op.  Both regions are tested by `geometry.margins` within
     INSIDE_TOL, the end region on the final position alone.
     """
+    task = Task(start, end, float(min_speed))
     kept = []
     for tr in trajectories:
         inside = np.flatnonzero(signed_violations(start.halfspaces, tr.positions) <= INSIDE_TOL)
@@ -327,12 +334,12 @@ def filter_task(trajectories, start, end, min_speed=0.5):
             continue
         if signed_violations(end.halfspaces, tr.positions[-1])[0] > INSIDE_TOL:
             continue
-        if tr.speeds[first:].max() < min_speed:
+        if tr.speeds[first:].max() < task.min_speed:
             continue
         kept.append(Trajectory(tr.actor_id, tr.frame_rate, tr.data[first:]))
     if not kept:
         raise EmptyTask("no trajectory satisfies the task predicate")
-    return TaskDataset(tuple(kept), Task(start, end, float(min_speed)))
+    return TaskDataset(tuple(kept), task)
 
 
 def slice_at(dataset, t):
@@ -390,11 +397,9 @@ def load_task(path):
                 )
         min_speed = float(_typed(cfg.get("min_speed", 0.5), "min_speed", _NUMBERS, "a number"))
         frame_rate = float(_typed(cfg.get("frame_rate", 25.0), "frame_rate", _NUMBERS, "a number"))
-        if not math.isfinite(min_speed):
-            raise ValueError(f"min_speed must be finite, got {min_speed}")
-        if not (math.isfinite(frame_rate) and frame_rate > 0):
-            raise ValueError(f"frame_rate must be finite and > 0, got {frame_rate}")
+        positive("frame_rate", frame_rate)
         start, end = (Region(quickhull(pts)) for pts in points.values())
-    except (KeyError, TypeError, ValueError) as exc:
+        Task(start, end, min_speed)  # the min_speed rule
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ParseError(f"{path}: bad task config: {exc}") from None
     return start, end, min_speed, frame_rate

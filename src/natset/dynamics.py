@@ -15,6 +15,7 @@ builds its quadratic program on the condensed map of that system.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,7 +27,14 @@ POSITIONS = slice(0, NX, 2)
 
 
 class NonPositiveParameter(ValueError):
-    """dt and mass must both be finite and strictly positive."""
+    """A dt, mass or frame rate that is not finite and > 0 with a finite 1/value."""
+
+
+def positive(name, value):
+    """Raise NonPositiveParameter unless value and 1/value are finite and > 0."""
+    if not (0.0 < value < math.inf and 1.0 / float(value) < math.inf):
+        raise NonPositiveParameter(
+            f"{name} must be finite and > 0 with a finite 1/{name}, got {name}={value}")
 
 
 @dataclass(frozen=True)
@@ -52,9 +60,8 @@ class CondensedMap:
 
 def double_integrator(dt: float, mass: float = 1.0) -> LinearDynamics:
     """Discrete planar double integrator with force controls."""
-    for name, value in (("dt", dt), ("mass", mass)):
-        if not (np.isfinite(value) and value > 0.0):
-            raise NonPositiveParameter(f"{name} must be finite and > 0, got {name}={value}")
+    positive("dt", dt)
+    positive("mass", mass)
     A = np.array(
         [
             [1.0, dt, 0.0, 0.0],

@@ -27,7 +27,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .data import _NUMBERS, ParseError, _numbers, _typed, slice_at
-from .dynamics import NX, POSITIONS
+from .dynamics import NX, POSITIONS, positive
 from .geometry import (
     INSIDE_TOL,
     ConvexPolygon,
@@ -152,9 +152,7 @@ class NaturalisticSet:
             raise ValueError("tube stacks and their offsets do not match")
         counts = np.diff(start)
         _check_hulls(np.arange(n), self.support, v, counts, G, h, counts, counts)
-        # a subnormal dt passes > 0 but has no finite frame rate 1 / dt
-        if not (np.isfinite(self.dt) and self.dt > 0 and np.isfinite(1.0 / float(self.dt))):
-            raise ValueError(f"dt must be finite and > 0 with a finite 1/dt, got dt={self.dt}")
+        positive("dt", self.dt)
 
     @classmethod
     def from_hulls(cls, hulls, dt, provenance=None):

@@ -15,8 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import ParseError, Trajectory
-from .dynamics import condense, per_axis, rollout
+from .data import _NUMBERS, ParseError, Trajectory, _numbers, _typed
+from .dynamics import condense, per_axis, positive, rollout
 from .geometry import INSIDE_TOL, margins
 from .natset import _round12, _write_json, step_rows_within, step_violations
 from .qpsolver import QuadraticProgram, SolverStatus, solve
@@ -53,12 +53,11 @@ class CandidateTrajectory:
         arr = np.array(self.states, dtype=float)
         if arr.ndim != 2 or arr.shape[1] != 4:
             raise ValueError(f"states must be (T+1, 4), got {arr.shape}")
-        if arr.shape[0] < 1:
-            raise ValueError("candidate needs at least one state")
+        if arr.shape[0] < 2:
+            raise ValueError(f"candidate must have at least 2 states, found {arr.shape[0]}")
         if not np.all(np.isfinite(arr)):
             raise ValueError("candidate contains non-finite states")
-        if not (np.isfinite(self.dt) and self.dt > 0):
-            raise ValueError(f"dt must be finite and > 0, got dt={self.dt}")
+        positive("dt", self.dt)
         arr.setflags(write=False)
         object.__setattr__(self, "states", arr)
 
@@ -177,8 +176,6 @@ def project(candidate, natset, dyn):
     InitialStateOutsideTube.  ``dyn`` must move x and y alike (see
     `dynamics.per_axis`).
     """
-    if candidate.horizon < 1:
-        raise ValueError("candidate must have at least 2 states")
     # a relative rule: tube files keep dt to 12 significant digits, and the
     # CLI samples a candidate at 1 / (1 / dt)
     for name, dt in (("candidate", candidate.dt), ("dynamics", dyn.dt)):
@@ -229,17 +226,20 @@ def write_projection(result, candidate, path):
 
 
 def read_projection(path):
-    """Load a projection JSON into a plain dict with array values."""
+    """Load a projection JSON into a plain dict with array values; like a
+    tube file's, its arrays and objective must hold finite JSON numbers."""
     try:
         with open(path, encoding="utf-8") as fh:
             doc = json.load(fh)
-        doc["states"] = np.array(doc["states"], dtype=float).reshape(-1, 4)
-        doc["controls"] = np.array(doc["controls"], dtype=float).reshape(-1, 2)
-        if "candidate_states" in doc:
-            doc["candidate_states"] = np.array(
-                doc["candidate_states"], dtype=float
-            ).reshape(-1, 4)
-        doc["objective"] = float(doc["objective"])
+        for key, width in (("states", 4), ("controls", 2), ("candidate_states", 4)):
+            if key != "candidate_states" or key in doc:
+                values = _numbers(doc[key], (width,))
+                if values is None or not np.isfinite(values).all():
+                    raise ValueError(f'"{key}" must hold rows of {width} finite numbers')
+                doc[key] = values.reshape(-1, width)
+        doc["objective"] = float(_typed(doc["objective"], '"objective"', _NUMBERS, "a number"))
+        if not math.isfinite(doc["objective"]):
+            raise ValueError(f'"objective" must be finite, got {doc["objective"]}')
     except (KeyError, TypeError, ValueError) as exc:
         raise ParseError(f"{path}: bad projection file: {exc}") from None
     return doc

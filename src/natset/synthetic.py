@@ -23,6 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from .data import REQUIRED_COLUMNS, Trajectory
+from .dynamics import positive
 
 KINDS = ("curved_road", "straight_road_with_stop")
 
@@ -51,8 +52,7 @@ class ScenarioSpec:
             raise ValueError("count must be at least 3 (hulls need 3 points)")
         if self.horizon < 2:
             raise ValueError("horizon must be at least 2 steps")
-        if not (np.isfinite(self.dt) and self.dt > 0):
-            raise ValueError(f"dt must be finite and > 0, got dt={self.dt}")
+        positive("dt", self.dt)
 
 
 def default_spec(kind, count=40, seed=7, **overrides):

@@ -1,0 +1,215 @@
+"""Input rules stated once: the positive-scalar rule, the candidate's two
+states, finite projection-file numbers, the task's speed floor and
+unreadable input files, each through the library and the command line."""
+
+import argparse
+import json
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from natset.cli import _build_parser, main
+from natset.data import ParseError, Region, Trajectory, filter_task, load_task
+from natset.dynamics import NonPositiveParameter, double_integrator, positive
+from natset.geometry import quickhull, to_halfspaces
+from natset.natset import NaturalisticSet, TimedHull
+from natset.projection import CandidateTrajectory, read_projection
+from natset.synthetic import ScenarioSpec
+
+DEMO_OUT = Path(__file__).resolve().parents[1] / "demos" / "out"
+SCENE = DEMO_OUT / "scene"
+
+# a subnormal (its reciprocal overflows), zero, negative, NaN and infinity
+BAD_SCALARS = [1e-320, 0.0, -1.0, float("nan"), float("inf")]
+
+
+def rule(name, value):
+    return f"{name} must be finite and > 0 with a finite 1/{name}, got {name}={value}"
+
+
+def run(argv, capsys):
+    code = main([str(arg) for arg in argv])
+    return code, capsys.readouterr().err
+
+
+def triangle_tube(dt):
+    poly = quickhull([(0.0, 0.0), (1.0, 0.0), (0.0, 1.0)])
+    return NaturalisticSet.from_hulls([TimedHull(0, poly, to_halfspaces(poly), 3)], dt)
+
+
+# every constructor that takes a step, mass or frame rate, and the name it
+# gives that value
+SCALAR_TAKERS = {
+    "double_integrator_dt": ("dt", lambda v: double_integrator(v)),
+    "double_integrator_mass": ("mass", lambda v: double_integrator(0.04, mass=v)),
+    "Trajectory": ("frame_rate", lambda v: Trajectory("a", v, np.zeros((3, 7)))),
+    "NaturalisticSet": ("dt", triangle_tube),
+    "CandidateTrajectory": ("dt", lambda v: CandidateTrajectory(np.zeros((3, 4)), v)),
+    "ScenarioSpec": ("dt", lambda v: ScenarioSpec("curved_road", dt=v)),
+}
+
+
+@pytest.mark.parametrize("value", BAD_SCALARS)
+@pytest.mark.parametrize("taker", sorted(SCALAR_TAKERS))
+def test_every_scalar_taker_states_the_one_rule(taker, value):
+    name, make = SCALAR_TAKERS[taker]
+    with pytest.raises(NonPositiveParameter) as exc:
+        make(value)
+    assert str(exc.value) == rule(name, value)
+
+
+@pytest.mark.parametrize("value", BAD_SCALARS)
+def test_task_frame_rate_states_the_one_rule_naming_the_file(tmp_path, value):
+    cfg = json.loads((SCENE / "task.json").read_text())
+    cfg["frame_rate"] = value
+    task = tmp_path / "task.json"
+    task.write_text(json.dumps(cfg))
+    with pytest.raises(ParseError) as exc:
+        load_task(task)
+    assert str(exc.value) == f"{task}: bad task config: {rule('frame_rate', value)}"
+
+
+@pytest.mark.parametrize("value", [1e-300, 1e300, 0.04, 25])
+def test_small_and_large_scalars_with_finite_reciprocals_pass(value):
+    positive("x", value)
+    double_integrator(0.04, mass=value)
+
+
+@pytest.mark.parametrize("value", BAD_SCALARS)
+@pytest.mark.parametrize("key", ["dt", "mass"])
+def test_project_dyn_exits_2_naming_the_key(tmp_path, capsys, key, value):
+    dyn = f"dt={value!r}" if key == "dt" else f"dt=0.04,mass={value!r}"
+    out = tmp_path / "proj.json"
+    code, err = run(["project", "--natset", DEMO_OUT / "tube.json",
+                     "--candidate", SCENE / "candidate.csv", "--dyn", dyn, "--out", out], capsys)
+    assert code == 2
+    assert err == f"error: {rule(key, value)}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("value", BAD_SCALARS)
+def test_build_task_frame_rate_exits_2_naming_file_and_key(tmp_path, capsys, value):
+    cfg = json.loads((SCENE / "task.json").read_text())
+    cfg["frame_rate"] = value
+    task = tmp_path / "task.json"
+    task.write_text(json.dumps(cfg))
+    out = tmp_path / "tube.json"
+    code, err = run(["build", "--tracks", SCENE / "tracks.csv", "--task", task, "--out", out],
+                    capsys)
+    assert code == 2
+    assert err == f"error: {task}: bad task config: {rule('frame_rate', value)}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("value", BAD_SCALARS)
+def test_gen_dt_exits_2_naming_the_key(tmp_path, capsys, value):
+    out = tmp_path / "scene"
+    code, err = run(["gen", "--kind", "curved_road", "--dt", repr(value), "--out-dir", out],
+                    capsys)
+    assert code == 2
+    assert err == f"error: {rule('dt', value)}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("states", [np.zeros((0, 4)), np.zeros((1, 4))])
+def test_candidate_needs_two_states(states):
+    with pytest.raises(ValueError) as exc:
+        CandidateTrajectory(states, 0.04)
+    assert str(exc.value) == f"candidate must have at least 2 states, found {len(states)}"
+
+
+@pytest.mark.parametrize("min_speed", [float("nan"), float("inf"), float("-inf")])
+def test_filter_task_rejects_a_non_finite_speed_floor(min_speed):
+    square = Region(quickhull([(-1.0, -1.0), (1.0, -1.0), (1.0, 1.0), (-1.0, 1.0)]))
+    track = Trajectory("a", 25.0, np.zeros((3, 7)))
+    with pytest.raises(ValueError) as exc:
+        filter_task([track], square, square, min_speed)
+    assert str(exc.value) == f"min_speed must be finite, got {min_speed}"
+
+
+# a bad JSON value: NaN and Infinity are json's spellings of the non-finite
+BAD_NUMBERS = {"nan": float("nan"), "infinity": float("inf"), "string": "1.5", "bool": True}
+PROJECTION_KEYS = ["states", "controls", "candidate_states", "objective"]
+
+
+def bad_projection(tmp_path, key, bad):
+    doc = json.loads((DEMO_OUT / "projection.json").read_text())
+    if key == "objective":
+        doc[key] = BAD_NUMBERS[bad]
+    else:
+        doc[key][1][1] = BAD_NUMBERS[bad]
+    path = tmp_path / f"{key}_{bad}.json"
+    path.write_text(json.dumps(doc))
+    return path
+
+
+@pytest.mark.parametrize("bad", sorted(BAD_NUMBERS))
+@pytest.mark.parametrize("key", PROJECTION_KEYS)
+def test_read_projection_names_file_and_key_of_a_bad_number(tmp_path, key, bad):
+    path = bad_projection(tmp_path, key, bad)
+    with pytest.raises(ParseError) as exc:
+        read_projection(path)
+    assert str(exc.value).startswith(f"{path}: bad projection file: \"{key}\" must ")
+
+
+@pytest.mark.parametrize("bad", sorted(BAD_NUMBERS))
+@pytest.mark.parametrize("key", PROJECTION_KEYS)
+def test_export_svg_exits_2_on_a_bad_projection_number(tmp_path, capsys, key, bad):
+    path = bad_projection(tmp_path, key, bad)
+    out = tmp_path / "fig.svg"
+    code, err = run(["export-svg", "--natset", DEMO_OUT / "tube.json", "--projection", path,
+                     "--out", out], capsys)
+    assert code == 2
+    assert err.startswith(f"error: {path}: bad projection file: \"{key}\" must ")
+    assert not out.exists()
+
+
+# a well-formed value of every input file option of every command, and the
+# other arguments each command needs; options that name an output are
+# covered by the writers' own error handling
+INPUTS = {
+    "build": {"--tracks": SCENE / "tracks.csv", "--task": SCENE / "task.json"},
+    "project": {"--natset": DEMO_OUT / "tube.json", "--candidate": SCENE / "candidate.csv"},
+    "export-svg": {"--natset": DEMO_OUT / "tube.json", "--projection": DEMO_OUT / "projection.json"},
+}
+OTHER_ARGS = {"project": ["--dyn", "dt=0.04"]}
+OUTPUTS = {"--out", "--out-dir"}
+
+
+def path_options():
+    """(command, option) of every ``type=Path`` option of the parser."""
+    (sub,) = [a for a in _build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    return {(command, action.option_strings[0])
+            for command, parser in sub.choices.items()
+            for action in parser._actions if action.type is Path}
+
+
+def test_every_input_file_option_has_an_unreadable_case():
+    cases = {(command, option) for command, options in INPUTS.items() for option in options}
+    assert {(c, o) for c, o in path_options() if o not in OUTPUTS} == cases
+
+
+UNREADABLE = {
+    "directory": (lambda path: path.mkdir(), "is not a file"),
+    "not_utf8": (lambda path: path.write_bytes(b"\xff\xfe not utf-8\n"), "'utf-8' codec"),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(UNREADABLE))
+@pytest.mark.parametrize("command, option",
+                         [(c, o) for c, options in INPUTS.items() for o in options])
+def test_unreadable_input_exits_2_naming_path_and_cause(tmp_path, capsys, command, option,
+                                                        kind):
+    make, cause = UNREADABLE[kind]
+    bad = tmp_path / kind
+    make(bad)
+    files = {**INPUTS[command], option: bad}
+    out = tmp_path / "out"
+    argv = [command, *(x for pair in files.items() for x in pair), *OTHER_ARGS.get(command, []),
+            "--out", out]
+    code, err = run(argv, capsys)
+    assert code == 2
+    assert str(bad) in err
+    assert cause in err
+    assert not out.exists()

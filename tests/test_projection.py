@@ -13,8 +13,9 @@ import pytest
 import scipy.linalg
 
 import natset
+from natset import geometry
 from natset.data import RawActorState, Region, Task, TaskDataset, Trajectory, filter_task
-from natset.dynamics import condense, double_integrator, rollout
+from natset.dynamics import POSITIONS, condense, double_integrator, rollout
 from natset.geometry import INSIDE_TOL, quickhull, to_halfspaces
 from natset.natset import (
     NaturalisticSet,
@@ -551,8 +552,12 @@ def test_long_horizon_controls_match_the_long_double_optimum(long_tube):
 
 
 def per_step_reference(tube, states):
-    """Membership, violations and active rows step by step over `hull_margins`."""
-    per_step = hull_margins(tube, states)
+    """Membership, violations and active rows step by step, each step's
+    margins taken from its own hull's rows of the stacked G and h."""
+    per_step = []
+    for t in range(min(len(tube), len(states))):
+        rows = slice(tube.start[t], tube.start[t + 1])
+        per_step.append(geometry.margins(tube.G[rows], tube.h[rows], states[t, POSITIONS]))
     return (
         [bool(np.max(m) <= INSIDE_TOL) for m in per_step],
         [float(np.max(m)) for m in per_step],
