@@ -3,9 +3,9 @@
 Subcommands: build (tracks + task -> tube JSON with stats on stdout),
 project (tube + candidate -> projection JSON), gen (synthetic scenario
 directories), export-svg (figure rendering).  Exit codes are a stable
-contract: 0 success, 2 parse or validation failure (an --out file that
-cannot be written included), 3 empty or undersized dataset, 4 candidate
-starting outside the tube, 5 solver failure.
+contract: 0 success, 2 parse or validation failure (an --out file or
+--out-dir that cannot be written included), 3 empty or undersized
+dataset, 4 candidate starting outside the tube, 5 solver failure.
 """
 
 import argparse
@@ -55,13 +55,13 @@ def _require(args, *names):
 
 
 @contextmanager
-def _writing(path):
-    """Around a writer: a failure to write the --out file is a ParseError
-    naming it."""
+def _writing(flag, path):
+    """Around a writer: a failure to write the path given by ``flag`` is a
+    ParseError naming both."""
     try:
         yield
     except OSError as exc:
-        raise ParseError(f"cannot write --out {path}: {exc.strerror or exc}") from None
+        raise ParseError(f"cannot write {flag} {path}: {exc.strerror or exc}") from None
 
 
 def cmd_build(args):
@@ -70,7 +70,7 @@ def cmd_build(args):
     trajectories = load_trajectories(args.tracks, frame_rate=frame_rate)
     dataset = filter_task(trajectories, start, end, min_speed)
     natset = build_natset(dataset, trim=args.trim)
-    with _writing(args.out):
+    with _writing("--out", args.out):
         write_natset(natset, args.out)
     print(f"trajectories: {len(dataset)}")
     print(f"horizon: {natset.horizon}")
@@ -96,7 +96,7 @@ def cmd_project(args):
     except ValueError as exc:
         raise ParseError(f"{args.candidate}: {exc}") from None
     result = project(candidate, natset, dyn)
-    with _writing(args.out):
+    with _writing("--out", args.out):
         write_projection(result, candidate, args.out)
     print(f"status: {result.status.value}")
     print(f"objective: {result.objective:.9g}")
@@ -111,7 +111,8 @@ def cmd_gen_synthetic(args):
     if args.dt is not None:
         overrides["dt"] = args.dt
     spec = default_spec(args.kind, count=args.count, seed=args.seed, **overrides)
-    paths = write_scenario(spec, args.out_dir)
+    with _writing("--out-dir", args.out_dir):
+        paths = write_scenario(spec, args.out_dir)
     for name in sorted(paths):
         print(f"wrote {paths[name]}")
     return EXIT_OK
@@ -124,7 +125,7 @@ def cmd_export_svg(args):
     if args.projection is not None:
         _require(args, "projection")
         projection_doc = read_projection(args.projection)
-    with _writing(args.out):
+    with _writing("--out", args.out):
         write_svg(natset, args.out, projection_doc)
     print(f"wrote {args.out}")
     return EXIT_OK

@@ -230,6 +230,20 @@ def _scan(path, rows, first_row, where):
     raise ParseError(f"{path}: rows {first_row}-{first_row + len(rows) - 1}: frame out of range")
 
 
+def _not_utf8(path):
+    """Where a file first fails to decode as UTF-8: a text reader's error
+    names a position in its decoder's chunk, a whole-file decode the byte
+    offset in the file, whose line is then counted."""
+    with open(path, "rb") as fh:
+        raw = fh.read()
+    try:
+        raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line = raw.count(b"\n", 0, exc.start) + 1
+        return f"{path}: line {line}: {exc}"
+    return f"{path}: not UTF-8"  # the file changed while it was read
+
+
 def load_trajectories(path, frame_rate=25.0):
     """Read a tracks CSV into one Trajectory per actor.
 
@@ -271,8 +285,8 @@ def load_trajectories(path, frame_rate=25.0):
                 code = np.fromiter((codes.setdefault(a, len(codes)) for a in ids), np.int64, n)
                 parts.append((code, frames, states))
                 row_num += n
-    except UnicodeDecodeError as exc:
-        raise ParseError(f"{path}: {exc}") from None
+    except UnicodeDecodeError:
+        raise ParseError(_not_utf8(path)) from None
     if not parts:
         return []
 

@@ -9,13 +9,14 @@ A `NaturalisticSet` holds its hulls only as stacked arrays: all vertices
 and all half-space rows, cut into hulls by one offsets array.  A hull's
 rows are its polygon's edges: row j is the outward unit normal of the
 edge from vertex j to vertex j + 1, so a hull has as many rows as
-vertices.  Building, reading, writing and projection use these stacks,
-and the constructor checks all hulls in one pass over them; `hulls`
-builds checked per-hull objects over them on first use.  Tubes serialize
-to JSON with 12 significant digits.  Each hull's vertices are checked
-against its rows to a tolerance that grows with the hull's distance from
-the origin, as that rounding error does, so every tube the package
-writes reads back.
+vertices.  Only the constructor makes a tube, checking all hulls in one
+pass over the stacks; building, reading, writing and projection use the
+stacks alone.  `hulls` is an inspection view of checked per-hull objects,
+whose removal waits on the benchmark reading the stacks (ROADMAP item 1).
+Tubes serialize to JSON with 12 significant digits.  Each hull's vertices
+are checked against its rows to a tolerance that grows with the hull's
+distance from the origin, as that rounding error does, so every tube the
+package writes reads back.
 """
 
 import json
@@ -111,7 +112,8 @@ def hull_faults(t, support, v, v_counts, G, h, counts):
 class TimedHull(NamedTuple):
     """One tube cross-section: the hull at time index t, built from
     ``support`` states, whose half-space rows are its polygon's edges.
-    `NaturalisticSet.from_hulls` checks a sequence of them."""
+    Only `NaturalisticSet.hulls` makes these, as an inspection view; no
+    tube is built from them."""
 
     t: int
     polygon: ConvexPolygon
@@ -154,23 +156,11 @@ class NaturalisticSet:
         _check_hulls(np.arange(n), self.support, v, counts, G, h, counts, counts)
         positive("dt", self.dt)
 
-    @classmethod
-    def from_hulls(cls, hulls, dt, provenance=None):
-        """The tube of `TimedHull`s with time indices 0, 1, 2, ...: their
-        arrays stacked and checked together."""
-        hulls = tuple(hulls)
-        stacks = (_join([hull.polygon.vertices for hull in hulls], (2,)),
-                  _join([hull.halfspaces.G for hull in hulls], (2,)),
-                  _join([hull.halfspaces.h for hull in hulls], ()))
-        return _assemble([hull.t for hull in hulls], [hull.support for hull in hulls], stacks,
-                         dt, {} if provenance is None else provenance)
-
     @cached_property
     def hulls(self):
-        """Every hull as a `TimedHull` over read-only slices of the stacks.
-        Its `ConvexPolygon` and `HalfSpaceSet` check the hull again, one
-        hull at a time, which takes longer than reading the tube, so the
-        package's own commands never build these."""
+        """Every hull as a `TimedHull` over read-only slices of the stacks,
+        checked again one hull at a time by `ConvexPolygon` and
+        `HalfSpaceSet`: slower than a read, so no command builds these."""
         v, G, h = (_cut(arr, self.start) for arr in (self.vertices, self.G, self.h))
         return tuple(
             TimedHull(t, ConvexPolygon(v[t]), HalfSpaceSet(G[t], h[t]), support)
@@ -185,28 +175,10 @@ class NaturalisticSet:
         return len(self.support) - 1
 
 
-def _join(parts, tail):
-    """Arrays of rows of shape ``tail`` as one stack, and their row counts."""
-    return np.concatenate([np.empty((0,) + tail), *parts]), list(map(len, parts))
-
-
 def _cut(arr, start):
     """The runs ``arr[start[t]:start[t + 1]]`` of a stack, as views."""
     start = start.tolist()
     return [arr[a:b] for a, b in zip(start[:-1], start[1:])]
-
-
-def _assemble(t, support, stacks, dt, provenance):
-    """The tube whose hull i has time index ``t[i]``, ``support[i]`` states
-    and the next ``counts[i]`` rows of each ``(stack, counts)`` of
-    ``stacks``: the vertices, G and h."""
-    (v, v_counts), (G, g_counts), (h, h_counts) = stacks
-    if not (v_counts == g_counts == h_counts and t == list(range(len(t)))):
-        # no tube holds these: name the first hull at fault, as a check hull
-        # by hull would (beyond int64 t is exact as Python ints)
-        _check_hulls(np.array(t), np.array(support), v, v_counts, G, h, g_counts, h_counts)
-        raise ValueError("hull time indices must be contiguous from 0")
-    return NaturalisticSet(v, G, h, np.cumsum([0, *g_counts]), support, dt, provenance)
 
 
 def _inflate(points):
@@ -230,12 +202,11 @@ def _drop_isolated(points, k):
     return points[keep]
 
 
-def _hull_of(points, t, support):
+def _hull_of(points):
     try:
-        poly = quickhull(points)
+        return quickhull(points)
     except DegenerateInput:
-        poly = quickhull(_inflate(points))
-    return TimedHull(t, poly, to_halfspaces(poly), support)
+        return quickhull(_inflate(points))
 
 
 def build_natset(dataset, trim=0):
@@ -244,7 +215,8 @@ def build_natset(dataset, trim=0):
     The horizon is the last t with at least three alive trajectories.
     trim > 0 removes that many most-isolated points from every slice
     before the hull is taken (off by default); a negative trim is a
-    ValueError.
+    ValueError.  Each step's hull vertices, edge rows and support are
+    stacked into the tube's arrays.
     """
     if trim < 0:
         raise ValueError(f"trim must be >= 0, got trim={trim}")
@@ -260,22 +232,21 @@ def build_natset(dataset, trim=0):
             break
         if trim:
             pts = _drop_isolated(pts, trim)
-        hulls.append(_hull_of(pts, t, len(pts)))
+        poly = _hull_of(pts)
+        rows = to_halfspaces(poly)
+        hulls.append((poly.vertices, rows.G, rows.h, len(pts)))
     if not hulls:
-        raise InsufficientData(
-            f"{len(dataset)} trajectories at t=0; need {MIN_SUPPORT} for a hull"
-        )
+        raise InsufficientData(f"{len(dataset)} trajectories at t=0; need {MIN_SUPPORT} for a hull")
 
     task = dataset.task
-    provenance = {
-        "trajectories": len(dataset),
-        "trim": int(trim),
-    }
+    provenance = {"trajectories": len(dataset), "trim": int(trim)}
     if task is not None:
         provenance["start_polygon"] = task.start.polygon.vertices.tolist()
         provenance["end_polygon"] = task.end.polygon.vertices.tolist()
         provenance["min_speed"] = task.min_speed
-    return NaturalisticSet.from_hulls(hulls, dt, provenance)
+    vertices, G, h, support = zip(*hulls)
+    return NaturalisticSet(*map(np.concatenate, (vertices, G, h)), np.cumsum([0, *map(len, h)]),
+                           support, dt, provenance)
 
 
 def _flat_margins(natset, states):
@@ -474,9 +445,15 @@ def read_natset(path):
             raise ValueError(f'"provenance" must be a JSON object, got {json.dumps(provenance)}')
         entries = doc["hulls"]
         t, support = _integers(entries, "t"), _integers(entries, "support")
-        stacks = [_stack(entries, key, t, tail)
-                  for key, tail in (("vertices", (2,)), ("G", (2,)), ("h", ()))]
-        return _assemble(t, support, stacks, dt, provenance)
+        (v, v_counts), (G, g_counts), (h, h_counts) = (
+            _stack(entries, key, t, tail)
+            for key, tail in (("vertices", (2,)), ("G", (2,)), ("h", ())))
+        if not (v_counts == g_counts == h_counts and t == list(range(len(t)))):
+            # no tube holds these: name the first hull at fault, as a check
+            # hull by hull would (beyond int64 t is exact as Python ints)
+            _check_hulls(np.array(t), np.array(support), v, v_counts, G, h, g_counts, h_counts)
+            raise ValueError("hull time indices must be contiguous from 0")
+        return NaturalisticSet(v, G, h, np.cumsum([0, *g_counts]), support, dt, provenance)
     except (KeyError, TypeError) as exc:
         raise ParseError(f"{path}: bad tube file: {exc}") from None
     except (ValueError, OverflowError) as exc:

@@ -142,8 +142,10 @@ def _program(candidate, natset, dyn):
     # (s = 1); column c is the axis, matching the state order (p_x, v_x, p_y, v_y)
     free = cm.Phi @ candidate.states[0].reshape(2, 2).T
     target = candidate.states.reshape(H + 1, 2, 2).transpose(0, 2, 1).reshape(-1, 2)
-    P = 2.0 * (cm.Gamma.T @ cm.Gamma)
-    q = 2.0 * (cm.Gamma.T @ (free - target))
+    # Gamma scales as dt^2 / mass: an extreme mass puts P or q out of range
+    with np.errstate(over="ignore"):
+        P = 2.0 * (cm.Gamma.T @ cm.Gamma)
+        q = 2.0 * (cm.Gamma.T @ (free - target))
 
     Cp, free_pos = cm.Gamma[0::2], free[0::2]
     # x_init is pinned, so t = 0 carries no constraint; its membership was
@@ -165,7 +167,11 @@ def _program(candidate, natset, dyn):
             "and no control input can change it"
         )
     A = HullRows(Cp, steps[~fixed], G[~fixed])
-    return QuadraticProgram(P, q.ravel(), A, limit[~fixed])
+    try:
+        return QuadraticProgram(P, q.ravel(), A, limit[~fixed])
+    except ValueError as exc:
+        raise ValueError(f"the projection QP in forces for dt={dyn.dt!r} and "
+                         f"mass={dyn.mass!r} cannot be posed: {exc}") from None
 
 
 def project(candidate, natset, dyn):

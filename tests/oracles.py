@@ -7,9 +7,10 @@ half-space row at a time in plain floats.  The QP oracle enumerates active
 sets and only borrows the package's result type.  The exceptions are
 the tube reader's reference, which checks hulls one at a time through the
 public constructors and `hull_faults`, the rules `read_natset` checks in
-one batch, and the
-writers' references, which round one value at a time and lay the document
-out with `json.dump(indent=2)`.
+one batch; `stacked_tube`, which stacks per-hull polygons and half-space
+sets into a tube through its constructor; and the writers' references,
+which round one value at a time and lay the document out with
+`json.dump(indent=2)`.
 """
 
 import json
@@ -17,7 +18,7 @@ import json
 import numpy as np
 
 from natset.geometry import ConvexPolygon, HalfSpaceSet
-from natset.natset import NaturalisticSet, TimedHull, hull_faults
+from natset.natset import NaturalisticSet, hull_faults
 from natset.qpsolver import QPSolution, SolverStatus
 
 
@@ -167,7 +168,8 @@ def read_hulls_one_by_one(doc):
     faults are prefixed with the hull's time index.
     """
     hulls = []
-    for entry in doc["hulls"]:
+    entries = doc["hulls"]
+    for entry in entries:
         try:
             poly = ConvexPolygon(np.array(entry["vertices"], dtype=float))
             hs = HalfSpaceSet(np.array(entry["G"], dtype=float), np.array(entry["h"], dtype=float))
@@ -177,8 +179,22 @@ def read_hulls_one_by_one(doc):
                             hs.G, hs.h, [len(hs)])
         if fault is not None:
             raise ValueError(fault[1])
-        hulls.append(TimedHull(entry["t"], poly, hs, entry["support"]))
-    return NaturalisticSet.from_hulls(hulls, float(doc["dt"]), doc.get("provenance", {}))
+        hulls.append((poly, hs, entry["support"]))
+    if [entry["t"] for entry in entries] != list(range(len(entries))):
+        raise ValueError("hull time indices must be contiguous from 0")
+    return stacked_tube(hulls, float(doc["dt"]), doc.get("provenance", {}))
+
+
+def stacked_tube(hulls, dt, provenance=None):
+    """The tube whose hull t is the t-th ``(polygon, halfspaces, support)``
+    of ``hulls``: their arrays stacked in order and handed to the
+    `NaturalisticSet` constructor, which checks them."""
+    polygons, sets, support = zip(*hulls)
+    return NaturalisticSet(np.concatenate([poly.vertices for poly in polygons]),
+                           np.concatenate([hs.G for hs in sets]),
+                           np.concatenate([hs.h for hs in sets]),
+                           np.cumsum([0, *map(len, sets)]), support, dt,
+                           {} if provenance is None else provenance)
 
 
 def _round12(x):

@@ -12,10 +12,10 @@ import pytest
 import natset
 from natset.cli import main
 from natset.data import ParseError, load_task
-from natset.geometry import ConvexPolygon, HalfSpaceSet
-from natset.natset import NaturalisticSet, TimedHull, read_natset
+from natset.natset import read_natset
 from natset.projection import read_projection
 from natset.synthetic import default_spec, write_scenario
+from oracles import read_hulls_one_by_one
 
 
 @pytest.fixture(scope="module")
@@ -68,6 +68,16 @@ def test_gen_rejects_bad_kind(tmp_path, capsys):
     )
     assert code == 2
     assert "kind" in err
+
+
+def test_gen_out_dir_that_is_a_file_exits_2_naming_it(tmp_path, capsys):
+    out_dir = tmp_path / "taken"
+    out_dir.write_text("not a directory")
+    for target in (out_dir, out_dir / "scene"):
+        code, out, err = run(["gen", "--kind", "curved_road", "--out-dir", str(target)], capsys)
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: cannot write --out-dir {target}: ")
+    assert out_dir.read_text() == "not a directory"
 
 
 def test_build_emits_stats_and_tube(scene, capsys):
@@ -649,12 +659,9 @@ def test_hull_rows_must_be_the_polygon_edges(scene, tmp_path, capsys, spoil):
     with pytest.raises(ParseError) as err:
         read_natset(tube)
     assert str(err.value) == f"{tube}: {message}"
-    hulls = [
-        TimedHull(e["t"], ConvexPolygon(e["vertices"]), HalfSpaceSet(e["G"], e["h"]), e["support"])
-        for e in doc["hulls"]
-    ]
+    # hull by hull through the public constructors, the same message
     with pytest.raises(ValueError) as err:
-        NaturalisticSet.from_hulls(hulls, doc["dt"])
+        read_hulls_one_by_one(doc)
     assert str(err.value) == message
     code, _, err = run(
         [

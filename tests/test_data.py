@@ -1,4 +1,5 @@
 import csv
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -307,6 +308,24 @@ def test_load_names_the_bad_actor(tmp_path, frames, error, message):
     # frame 1 is on rows 5 and 6, and frames 1 and 3 around the gap on rows 5 and 4
     where = {ParseError: "rows 5 and 6", GapError: "rows 5 and 4"}[error]
     assert str(err.value) == f"{path}: {where}: {message}"
+
+
+def test_load_names_the_byte_and_line_that_are_not_utf8(tmp_path):
+    # far past the decoder's first chunk, and a sequence cut off by the end
+    scene = Path(__file__).resolve().parents[1] / "demos" / "out" / "scene"
+    raw = (scene / "tracks.csv").read_bytes()
+    lines = raw.count(b"\n")
+    cases = [(raw[:100000] + b"\xff" + raw[100000:],
+              "line 735: 'utf-8' codec can't decode byte 0xff in position 100000: "
+              "invalid start byte"),
+             (raw + b"\xc3", f"line {lines + 1}: 'utf-8' codec can't decode byte 0xc3 "
+              f"in position {len(raw)}: unexpected end of data")]
+    path = tmp_path / "tracks.csv"
+    for text, message in cases:
+        path.write_bytes(text)
+        with pytest.raises(ParseError) as err:
+            load_trajectories(path)
+        assert str(err.value) == f"{path}: {message}"
 
 
 def test_load_reports_actors_in_sorted_order(tmp_path):

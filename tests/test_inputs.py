@@ -4,6 +4,7 @@ unreadable input files, each through the library and the command line."""
 
 import argparse
 import json
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -13,9 +14,9 @@ from natset.cli import _build_parser, main
 from natset.data import ParseError, Region, Trajectory, filter_task, load_task
 from natset.dynamics import NonPositiveParameter, double_integrator, positive
 from natset.geometry import quickhull, to_halfspaces
-from natset.natset import NaturalisticSet, TimedHull
 from natset.projection import CandidateTrajectory, read_projection
 from natset.synthetic import ScenarioSpec
+from oracles import stacked_tube
 
 DEMO_OUT = Path(__file__).resolve().parents[1] / "demos" / "out"
 SCENE = DEMO_OUT / "scene"
@@ -35,7 +36,7 @@ def run(argv, capsys):
 
 def triangle_tube(dt):
     poly = quickhull([(0.0, 0.0), (1.0, 0.0), (0.0, 1.0)])
-    return NaturalisticSet.from_hulls([TimedHull(0, poly, to_halfspaces(poly), 3)], dt)
+    return stacked_tube([(poly, to_halfspaces(poly), 3)], dt)
 
 
 # every constructor that takes a step, mass or frame rate, and the name it
@@ -109,6 +110,25 @@ def test_gen_dt_exits_2_naming_the_key(tmp_path, capsys, value):
                     capsys)
     assert code == 2
     assert err == f"error: {rule('dt', value)}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("mass, cause", [
+    (1e300, "P is not positive definite; not strictly convex"),
+    (1e-300, "objective contains non-finite entries"),
+])
+def test_extreme_mass_exits_2_naming_dt_and_mass(tmp_path, capsys, mass, cause):
+    # both masses pass the positive-scalar rule, but put the QP in forces
+    # out of floating-point range: no warning, and a message naming both
+    message = (f"the projection QP in forces for dt=0.04 and mass={mass!r} "
+               f"cannot be posed: {cause}")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        out = tmp_path / "proj.json"
+        code, err = run(["project", "--natset", DEMO_OUT / "tube.json",
+                         "--candidate", SCENE / "candidate.csv",
+                         "--dyn", f"dt=0.04,mass={mass!r}", "--out", out], capsys)
+    assert (code, err) == (2, f"error: {message}\n")
     assert not out.exists()
 
 

@@ -13,6 +13,8 @@ from natset.data import (
     TaskDataset,
     Trajectory,
     filter_task,
+    load_task,
+    load_trajectories,
     slice_at,
 )
 from natset.dynamics import POSITIONS, double_integrator
@@ -27,7 +29,6 @@ from natset.geometry import (
 from natset.cli import main
 from natset.natset import (
     InsufficientData,
-    NaturalisticSet,
     TimedHull,
     build_natset,
     hull_margins,
@@ -38,7 +39,7 @@ from natset.natset import (
 )
 from natset.projection import CandidateTrajectory, project, write_projection
 from natset.synthetic import default_spec, generate_scenario
-from oracles import point_margin, read_hulls_one_by_one
+from oracles import point_margin, read_hulls_one_by_one, stacked_tube
 
 
 def make_traj(actor, positions, frame_rate=25.0):
@@ -134,8 +135,7 @@ def test_membership_single_state_overlap():
 
 def test_stats_unit_square():
     poly = quickhull([(0, 0), (1, 0), (1, 1), (0, 1)])
-    hulls = [TimedHull(t, poly, to_halfspaces(poly), 4) for t in range(3)]
-    stats = natset_stats(NaturalisticSet.from_hulls(hulls, dt=0.04))
+    stats = natset_stats(stacked_tube([(poly, to_halfspaces(poly), 4)] * 3, dt=0.04))
     assert [s["area"] for s in stats] == pytest.approx([1.0, 1.0, 1.0])
     assert all(s["vertices"] == 4 and s["support"] == 4 for s in stats)
 
@@ -143,13 +143,7 @@ def test_stats_unit_square():
 def test_stats_area_scales_quadratically():
     small = quickhull([(0, 0), (1, 0), (1, 1), (0, 1)])
     big = quickhull([(0, 0), (2, 0), (2, 2), (0, 2)])
-    ns = NaturalisticSet.from_hulls(
-        (
-            TimedHull(0, small, to_halfspaces(small), 4),
-            TimedHull(1, big, to_halfspaces(big), 4),
-        ),
-        dt=1.0,
-    )
+    ns = stacked_tube(((small, to_halfspaces(small), 4), (big, to_halfspaces(big), 4)), dt=1.0)
     stats = natset_stats(ns)
     assert stats[1]["area"] / stats[0]["area"] == pytest.approx(4.0)
 
@@ -228,10 +222,10 @@ def test_timed_hull_validation():
     poly = quickhull([(0, 0), (1, 0), (1, 1), (0, 1)])
     hs = to_halfspaces(poly)
     with pytest.raises(ValueError, match="built from 2 states"):
-        NaturalisticSet.from_hulls([TimedHull(0, poly, hs, 2)], dt=0.04)
+        stacked_tube([(poly, hs, 2)], dt=0.04)
     shifted = quickhull([(5, 5), (6, 5), (6, 6), (5, 6)])
     with pytest.raises(ValueError, match="vertices violate half-spaces"):
-        NaturalisticSet.from_hulls([TimedHull(0, shifted, hs, 4)], dt=0.04)
+        stacked_tube([(shifted, hs, 4)], dt=0.04)
 
 
 def test_mixed_frame_rates_rejected():
@@ -244,12 +238,17 @@ def test_mixed_frame_rates_rejected():
         build_natset(make_dataset(trajs))
 
 
-def test_contiguity_enforced():
-    poly = quickhull([(0, 0), (1, 0), (1, 1), (0, 1)])
-    hull0 = TimedHull(0, poly, to_halfspaces(poly), 3)
-    hull2 = TimedHull(2, poly, to_halfspaces(poly), 3)
-    with pytest.raises(ValueError):
-        NaturalisticSet.from_hulls((hull0, hull2), dt=0.04)
+def test_contiguity_enforced(tmp_path):
+    # two well-formed hulls whose time indices skip t = 1
+    hull = {"t": 0, "support": 3, "vertices": [[0, 0], [1, 0], [1, 1], [0, 1]],
+            "G": [[0, -1], [1, 0], [0, 1], [-1, 0]], "h": [0, 1, 1, 0]}
+    doc = {"dt": 0.04, "hull_dim": 2, "transform": [[1, 0, 0, 0], [0, 0, 1, 0]],
+           "hulls": [hull, dict(hull, t=2)]}
+    path = tmp_path / "tube.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ParseError) as err:
+        read_natset(path)
+    assert str(err.value) == f"{path}: hull time indices must be contiguous from 0"
 
 
 def test_margins_do_not_depend_on_batch():
@@ -424,9 +423,17 @@ def test_read_and_project_build_no_per_hull_object(tube_texts, tmp_path, monkeyp
     def refuse(*args, **kwargs):
         raise AssertionError("built a per-hull object")
 
+    # a build takes each step's hull and its rows, but makes no TimedHull
+    monkeypatch.setattr(TimedHull, "__new__", refuse)
+    scene = Path(__file__).resolve().parents[1] / "demos" / "out" / "scene"
+    start, end, min_speed, frame_rate = load_task(scene / "task.json")
+    trajectories = load_trajectories(scene / "tracks.csv", frame_rate=frame_rate)
+    write_natset(build_natset(filter_task(trajectories, start, end, min_speed)),
+                 tmp_path / "built.json")
+    assert (tmp_path / "built.json").read_text() == tube_texts[0]
+    # a read and a projection make no per-hull object at all
     for cls in (ConvexPolygon, HalfSpaceSet):
         monkeypatch.setattr(cls, "__init__", refuse)
-    monkeypatch.setattr(TimedHull, "__new__", refuse)
     tube = read_natset(path)
     # a candidate through the middle of every hull, at the speed that
     # reaches the next middle in one step

@@ -18,8 +18,6 @@ from natset.data import RawActorState, Region, Task, TaskDataset, Trajectory, fi
 from natset.dynamics import POSITIONS, condense, double_integrator, rollout
 from natset.geometry import INSIDE_TOL, quickhull, to_halfspaces
 from natset.natset import (
-    NaturalisticSet,
-    TimedHull,
     build_natset,
     hull_margins,
     step_rows_within,
@@ -39,7 +37,7 @@ from natset.projection import (
 from natset.qpsolver import QuadraticProgram, SolverStatus, solve
 from natset.synthetic import default_spec, generate_scenario, straight_candidate
 
-from oracles import enumerate_oracle, point_margin
+from oracles import enumerate_oracle, point_margin, stacked_tube
 
 
 def euler_states(p0, v0, accels, dt):
@@ -75,18 +73,18 @@ def spread_family(seed=17, count=9, steps=8, dt=0.1):
     return out
 
 
-def box_hull(x0, x1, y0, y1, t, support=4):
+def box_hull(x0, x1, y0, y1, support=4):
     poly = quickhull([(x0, y0), (x1, y0), (x1, y1), (x0, y1)])
-    return TimedHull(t, poly, to_halfspaces(poly), support)
+    return poly, to_halfspaces(poly), support
 
 
 def two_step_tube():
     hulls = (
-        box_hull(-1.0, 1.0, 0.0, 1.0, 0),
-        box_hull(0.0, 2.0, 0.0, 1.0, 1),
-        box_hull(0.0, 1.0, 0.0, 1.0, 2),
+        box_hull(-1.0, 1.0, 0.0, 1.0),
+        box_hull(0.0, 2.0, 0.0, 1.0),
+        box_hull(0.0, 1.0, 0.0, 1.0),
     )
-    return NaturalisticSet.from_hulls(hulls, dt=1.0)
+    return stacked_tube(hulls, dt=1.0)
 
 
 def test_two_step_reachable_projection():
@@ -199,11 +197,11 @@ def test_naturalism_report_on_generator():
 
 def test_initial_state_outside_tube():
     hulls = (
-        box_hull(5.0, 6.0, 5.0, 6.0, 0),
-        box_hull(0.0, 2.0, 0.0, 1.0, 1),
-        box_hull(0.0, 1.0, 0.0, 1.0, 2),
+        box_hull(5.0, 6.0, 5.0, 6.0),
+        box_hull(0.0, 2.0, 0.0, 1.0),
+        box_hull(0.0, 1.0, 0.0, 1.0),
     )
-    ns = NaturalisticSet.from_hulls(hulls, dt=1.0)
+    ns = stacked_tube(hulls, dt=1.0)
     dyn = double_integrator(dt=1.0, mass=1.0)
     cand = CandidateTrajectory([[t, 1.0, 0.5, 0.0] for t in range(3)], dt=1.0)
     with pytest.raises(InitialStateOutsideTube) as err:
@@ -215,11 +213,11 @@ def test_initial_state_outside_tube():
 
 def test_unreachable_fixed_step_is_solver_failure():
     hulls = (
-        box_hull(-1.0, 1.0, 0.0, 1.0, 0),
-        box_hull(5.0, 6.0, 5.0, 6.0, 1),  # p1 = p0 + dt v0 cannot reach this
-        box_hull(0.0, 1.0, 0.0, 1.0, 2),
+        box_hull(-1.0, 1.0, 0.0, 1.0),
+        box_hull(5.0, 6.0, 5.0, 6.0),  # p1 = p0 + dt v0 cannot reach this
+        box_hull(0.0, 1.0, 0.0, 1.0),
     )
-    ns = NaturalisticSet.from_hulls(hulls, dt=1.0)
+    ns = stacked_tube(hulls, dt=1.0)
     dyn = double_integrator(dt=1.0, mass=1.0)
     cand = CandidateTrajectory([[t, 1.0, 0.5, 0.0] for t in range(3)], dt=1.0)
     with pytest.raises(SolverFailure) as err:
@@ -411,8 +409,8 @@ def random_tube_around(candidate, rng):
         angles = (np.arange(count) + rng.uniform(0.0, 0.9, size=count)) * 2.0 * np.pi / count
         radii = rng.uniform(0.5, 2.0, size=count)
         poly = quickhull(center + radii[:, None] * np.column_stack([np.cos(angles), np.sin(angles)]))
-        hulls.append(TimedHull(t, poly, to_halfspaces(poly), 4))
-    return NaturalisticSet.from_hulls(hulls, dt=candidate.dt)
+        hulls.append((poly, to_halfspaces(poly), 4))
+    return stacked_tube(hulls, dt=candidate.dt)
 
 
 def assert_relative(actual, expected, rtol):
@@ -567,7 +565,7 @@ def per_step_reference(tube, states):
 
 def test_step_reductions_match_the_per_step_reference():
     # every hull's right edge is x = 0, so a position's margin there is its x
-    tube = NaturalisticSet.from_hulls((box_hull(-1.0, 0.0, -1.0, 1.0, t) for t in range(5)), dt=1.0)
+    tube = stacked_tube([box_hull(-1.0, 0.0, -1.0, 1.0)] * 5, dt=1.0)
     xs = [ACTIVE_TOL, -ACTIVE_TOL, INSIDE_TOL, -INSIDE_TOL, 2 * ACTIVE_TOL, -0.5, 0.5, 0.0]
     met = set()
     for T in (3, 5, 8):  # shorter than, as long as and longer than the tube

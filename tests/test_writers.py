@@ -6,7 +6,7 @@ import pytest
 
 from natset.dynamics import double_integrator
 from natset.geometry import quickhull, to_halfspaces
-from natset.natset import NaturalisticSet, TimedHull, read_natset, write_natset
+from natset.natset import read_natset, write_natset
 from natset.projection import (
     CandidateTrajectory,
     ProjectionResult,
@@ -15,7 +15,7 @@ from natset.projection import (
 )
 from natset.qpsolver import SolverStatus
 from natset.synthetic import default_spec, straight_candidate
-from oracles import write_natset_reference, write_projection_reference
+from oracles import stacked_tube, write_natset_reference, write_projection_reference
 
 # -0.0, both sides of repr's switches to exponent notation (1e-4 and 1e16),
 # and values that round up across a power of ten at 12 significant digits
@@ -23,9 +23,9 @@ AWKWARD = [-0.0, 1e-5, -9.9999999999951e-6, 1e-4, 9.99999999999e-5, 1e16, 999999
            1e15, 9.9999999999951, 9.999999999995, 0.1 + 0.2, 123456789.0123456]
 
 
-def box(x0, x1, y0, y1, t, support=3):
+def box(x0, x1, y0, y1, support=3):
     poly = quickhull([(x0, y0), (x1, y0), (x1, y1), (x0, y1)])
-    return TimedHull(t, poly, to_halfspaces(poly), support)
+    return poly, to_halfspaces(poly), support
 
 
 def same_bytes(tmp_path, write, reference, *args):
@@ -73,7 +73,7 @@ def test_projection_file_with_non_finite_values_matches_the_reference(tmp_path):
 def test_projected_demo_candidate_matches_the_reference(tmp_path):
     # a tube shorter than the candidate, so the report ends in None entries
     spec = default_spec("curved_road", count=40, seed=7)
-    tube = NaturalisticSet.from_hulls((box(-30.0, 30.0, -5.0, 40.0, t) for t in range(20)), spec.dt)
+    tube = stacked_tube([box(-30.0, 30.0, -5.0, 40.0)] * 20, spec.dt)
     candidate = CandidateTrajectory.from_trajectory(straight_candidate(spec))
     result = project(candidate, tube, double_integrator(spec.dt))
     assert result.violation_report[-1] is None
@@ -90,8 +90,8 @@ PROVENANCE = {
 
 @pytest.mark.parametrize("provenance", [PROVENANCE, {}])
 def test_tube_file_matches_the_reference_and_reads_back_to_it(tmp_path, provenance):
-    hulls = (box(0.0, 9.9999999999951, 0.0, 1.0, 0), box(-1e-5, 1e8 / 3, -0.0, 0.1 + 0.2, 1))
-    tube = NaturalisticSet.from_hulls(hulls, dt=1 / 3, provenance=provenance)
+    hulls = (box(0.0, 9.9999999999951, 0.0, 1.0), box(-1e-5, 1e8 / 3, -0.0, 0.1 + 0.2))
+    tube = stacked_tube(hulls, dt=1 / 3, provenance=provenance)
     first = same_bytes(tmp_path, write_natset, write_natset_reference, tube)
     assert (b'"provenance"' in first) == bool(provenance)
     back = read_natset(tmp_path / "new.json")
@@ -100,7 +100,7 @@ def test_tube_file_matches_the_reference_and_reads_back_to_it(tmp_path, provenan
 
 
 def test_failed_render_leaves_the_file_as_it_was(tmp_path):
-    tube = NaturalisticSet.from_hulls([box(0.0, 1.0, 0.0, 1.0, 0)], dt=0.1, provenance={"bad": {1, 2}})
+    tube = stacked_tube([box(0.0, 1.0, 0.0, 1.0)], dt=0.1, provenance={"bad": {1, 2}})
     path = tmp_path / "tube.json"
     path.write_text("old")
     with pytest.raises(TypeError, match="not JSON serializable"):
