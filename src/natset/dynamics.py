@@ -1,4 +1,4 @@
-"""Planar double-integrator dynamics and its condensed control-to-state map.
+"""Planar point-mass dynamics and the condensed control-to-state map.
 
 The state vector ordering is fixed package-wide to ``(p_x, v_x, p_y, v_y)``
 and controls are planar forces ``(F_x, F_y)`` on a point of mass M:
@@ -6,17 +6,19 @@ and controls are planar forces ``(F_x, F_y)`` on a point of mass M:
     p_{x,t+1} = p_x,t + dt * v_x,t        v_{x,t+1} = v_x,t + dt * F_x,t / M
     p_{y,t+1} = p_y,t + dt * v_y,t        v_{y,t+1} = v_y,t + dt * F_y,t / M
 
-``condense`` stacks the recursion into one affine map so a horizon-T rollout
-becomes ``xi = Phi @ x0 + Gamma @ U`` with U the flattened control sequence.
-The x and y axes never mix, so ``per_axis`` splits off the identical
-one-axis system ``(p, v)`` driven by one force; the projection module
-builds its quadratic program on the condensed map of that system.
+`LinearDynamics` is that model: it holds dt and M, and its matrices A and B
+follow from them.  The mass is only a unit: the accelerations F / M give
+the same states whatever M is.  ``condense`` stacks any linear recursion
+into one affine map so a horizon-T rollout becomes
+``xi = Phi @ x0 + Gamma @ U`` with U the flattened control sequence; the
+projection module condenses one axis of the unit-mass model, whose
+controls are accelerations.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -39,13 +41,27 @@ def positive(name, value):
 
 @dataclass(frozen=True)
 class LinearDynamics:
-    A: np.ndarray
-    B: np.ndarray
-    dt: float
-    mass: float
+    """The planar point mass with time step ``dt`` and ``mass``; its
+    read-only A and B are derived from the two, so they cannot disagree."""
 
-    def step(self, x: np.ndarray, u: np.ndarray) -> np.ndarray:
-        return self.A @ x + self.B @ u
+    dt: float
+    mass: float = 1.0
+    A: np.ndarray = field(init=False, repr=False, compare=False)
+    B: np.ndarray = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        positive("dt", self.dt)
+        positive("mass", self.mass)
+        dt, mass = float(self.dt), float(self.mass)
+        # x and y are two identical, uncoupled (p, v) blocks
+        A = np.eye(NX)
+        A[0, 1] = A[2, 3] = dt
+        B = np.zeros((NX, NU))
+        B[1, 0] = B[3, 1] = dt / mass
+        A.flags.writeable = False
+        B.flags.writeable = False
+        for name, value in (("dt", dt), ("mass", mass), ("A", A), ("B", B)):
+            object.__setattr__(self, name, value)
 
 
 @dataclass(frozen=True)
@@ -60,72 +76,38 @@ class CondensedMap:
 
 def double_integrator(dt: float, mass: float = 1.0) -> LinearDynamics:
     """Discrete planar double integrator with force controls."""
-    positive("dt", dt)
-    positive("mass", mass)
-    A = np.array(
-        [
-            [1.0, dt, 0.0, 0.0],
-            [0.0, 1.0, 0.0, 0.0],
-            [0.0, 0.0, 1.0, dt],
-            [0.0, 0.0, 0.0, 1.0],
-        ]
-    )
-    B = np.array(
-        [
-            [0.0, 0.0],
-            [dt / mass, 0.0],
-            [0.0, 0.0],
-            [0.0, dt / mass],
-        ]
-    )
-    A.flags.writeable = False
-    B.flags.writeable = False
-    return LinearDynamics(A=A, B=B, dt=float(dt), mass=float(mass))
-
-
-def per_axis(dyn: LinearDynamics) -> LinearDynamics:
-    """The (2x2, 2x1) system of one axis, shared by x and y.
-
-    Raises ValueError unless ``dyn`` acts on (p_x, v_x) and (p_y, v_y) as
-    two identical, uncoupled blocks, each driven by its own force.
-    """
-    a, b = dyn.A[:2, :2].copy(), dyn.B[:2, :1].copy()
-    pair = np.eye(2)
-    if not (np.array_equal(dyn.A, np.kron(pair, a)) and np.array_equal(dyn.B, np.kron(pair, b))):
-        raise ValueError("x and y dynamics do not decouple into identical blocks")
-    a.flags.writeable = False
-    b.flags.writeable = False
-    return LinearDynamics(A=a, B=b, dt=dyn.dt, mass=dyn.mass)
+    return LinearDynamics(dt, mass)
 
 
 def rollout(dyn: LinearDynamics, x_init, controls) -> np.ndarray:
     """Simulate the recursion; returns states of shape (len(controls)+1, 4)."""
+    A, B = dyn.A, dyn.B
     x = np.asarray(x_init, dtype=float).ravel()
     U = np.asarray(controls, dtype=float).reshape(-1, NU)
     states = np.empty((len(U) + 1, NX))
     states[0] = x
     for t, u in enumerate(U):
-        x = dyn.step(x, u)
+        x = A @ x + B @ u
         states[t + 1] = x
     return states
 
 
-def condense(dyn: LinearDynamics, horizon: int) -> CondensedMap:
-    """Affine control-to-state map over ``horizon`` steps.
+def condense(A, B, horizon: int) -> CondensedMap:
+    """Affine control-to-state map of ``x' = A x + B u`` over ``horizon`` steps.
 
     For any x0 and control stack U (shape horizon * inputs), the stacked
     trajectory of horizon+1 states equals ``Phi @ x0 + Gamma @ U``.
     """
     if horizon < 1:
         raise ValueError(f"horizon must be >= 1, got {horizon}")
-    nx, nu = dyn.B.shape
+    nx, nu = B.shape
     powers = [np.eye(nx)]
     for _ in range(horizon):
-        powers.append(dyn.A @ powers[-1])
+        powers.append(A @ powers[-1])
     Phi = np.concatenate(powers)
     # block (t, k) of Gamma depends on the lag t-1-k only, so each A^j B is
     # formed once and column block k takes the lags 0 .. horizon-1-k
-    lagged = np.array([p @ dyn.B for p in powers[:horizon]])
+    lagged = np.array([p @ B for p in powers[:horizon]])
     Gamma = np.zeros(((horizon + 1) * nx, horizon * nu))
     blocks = Gamma.reshape(horizon + 1, nx, horizon, nu)
     for k in range(horizon):

@@ -328,11 +328,12 @@ def _json_text(value, depth=0):
     levels deep, where ``value`` may hold float ndarrays: each is written as
     its nested lists of values rounded to 12 significant digits.
 
-    Dicts with string keys and lists of dicts are laid out here, so that
-    arrays may sit inside them; every other value is json's own text.  An
-    array is rounded and formatted in one pass, as json formats a float,
-    by ``repr``; one holding NaN or infinity goes through json, which
-    spells those NaN and Infinity.
+    Non-empty dicts with string keys and non-empty lists are laid out
+    here, so that arrays may sit inside them; every other value is json's
+    own text, made by its C encoder unless a dict's keys need json's
+    conversion.  An array is rounded and formatted in one pass, as json
+    formats a float, by ``repr``; one holding NaN or infinity goes through
+    json, which spells those NaN and Infinity.
     """
     pad = "\n" + "  " * depth
     if isinstance(value, np.ndarray):
@@ -340,13 +341,13 @@ def _json_text(value, depth=0):
         rounded = list(map(float, ("%.11e " * len(flat) % tuple(flat)).split()))
         if np.isfinite(value).all():
             return _slots(value.shape, pad) % tuple(rounded)
-        value = np.reshape(rounded, value.shape).tolist()
-    elif isinstance(value, dict) and value and all(isinstance(key, str) for key in value):
+        return _json_text(np.reshape(rounded, value.shape).tolist(), depth)
+    if isinstance(value, dict) and value and all(isinstance(key, str) for key in value):
         items = (f"{json.dumps(key)}: {_json_text(v, depth + 1)}" for key, v in value.items())
         return "{" + ",".join(pad + "  " + item for item in items) + pad + "}"
-    elif isinstance(value, list) and value and all(isinstance(v, dict) for v in value):
+    if isinstance(value, (list, tuple)) and value:
         return "[" + ",".join(pad + "  " + _json_text(v, depth + 1) for v in value) + pad + "]"
-    return json.dumps(value, indent=2).replace("\n", pad)
+    return json.dumps(value, indent=2 if isinstance(value, dict) else None).replace("\n", pad)
 
 
 def _write_json(doc, path):

@@ -4,7 +4,9 @@ The candidate is replaced by the closest dynamically feasible trajectory
 (squared Euclidean distance over stacked states) whose positions stay
 inside the tube cross-sections wherever tube and candidate overlap in
 time.  With the dynamics eliminated by condensation this is a convex QP
-in the control sequence; the initial state is pinned, never optimized.
+in the accelerations; the initial state is pinned, never optimized.  The
+mass is only a unit, so it stays out of the QP and the rollout: it enters
+once, when the forces mass * acceleration are written as the controls.
 The x and y axes share one condensed map, so the QP's matrix is one
 H x H block and its hull rows stay implicit (`HullRows`).
 """
@@ -16,8 +18,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import _NUMBERS, ParseError, Trajectory, _numbers, _typed
-from .dynamics import condense, per_axis, positive, rollout
-from .geometry import INSIDE_TOL, margins
+from .dynamics import condense, double_integrator, positive, rollout
+from .geometry import INSIDE_TOL, _freeze, margins
 from .natset import _round12, _write_json, step_rows_within, step_violations
 from .qpsolver import QuadraticProgram, SolverStatus, solve
 
@@ -50,7 +52,7 @@ class CandidateTrajectory:
     dt: float
 
     def __post_init__(self):
-        arr = np.array(self.states, dtype=float)
+        arr = _freeze(self.states)
         if arr.ndim != 2 or arr.shape[1] != 4:
             raise ValueError(f"states must be (T+1, 4), got {arr.shape}")
         if arr.shape[0] < 2:
@@ -58,7 +60,6 @@ class CandidateTrajectory:
         if not np.all(np.isfinite(arr)):
             raise ValueError("candidate contains non-finite states")
         positive("dt", self.dt)
-        arr.setflags(write=False)
         object.__setattr__(self, "states", arr)
 
     @classmethod
@@ -80,12 +81,8 @@ class ProjectionResult:
     violation_report: tuple
 
     def __post_init__(self):
-        st = np.array(self.states, dtype=float)
-        ct = np.array(self.controls, dtype=float)
-        st.setflags(write=False)
-        ct.setflags(write=False)
-        object.__setattr__(self, "states", st)
-        object.__setattr__(self, "controls", ct)
+        for name in ("states", "controls"):
+            object.__setattr__(self, name, _freeze(getattr(self, name)))
         object.__setattr__(self, "active_constraints", tuple(map(tuple, self.active_constraints)))
         object.__setattr__(self, "violation_report", tuple(self.violation_report))
 
@@ -100,15 +97,16 @@ def naturalism_report(candidate, natset):
 
 
 class HullRows:
-    """Hull constraint rows on the control stack, kept without a matrix.
+    """Hull constraint rows on the acceleration stack, kept without a matrix.
 
-    The controls z = (F_x0, F_y0, F_x1, F_y1, ...) reshape to one force
-    column per axis, and each axis's positions are ``free + Cp @ forces``
-    with the same (H+1, H) map Cp.  Row i, for the half-space normal
-    ``G[i]`` of the hull at step ``steps[i]``, is therefore Cp[steps[i]]
-    with each entry times that normal: A @ z is the normals applied to
-    the positions ``Cp @ z.reshape(H, 2)``, and a dense row is formed
-    only on request.  This is the row interface of `qpsolver`.
+    The variables z = (a_x0, a_y0, a_x1, a_y1, ...) reshape to one
+    acceleration column per axis, and each axis's positions are
+    ``free + Cp @ accelerations`` with the same (H+1, H) map Cp.  Row i,
+    for the half-space normal ``G[i]`` of the hull at step ``steps[i]``,
+    is therefore Cp[steps[i]] with each entry times that normal: A @ z is
+    the normals applied to the positions ``Cp @ z.reshape(H, 2)``, and a
+    dense row is formed only on request.  This is the row interface of
+    `qpsolver`.
     """
 
     def __init__(self, Cp, steps, G):
@@ -128,21 +126,23 @@ class HullRows:
         return np.linalg.norm(self.G, axis=1) * np.linalg.norm(self.Cp, axis=1)[self.steps]
 
 
-def _program(candidate, natset, dyn):
-    """The projection QP in the controls, from the per-axis condensed map.
+def _program(candidate, natset, dt):
+    """The projection QP in the accelerations, from the condensed map of
+    one axis of the unit-mass point mass.
 
     Per axis the stacked (position, velocity) trajectory is ``Phi x0 +
-    Gamma u``, so the objective's block is 2 Gamma'Gamma = 2 (Cp'Cp +
+    Gamma a``, so the objective's block is 2 Gamma'Gamma = 2 (Cp'Cp +
     Cv'Cv) for Cp and Cv the position and velocity rows of Gamma, and
     each axis's part of the linear term is 2 Gamma'(Phi x0 - target).
     """
     H = candidate.horizon
-    cm = condense(per_axis(dyn), H)
+    unit = double_integrator(dt)
+    cm = condense(unit.A[:2, :2], unit.B[:2, :1], H)
     # row 2t + s of these stacks is step t's position (s = 0) or velocity
     # (s = 1); column c is the axis, matching the state order (p_x, v_x, p_y, v_y)
     free = cm.Phi @ candidate.states[0].reshape(2, 2).T
     target = candidate.states.reshape(H + 1, 2, 2).transpose(0, 2, 1).reshape(-1, 2)
-    # Gamma scales as dt^2 / mass: an extreme mass puts P or q out of range
+    # Gamma scales as dt^2: an extreme dt puts P or q out of range
     with np.errstate(over="ignore"):
         P = 2.0 * (cm.Gamma.T @ cm.Gamma)
         q = 2.0 * (cm.Gamma.T @ (free - target))
@@ -155,8 +155,8 @@ def _program(candidate, natset, dyn):
     G = natset.G[start[1]:start[T + 1]]
     steps = np.repeat(np.arange(1, T + 1), np.diff(start[1 : T + 2]))
     limit = -margins(G, natset.h[start[1]:start[T + 1]], free_pos[steps])
-    # rows of a step no force reaches (all of Cp[t] zero: step 1 for the
-    # point mass) are facts, not constraints: check and drop
+    # rows of a step no acceleration reaches (all of Cp[t] zero: step 1 for
+    # the point mass) are facts, not constraints: check and drop
     fixed = ~np.any(Cp, axis=1)[steps]
     broken = np.flatnonzero(fixed & (limit < -INSIDE_TOL))
     if broken.size:
@@ -170,8 +170,8 @@ def _program(candidate, natset, dyn):
     try:
         return QuadraticProgram(P, q.ravel(), A, limit[~fixed])
     except ValueError as exc:
-        raise ValueError(f"the projection QP in forces for dt={dyn.dt!r} and "
-                         f"mass={dyn.mass!r} cannot be posed: {exc}") from None
+        raise ValueError(f"the projection QP in accelerations for dt={dt!r} "
+                         f"cannot be posed: {exc}") from None
 
 
 def project(candidate, natset, dyn):
@@ -179,8 +179,10 @@ def project(candidate, natset, dyn):
 
     The initial state is pinned, so a candidate whose first position
     misses the t = 0 hull by more than FEAS_TOL raises
-    InitialStateOutsideTube.  ``dyn`` must move x and y alike (see
-    `dynamics.per_axis`).
+    InitialStateOutsideTube.  The states are those of the accelerations
+    that solve the QP, whatever ``dyn``'s mass; the controls are those
+    accelerations times the mass, and a mass that puts a force out of
+    floating-point range raises ValueError naming it.
     """
     # a relative rule: tube files keep dt to 12 significant digits, and the
     # CLI samples a candidate at 1 / (1 / dt)
@@ -188,18 +190,21 @@ def project(candidate, natset, dyn):
         if not math.isclose(dt, natset.dt, rel_tol=1e-9):
             raise ValueError(f"{name} dt {dt!r} does not match tube dt {natset.dt!r}")
 
-    x_init = candidate.states[0]
-    H_a = candidate.horizon
     report = naturalism_report(candidate, natset)
     if report[0] > FEAS_TOL:
         raise InitialStateOutsideTube(report[0])
 
-    sol = solve(_program(candidate, natset, dyn))
+    sol = solve(_program(candidate, natset, dyn.dt))
     if sol.status is not SolverStatus.OPTIMAL:
         raise SolverFailure(f"solver returned {sol.status.value}")
 
-    controls = sol.z.reshape(H_a, 2)
-    states = rollout(dyn, x_init, controls)
+    accel = sol.z.reshape(-1, 2)
+    states = rollout(double_integrator(dyn.dt), candidate.states[0], accel)
+    with np.errstate(over="ignore"):
+        controls = dyn.mass * accel
+    if not np.isfinite(controls).all():
+        raise ValueError(f"mass={dyn.mass!r} puts the forces out of floating-point range: "
+                         f"the largest acceleration is {np.max(np.abs(accel)):.6g} m/s^2")
     diff = states.ravel() - candidate.states.ravel()
     objective = float(diff @ diff)
 

@@ -35,14 +35,17 @@ rows and Q1's columns, after which Q1's last column drops.  Triangular
 solves call LAPACK's dtrtrs directly.  Optimal returns carry a KKT
 certificate checked against the original problem data, so callers can
 trust the status field whatever the rounding of the factor.
+
+scipy is imported where a program is factored or solved, not with this
+module, so a command that solves no QP never loads it.
 """
 
 from dataclasses import dataclass, field
 from enum import Enum
 
 import numpy as np
-import scipy.linalg
-from scipy.linalg.lapack import dtrtrs
+
+from . import geometry
 
 
 class DimensionMismatch(ValueError):
@@ -55,11 +58,11 @@ class SolverStatus(Enum):
     INFEASIBLE = "Infeasible"
 
 
-def _freeze(arr, ndim, dtype=float):
-    out = np.array(arr, dtype=dtype)
+def _freeze(arr, ndim):
+    """`geometry._freeze` of arr, which must have ``ndim`` dimensions."""
+    out = geometry._freeze(arr)
     if out.ndim != ndim:
         raise DimensionMismatch(f"expected {ndim}-d array, got shape {out.shape}")
-    out.setflags(write=False)
     return out
 
 
@@ -124,9 +127,10 @@ class QuadraticProgram:
             raise ValueError("constraints contain non-finite entries")
         if np.max(np.abs(self.P - self.P.T), initial=0.0) > 1e-10:
             raise ValueError("P is not symmetric within 1e-10")
+        from scipy.linalg import LinAlgError, cholesky
         try:
-            L = scipy.linalg.cholesky(self.P, lower=True, check_finite=False)
-        except scipy.linalg.LinAlgError:
+            L = cholesky(self.P, lower=True, check_finite=False)
+        except LinAlgError:
             raise ValueError("P is not positive definite; not strictly convex") from None
         L.setflags(write=False)
         object.__setattr__(self, "L", L)
@@ -174,6 +178,7 @@ def _trtrs(a, b, lower=0, trans=0):
     row count as its leading dimension, so a column slice of a larger
     factor needs no copy.
     """
+    from scipy.linalg.lapack import dtrtrs
     x, info = dtrtrs(a, b, lower=lower, trans=trans)
     if info:
         raise np.linalg.LinAlgError(f"dtrtrs returned info={info}")
@@ -261,8 +266,9 @@ def solve(qp):
     set and no working multiplier can block it, and MAX_ITER when the
     step cap is reached or the final point fails its certificate.
     """
+    from scipy.linalg import cho_solve
     n, k = qp.n, qp.k
-    z = scipy.linalg.cho_solve((qp.L, True), qp.blocks(-qp.q), check_finite=False).ravel()
+    z = cho_solve((qp.L, True), qp.blocks(-qp.q), check_finite=False).ravel()
     working = []  # row indices, in R's column order
     u = np.zeros(0)  # their multipliers
     # L^{-1} N = Q1 R for the working rows N as columns; Q1 is kept as its

@@ -225,6 +225,41 @@ def test_build_reproduces_committed_demo_tube(tmp_path, capsys):
     assert out.read_bytes() == (DEMO_OUT / "tube.json").read_bytes()
 
 
+# `natset build` in a fresh interpreter; prints the scipy modules it loaded
+BUILD_IN_PROCESS = """import sys
+from natset.cli import main
+code = main(sys.argv[1:])
+print(sorted(name for name in sys.modules if name.partition(".")[0] == "scipy"))
+sys.exit(code)
+"""
+
+
+def build_demo_in_process(out, threads):
+    """Build the demo tube into ``out`` with ``threads`` BLAS threads; returns
+    the scipy modules the process loaded, as printed."""
+    env = dict(os.environ, PYTHONPATH=str(Path(natset.__file__).parents[1]),
+               OPENBLAS_NUM_THREADS=str(threads))
+    scene_dir = DEMO_OUT / "scene"
+    done = subprocess.run(
+        [sys.executable, "-c", BUILD_IN_PROCESS, "build", "--tracks", str(scene_dir / "tracks.csv"),
+         "--task", str(scene_dir / "task.json"), "--out", str(out)],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    return done.stdout.splitlines()[-1]
+
+
+def test_build_loads_no_scipy(tmp_path):
+    # scipy is imported only where a QP is factored or solved
+    assert build_demo_in_process(tmp_path / "tube.json", 1) == "[]"
+
+
+def test_built_tube_bytes_do_not_depend_on_the_blas_thread_count(tmp_path):
+    for threads in (1, 2):
+        build_demo_in_process(tmp_path / f"tube{threads}.json", threads)
+    assert (tmp_path / "tube1.json").read_bytes() == (tmp_path / "tube2.json").read_bytes()
+
+
 def test_export_svg_reproduces_committed_demo_figures(tmp_path, capsys):
     overlays = {"tube.svg": [], "projection.svg": ["--projection", str(DEMO_OUT / "projection.json")]}
     for name, overlay in overlays.items():

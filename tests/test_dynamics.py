@@ -7,7 +7,6 @@ from natset.dynamics import (
     NonPositiveParameter,
     condense,
     double_integrator,
-    per_axis,
     rollout,
 )
 
@@ -35,6 +34,19 @@ def test_double_integrator_rejects_nonpositive():
         double_integrator(dt=0.1, mass=-1.0)
 
 
+def test_dynamics_holds_only_dt_and_mass():
+    # A and B follow from dt and the mass, so they can neither be given
+    # nor written
+    dyn = LinearDynamics(0.1, 2.0)
+    assert dyn == double_integrator(0.1, 2.0) and dyn != double_integrator(0.1)
+    assert np.array_equal(dyn.B, np.kron(np.eye(2), [[0.0], [0.05]]))
+    for name in ("A", "B"):
+        with pytest.raises(TypeError):
+            LinearDynamics(dt=0.1, mass=1.0, **{name: np.eye(4)})
+        with pytest.raises(ValueError, match="read-only"):
+            getattr(dyn, name)[0, 0] = 2.0
+
+
 def test_zero_control_rollout_is_constant_velocity():
     dyn = double_integrator(dt=0.1, mass=1.0)
     states = rollout(dyn, [0.0, 1.0, 0.0, 0.0], np.zeros((3, 2)))
@@ -58,7 +70,7 @@ def test_constant_unit_force_builds_velocity():
 
 def test_condense_horizon_one():
     dyn = double_integrator(dt=0.5, mass=2.0)
-    cm = condense(dyn, 1)
+    cm = condense(dyn.A, dyn.B, 1)
     assert np.allclose(cm.Phi[:4], np.eye(4))
     assert np.allclose(cm.Phi[4:], dyn.A)
     assert np.allclose(cm.Gamma[:4], 0.0)
@@ -66,17 +78,17 @@ def test_condense_horizon_one():
 
 
 def test_condense_identity_dynamics_blocks():
-    dyn = LinearDynamics(A=np.eye(4), B=np.eye(4)[:, :2] + np.eye(4)[:, 2:], dt=1.0, mass=1.0)
-    cm = condense(dyn, 3)
+    B = np.eye(4)[:, :2] + np.eye(4)[:, 2:]
+    cm = condense(np.eye(4), B, 3)
     for t in range(1, 4):
         for k in range(t):
-            assert np.allclose(cm.Gamma[t * 4 : (t + 1) * 4, k * 2 : (k + 1) * 2], dyn.B)
+            assert np.allclose(cm.Gamma[t * 4 : (t + 1) * 4, k * 2 : (k + 1) * 2], B)
 
 
 def test_condense_matches_rollout():
     rng = np.random.default_rng(7)
     dyn = double_integrator(dt=0.04, mass=1.3)
-    cm = condense(dyn, 3)
+    cm = condense(dyn.A, dyn.B, 3)
     for _ in range(20):
         x0 = rng.standard_normal(4)
         U = rng.standard_normal((3, 2))
@@ -88,37 +100,36 @@ def test_condense_rollout_consistency_many_horizons():
     rng = np.random.default_rng(19)
     dyn = double_integrator(dt=0.1, mass=0.7)
     for horizon in [1, 2, 5, 13, 27, 50]:
-        cm = condense(dyn, horizon)
+        cm = condense(dyn.A, dyn.B, horizon)
         x0 = rng.standard_normal(4)
         U = rng.standard_normal((horizon, 2))
         stacked = (cm.Phi @ x0 + cm.Gamma @ U.ravel()).reshape(-1, 4)
         assert np.max(np.abs(stacked - rollout(dyn, x0, U))) < 1e-10
 
 
-def condense_blockwise(dyn, horizon):
+def condense_blockwise(A, B, horizon):
     """Reference: every block of Gamma formed by its own product."""
     powers = [np.eye(4)]
     for _ in range(horizon):
-        powers.append(dyn.A @ powers[-1])
+        powers.append(A @ powers[-1])
     Phi = np.empty(((horizon + 1) * 4, 4))
     for t in range(horizon + 1):
         Phi[t * 4 : (t + 1) * 4] = powers[t]
     Gamma = np.zeros(((horizon + 1) * 4, horizon * 2))
     for t in range(1, horizon + 1):
         for k in range(t):
-            Gamma[t * 4 : (t + 1) * 4, k * 2 : (k + 1) * 2] = powers[t - 1 - k] @ dyn.B
+            Gamma[t * 4 : (t + 1) * 4, k * 2 : (k + 1) * 2] = powers[t - 1 - k] @ B
     return Phi, Gamma
 
 
 @pytest.mark.parametrize("horizon", [1, 2, 7, 60])
 def test_condense_equals_blockwise_reference(horizon):
     rng = np.random.default_rng(horizon)
-    random = LinearDynamics(
-        A=rng.standard_normal((4, 4)) / 2.0, B=rng.standard_normal((4, 2)), dt=0.1, mass=1.0
-    )
-    for dyn in (double_integrator(dt=0.04, mass=1.3), random):
-        cm = condense(dyn, horizon)
-        Phi, Gamma = condense_blockwise(dyn, horizon)
+    planar = double_integrator(dt=0.04, mass=1.3)
+    random = (rng.standard_normal((4, 4)) / 2.0, rng.standard_normal((4, 2)))
+    for A, B in ((planar.A, planar.B), random):
+        cm = condense(A, B, horizon)
+        Phi, Gamma = condense_blockwise(A, B, horizon)
         assert cm.horizon == horizon
         assert np.array_equal(cm.Phi, Phi)
         assert np.array_equal(cm.Gamma, Gamma)
@@ -135,19 +146,12 @@ def test_rollout_linearity():
     assert np.max(np.abs(lhs - rhs)) < 1e-10
 
 
-def test_per_axis_system_is_one_block_of_the_planar_one():
-    dyn = double_integrator(dt=0.04, mass=1.3)
-    axis = per_axis(dyn)
-    assert axis.A.shape == (2, 2) and axis.B.shape == (2, 1)
-    assert np.array_equal(axis.A, dyn.A[:2, :2])
-    assert np.array_equal(axis.B, dyn.B[:2, :1])
-    assert (axis.dt, axis.mass) == (dyn.dt, dyn.mass)
-
-
 @pytest.mark.parametrize("horizon", [1, 2, 7, 60])
 def test_per_axis_condensed_map_is_each_axis_of_the_planar_map(horizon):
+    # the projection condenses the (p, v) block of one axis: x and y are
+    # identical and uncoupled, so it is each axis of the planar map
     dyn = double_integrator(dt=0.04, mass=1.3)
-    planar, axis = condense(dyn, horizon), condense(per_axis(dyn), horizon)
+    planar, axis = condense(dyn.A, dyn.B, horizon), condense(dyn.A[:2, :2], dyn.B[:2, :1], horizon)
     assert axis.Phi.shape == (2 * (horizon + 1), 2)
     assert axis.Gamma.shape == (2 * (horizon + 1), horizon)
     for c in range(2):
@@ -156,15 +160,3 @@ def test_per_axis_condensed_map_is_each_axis_of_the_planar_map(horizon):
         assert np.array_equal(planar.Gamma[rows][:, c::2], axis.Gamma)
         other = planar.Gamma[rows][:, 1 - c :: 2]
         assert not np.any(other)
-
-
-def test_per_axis_rejects_coupled_or_unequal_axes():
-    dyn = double_integrator(dt=0.1)
-    coupled = dyn.A.copy()
-    coupled[0, 2] = 1e-9
-    unequal = dyn.B.copy()
-    unequal[3, 1] *= 2.0
-    crossed = dyn.B[:, ::-1]
-    for A, B in ((coupled, dyn.B), (dyn.A, unequal), (dyn.A, crossed)):
-        with pytest.raises(ValueError, match="decouple"):
-            per_axis(LinearDynamics(A=A, B=B, dt=0.1, mass=1.0))

@@ -113,22 +113,37 @@ def test_gen_dt_exits_2_naming_the_key(tmp_path, capsys, value):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("mass, cause", [
-    (1e300, "P is not positive definite; not strictly convex"),
-    (1e-300, "objective contains non-finite entries"),
-])
-def test_extreme_mass_exits_2_naming_dt_and_mass(tmp_path, capsys, mass, cause):
-    # both masses pass the positive-scalar rule, but put the QP in forces
-    # out of floating-point range: no warning, and a message naming both
-    message = (f"the projection QP in forces for dt=0.04 and mass={mass!r} "
-               f"cannot be posed: {cause}")
+def project_demo(tmp_path, capsys, mass):
+    """`natset project` of the demo candidate at ``mass``, with every warning
+    an error; returns the exit code, stderr and the output path."""
+    tmp_path.mkdir(exist_ok=True)
+    out = tmp_path / "proj.json"
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        out = tmp_path / "proj.json"
         code, err = run(["project", "--natset", DEMO_OUT / "tube.json",
                          "--candidate", SCENE / "candidate.csv",
                          "--dyn", f"dt=0.04,mass={mass!r}", "--out", out], capsys)
-    assert (code, err) == (2, f"error: {message}\n")
+    return code, err, out
+
+
+@pytest.mark.parametrize("mass", [1e300, 1e-300])
+def test_extreme_mass_certifies(tmp_path, capsys, mass):
+    # the mass stays out of the QP, so the states are the unit mass's and
+    # only the forces scale
+    at_1 = read_projection(project_demo(tmp_path / "1", capsys, 1.0)[2])
+    code, err, out = project_demo(tmp_path, capsys, mass)
+    assert (code, err) == (0, "")
+    doc = read_projection(out)
+    assert doc["status"] == "Optimal"
+    assert np.array_equal(doc["states"], at_1["states"])
+    assert np.allclose(doc["controls"], mass * at_1["controls"], rtol=1e-11, atol=0.0)
+
+
+def test_mass_whose_forces_overflow_exits_2_naming_it(tmp_path, capsys):
+    # the demo's largest acceleration is 15.9 m/s^2: times 1e308 kg, no float
+    code, err, out = project_demo(tmp_path, capsys, 1e308)
+    assert (code, err) == (2, "error: mass=1e+308 puts the forces out of floating-point "
+                              "range: the largest acceleration is 15.8903 m/s^2\n")
     assert not out.exists()
 
 

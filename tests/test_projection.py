@@ -360,7 +360,7 @@ def test_solver_path_is_pinned():
     # factor updates must not change which rows enter or leave
     tube, spec = task_tube("curved_road")
     candidate = CandidateTrajectory.from_trajectory(straight_candidate(spec))
-    sol = solve(_program(candidate, tube, double_integrator(spec.dt)))
+    sol = solve(_program(candidate, tube, spec.dt))
     assert (sol.status, sol.iterations) == (SolverStatus.OPTIMAL, 9)
     assert np.flatnonzero(sol.lam).tolist() == [163, 190, 207, 215, 241, 250, 293]
     tubes = {}
@@ -372,7 +372,7 @@ def test_solver_path_is_pinned():
             default_spec("straight_road_with_stop", count=24, seed=seed, horizon=horizon)
         )
         candidate = CandidateTrajectory(held_out[idx].dyn_states, tube.dt)
-        sol = solve(_program(candidate, tube, double_integrator(tube.dt)))
+        sol = solve(_program(candidate, tube, tube.dt))
         working = np.flatnonzero(sol.lam)
         key = (horizon, seed, idx)
         assert (sol.status, sol.iterations, working.size) == (SolverStatus.OPTIMAL, steps, size), key
@@ -380,10 +380,10 @@ def test_solver_path_is_pinned():
 
 
 def dense_program(candidate, natset, dyn):
-    """Reference: the projection QP with P, q and A formed densely from the
-    planar condensed map, one hull row at a time."""
+    """Reference: the projection QP in dyn's forces, with P, q and A formed
+    densely from the planar condensed map, one hull row at a time."""
     H = candidate.horizon
-    cm = condense(dyn, H)
+    cm = condense(dyn.A, dyn.B, H)
     free = cm.Phi @ candidate.states[0]
     P = 2.0 * cm.Gamma.T @ cm.Gamma
     q = 2.0 * cm.Gamma.T @ (free - candidate.states.ravel())
@@ -423,12 +423,12 @@ def assert_relative(actual, expected, rtol):
 def test_hull_rows_and_block_objective_match_the_dense_program(horizon):
     rng = np.random.default_rng(horizon)
     dt = 0.1
-    dyn = double_integrator(dt, mass=1.3)
     states = np.cumsum(rng.normal(0.0, 0.3, size=(horizon + 1, 4)), axis=0)
     candidate = CandidateTrajectory(states, dt)
     tube = random_tube_around(candidate, rng)
-    qp = _program(candidate, tube, dyn)
-    P, q, A, b = dense_program(candidate, tube, dyn)
+    qp = _program(candidate, tube, dt)
+    # the program's variables are accelerations: the forces of a unit mass
+    P, q, A, b = dense_program(candidate, tube, double_integrator(dt))
     assert qp.n == 2 * horizon and qp.P.shape == (horizon, horizon)
     assert qp.A.shape == A.shape
     assert_relative(qp.q, q, 1e-12)
@@ -469,6 +469,41 @@ def test_project_matches_the_dense_program_on_chords():
         assert res.active_constraints == active
         compared += 1
     assert compared == 8
+
+
+MASSES = (1.0, 1.3, 1e300, 1e-300)
+
+
+def mass_cases():
+    """The demo chord and one step-heavy stop-and-go candidate, each with its tube."""
+    tube, spec = task_tube("curved_road")
+    yield tube, CandidateTrajectory.from_trajectory(straight_candidate(spec))
+    tube = task_tube("straight_road_with_stop", 100)[0]
+    held_out, _ = generate_scenario(
+        default_spec("straight_road_with_stop", count=24, seed=1001, horizon=100))
+    yield tube, CandidateTrajectory(held_out[10].dyn_states, tube.dt)
+
+
+def test_states_do_not_depend_on_the_mass_and_controls_scale_with_it():
+    for tube, candidate in mass_cases():
+        at_1 = project(candidate, tube, double_integrator(tube.dt))
+        assert any(at_1.active_constraints)
+        for mass in MASSES:
+            res = project(candidate, tube, double_integrator(tube.dt, mass))
+            assert np.array_equal(res.states, at_1.states), mass
+            assert np.array_equal(res.controls, mass * at_1.controls), mass
+            assert (res.objective, res.active_constraints) == (
+                at_1.objective, at_1.active_constraints), mass
+
+
+def test_projection_at_a_mass_matches_the_program_in_its_forces():
+    # the dense oracle poses the QP in the forces of a 1.3 kg point mass
+    for tube, candidate in mass_cases():
+        dyn = double_integrator(tube.dt, 1.3)
+        res = project(candidate, tube, dyn)
+        dense = solve(QuadraticProgram(*dense_program(candidate, tube, dyn)))
+        assert dense.status is SolverStatus.OPTIMAL and dense.iterations > 0
+        assert_relative(res.controls, dense.z.reshape(-1, 2), 1e-10)
 
 
 @pytest.fixture(scope="module")
