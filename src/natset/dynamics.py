@@ -6,21 +6,21 @@ and controls are planar forces ``(F_x, F_y)`` on a point of mass M:
     p_{x,t+1} = p_x,t + dt * v_x,t        v_{x,t+1} = v_x,t + dt * F_x,t / M
     p_{y,t+1} = p_y,t + dt * v_y,t        v_{y,t+1} = v_y,t + dt * F_y,t / M
 
-`LinearDynamics` is that model: it holds dt and M, and its matrices A and B
-follow from them.  The mass is only a unit: the accelerations F / M give
-the same states whatever M is.  ``condense`` stacks any linear recursion
-into one affine map so a horizon-T rollout becomes
-``xi = Phi @ x0 + Gamma @ U`` with U the flattened control sequence; the
-projection module condenses one axis of the unit-mass model, whose
-controls are accelerations.
+`LinearDynamics` is that model and holds only dt and M.  The mass is only
+a unit: the accelerations F / M give the same states whatever M is.  Both
+maps below are running sums added in step order: ``rollout`` sums each
+axis's velocity steps dt F / M and then its position steps dt v, and
+``condense`` builds one unit-mass axis's map ``Phi @ x0 + Gamma @ a``
+from the sums s_t of t time steps.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 NX = 4  # state dimension
 NU = 2  # control dimension
@@ -41,33 +41,24 @@ def positive(name, value):
 
 @dataclass(frozen=True)
 class LinearDynamics:
-    """The planar point mass with time step ``dt`` and ``mass``; its
-    read-only A and B are derived from the two, so they cannot disagree."""
+    """The planar point mass with time step ``dt`` and ``mass``."""
 
     dt: float
     mass: float = 1.0
-    A: np.ndarray = field(init=False, repr=False, compare=False)
-    B: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         positive("dt", self.dt)
         positive("mass", self.mass)
-        dt, mass = float(self.dt), float(self.mass)
-        # x and y are two identical, uncoupled (p, v) blocks
-        A = np.eye(NX)
-        A[0, 1] = A[2, 3] = dt
-        B = np.zeros((NX, NU))
-        B[1, 0] = B[3, 1] = dt / mass
-        A.flags.writeable = False
-        B.flags.writeable = False
-        for name, value in (("dt", dt), ("mass", mass), ("A", A), ("B", B)):
-            object.__setattr__(self, name, value)
+        object.__setattr__(self, "dt", float(self.dt))
+        object.__setattr__(self, "mass", float(self.mass))
 
 
 @dataclass(frozen=True)
 class CondensedMap:
-    """Stacked-state map: block t of Phi is A^t, block (t, k) of Gamma is
-    A^(t-1-k) B for k < t and zero otherwise."""
+    """Stacked map of one unit-mass axis: rows 2t and 2t + 1 are step t's
+    position and velocity.  With s_t the sum of t time steps, step t's rows
+    of Phi are [[1, s_t], [0, 1]]; at column k < t, Gamma's position row
+    holds s_(t-1-k) dt and its velocity row dt, and both are zero at k >= t."""
 
     Phi: np.ndarray
     Gamma: np.ndarray
@@ -80,38 +71,47 @@ def double_integrator(dt: float, mass: float = 1.0) -> LinearDynamics:
 
 
 def rollout(dyn: LinearDynamics, x_init, controls) -> np.ndarray:
-    """Simulate the recursion; returns states of shape (len(controls)+1, 4)."""
-    A, B = dyn.A, dyn.B
-    x = np.asarray(x_init, dtype=float).ravel()
-    U = np.asarray(controls, dtype=float).reshape(-1, NU)
+    """Simulate the recursion; returns states of shape (len(controls)+1, 4).
+
+    ``x_init`` holds the 4 start values and ``controls`` is a (T, 2) array
+    of forces.
+    """
+    x = np.asarray(x_init, dtype=float)
+    U = np.asarray(controls, dtype=float)
+    if x.shape != (NX,):
+        raise ValueError(f"x_init must hold {NX} numbers, got shape {x.shape}")
+    if U.ndim != 2 or U.shape[1] != NU:
+        raise ValueError(f"controls must be a (T, {NU}) array, got shape {U.shape}")
     states = np.empty((len(U) + 1, NX))
     states[0] = x
-    for t, u in enumerate(U):
-        x = A @ x + B @ u
-        states[t + 1] = x
+    v, p = states[:, 1::2], states[:, 0::2]
+    v[1:] = U * (dyn.dt / dyn.mass)
+    np.cumsum(v, axis=0, out=v)
+    p[1:] = dyn.dt * v[:-1]
+    np.cumsum(p, axis=0, out=p)
     return states
 
 
-def condense(A, B, horizon: int) -> CondensedMap:
-    """Affine control-to-state map of ``x' = A x + B u`` over ``horizon`` steps.
-
-    For any x0 and control stack U (shape horizon * inputs), the stacked
-    trajectory of horizon+1 states equals ``Phi @ x0 + Gamma @ U``.
-    """
+def condense(dt: float, horizon: int) -> CondensedMap:
+    """One unit-mass axis over ``horizon`` steps of ``dt``: for a start
+    (p_0, v_0) and accelerations a, the stacked (position, velocity) pairs
+    of steps 0 .. horizon are ``Phi @ (p_0, v_0) + Gamma @ a``."""
     if horizon < 1:
         raise ValueError(f"horizon must be >= 1, got {horizon}")
-    nx, nu = B.shape
-    powers = [np.eye(nx)]
-    for _ in range(horizon):
-        powers.append(A @ powers[-1])
-    Phi = np.concatenate(powers)
-    # block (t, k) of Gamma depends on the lag t-1-k only, so each A^j B is
-    # formed once and column block k takes the lags 0 .. horizon-1-k
-    lagged = np.array([p @ B for p in powers[:horizon]])
-    Gamma = np.zeros(((horizon + 1) * nx, horizon * nu))
-    blocks = Gamma.reshape(horizon + 1, nx, horizon, nu)
-    for k in range(horizon):
-        blocks[k + 1 :, :, k] = lagged[: horizon - k]
+    H = horizon
+    s = np.concatenate(([0.0], np.cumsum(np.full(H, dt, dtype=float))))
+    Phi = np.zeros((H + 1, 2, 2))
+    Phi[:, 0, 0] = Phi[:, 1, 1] = 1.0
+    Phi[:, 0, 1] = s
+    # Gamma's rows are Toeplitz: step t's position and velocity rows are the
+    # windows of (s_(H-1) dt, ..., s_0 dt, 0, ..., 0) and (dt, ..., dt,
+    # 0, ..., 0), H entries each, that start at H - t
+    lagged = np.zeros((2, 2 * H))
+    lagged[0, :H] = s[H - 1 :: -1] * dt
+    lagged[1, :H] = dt
+    Gamma = np.empty((H + 1, 2, H))
+    Gamma[:] = sliding_window_view(lagged, H, axis=1)[:, ::-1].transpose(1, 0, 2)
+    Phi, Gamma = Phi.reshape(-1, 2), Gamma.reshape(-1, H)
     Phi.flags.writeable = False
     Gamma.flags.writeable = False
-    return CondensedMap(Phi=Phi, Gamma=Gamma, horizon=horizon)
+    return CondensedMap(Phi=Phi, Gamma=Gamma, horizon=H)

@@ -264,24 +264,14 @@ def _flat_margins(natset, states):
     return margins(G[:end], h[:end], np.asarray(states)[at][:, POSITIONS]), start[: steps + 1]
 
 
-def hull_margins(natset, states):
-    """Margins G p - h of the positions p of (T, 4) states against the hulls.
-
-    One array per step t = 0 .. min(tube horizon, T - 1), where tube and
-    states overlap in time; a positive entry is a violated half-space.
-    """
-    flat, start = _flat_margins(natset, states)
-    return np.split(flat, start[1:-1]) if len(start) > 1 else []
-
-
 def step_violations(natset, states):
-    """The largest margin of each step of `hull_margins`, as one array."""
+    """The largest margin of each step of `_flat_margins`, as one array."""
     flat, start = _flat_margins(natset, states)
     return np.maximum.reduceat(flat, start[:-1])
 
 
 def step_rows_within(natset, states, tol):
-    """Per step of `hull_margins`, the list of its row indices whose margin
+    """Per step of `_flat_margins`, the list of its row indices whose margin
     lies within tol of zero, cut from one pass over all steps."""
     flat, start = _flat_margins(natset, states)
     hit = np.flatnonzero(np.abs(flat) <= tol)

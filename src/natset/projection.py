@@ -136,14 +136,13 @@ def _program(candidate, natset, dt):
     each axis's part of the linear term is 2 Gamma'(Phi x0 - target).
     """
     H = candidate.horizon
-    unit = double_integrator(dt)
-    cm = condense(unit.A[:2, :2], unit.B[:2, :1], H)
     # row 2t + s of these stacks is step t's position (s = 0) or velocity
     # (s = 1); column c is the axis, matching the state order (p_x, v_x, p_y, v_y)
-    free = cm.Phi @ candidate.states[0].reshape(2, 2).T
     target = candidate.states.reshape(H + 1, 2, 2).transpose(0, 2, 1).reshape(-1, 2)
-    # Gamma scales as dt^2: an extreme dt puts P or q out of range
+    # Gamma scales as dt^2: an extreme dt puts it, P or q out of range
     with np.errstate(over="ignore"):
+        cm = condense(dt, H)
+        free = cm.Phi @ candidate.states[0].reshape(2, 2).T
         P = 2.0 * (cm.Gamma.T @ cm.Gamma)
         q = 2.0 * (cm.Gamma.T @ (free - target))
 
@@ -205,6 +204,8 @@ def project(candidate, natset, dyn):
     if not np.isfinite(controls).all():
         raise ValueError(f"mass={dyn.mass!r} puts the forces out of floating-point range: "
                          f"the largest acceleration is {np.max(np.abs(accel)):.6g} m/s^2")
+    # both are fresh and held by no one else: read-only, ProjectionResult keeps them
+    states.flags.writeable = controls.flags.writeable = False
     diff = states.ravel() - candidate.states.ravel()
     objective = float(diff @ diff)
 

@@ -171,23 +171,23 @@ def _row_norms(A):
     return A.row_norms() if hasattr(A, "row_norms") else np.linalg.norm(A, axis=1)
 
 
-def _trtrs(a, b, lower=0, trans=0):
+def _trtrs(dtrtrs, a, b, lower=0, trans=0):
     """a^{-1} b, or a^{-T} b with trans=1, for a Fortran-ordered triangular a.
 
     LAPACK's dtrtrs reads a's leading n columns, n = a.shape[1], with a's
     row count as its leading dimension, so a column slice of a larger
-    factor needs no copy.
+    factor needs no copy.  ``dtrtrs`` is scipy's wrapper, which `solve`
+    imports once.
     """
-    from scipy.linalg.lapack import dtrtrs
     x, info = dtrtrs(a, b, lower=lower, trans=trans)
     if info:
         raise np.linalg.LinAlgError(f"dtrtrs returned info={info}")
     return x
 
 
-def _triangular(qp, v, trans=0):
+def _triangular(dtrtrs, qp, v, trans=0):
     """L^{-1} v, or L^{-T} v with trans=1, for the full factor L (x) I_c."""
-    return _trtrs(qp.L, qp.blocks(v), lower=1, trans=trans).ravel()
+    return _trtrs(dtrtrs, qp.L, qp.blocks(v), lower=1, trans=trans).ravel()
 
 
 def _certificate(qp, z, lam):
@@ -267,6 +267,7 @@ def solve(qp):
     step cap is reached or the final point fails its certificate.
     """
     from scipy.linalg import cho_solve
+    from scipy.linalg.lapack import dtrtrs
     n, k = qp.n, qp.k
     z = cho_solve((qp.L, True), qp.blocks(-qp.q), check_finite=False).ravel()
     working = []  # row indices, in R's column order
@@ -290,7 +291,7 @@ def solve(qp):
             norms[norms == 0.0] = 1.0
         p = int(violated[np.argmax(margins[violated] / norms[violated])])
         a = qp.A[p]
-        y = _triangular(qp, a)
+        y = _triangular(dtrtrs, qp, a)
         y_norm = np.linalg.norm(y)
         u_p = 0.0
         while True:
@@ -300,7 +301,7 @@ def solve(qp):
             steps += 1
             m = len(working)
             w, d = _split(Qt[:m], y)
-            r = _trtrs(R[:, :m], w)
+            r = _trtrs(dtrtrs, R[:, :m], w)
             # dual step limit: the first working multiplier to reach zero
             blocking = np.flatnonzero(r > 0.0)
             t1, j = np.inf, -1
@@ -318,7 +319,7 @@ def solve(qp):
                 # primal step limit: row p becomes tight
                 t2 = float(a @ z - qp.b[p]) / norm2
                 t = min(t1, t2)
-                z = z - t * _triangular(qp, d, trans=1)
+                z = z - t * _triangular(dtrtrs, qp, d, trans=1)
                 if t2 <= t1:
                     if m == len(Qt):
                         Qt, R = _grown(Qt, R, m)

@@ -10,7 +10,9 @@ public constructors and `hull_faults`, the rules `read_natset` checks in
 one batch; `stacked_tube`, which stacks per-hull polygons and half-space
 sets into a tube through its constructor; and the writers' references,
 which round one value at a time and lay the document out with
-`json.dump(indent=2)`.
+`json.dump(indent=2)`.  The dynamics references keep the matrix form of the
+point mass: its planar A and B written out, a condensed map whose every
+block is its own matrix product, and a rollout in plain Python floats.
 """
 
 import json
@@ -156,6 +158,52 @@ def enumerate_oracle(qp):
         raise NoFeasibleActiveSet("no active set yields a feasible KKT point")
     obj, z, lam = best
     return QPSolution(z, obj, SolverStatus.OPTIMAL, 1 << k, lam)
+
+
+def planar_matrices(dt, mass):
+    """A and B of the planar point mass, x' = A x + B F with the state
+    (p_x, v_x, p_y, v_y) and the force (F_x, F_y), written out."""
+    A = np.array([[1.0, dt, 0.0, 0.0],
+                  [0.0, 1.0, 0.0, 0.0],
+                  [0.0, 0.0, 1.0, dt],
+                  [0.0, 0.0, 0.0, 1.0]])
+    B = np.array([[0.0, 0.0],
+                  [dt / mass, 0.0],
+                  [0.0, 0.0],
+                  [0.0, dt / mass]])
+    return A, B
+
+
+def condense_blockwise(A, B, horizon):
+    """Phi and Gamma of x' = A x + B u over ``horizon`` steps: block t of
+    Phi is A^t, and every block (t, k < t) of Gamma is formed by its own
+    product A^(t-1-k) B."""
+    nx, nu = B.shape
+    powers = [np.eye(nx)]
+    for _ in range(horizon):
+        powers.append(A @ powers[-1])
+    Phi = np.empty(((horizon + 1) * nx, nx))
+    for t in range(horizon + 1):
+        Phi[t * nx : (t + 1) * nx] = powers[t]
+    Gamma = np.zeros(((horizon + 1) * nx, horizon * nu))
+    for t in range(1, horizon + 1):
+        for k in range(t):
+            Gamma[t * nx : (t + 1) * nx, k * nu : (k + 1) * nu] = powers[t - 1 - k] @ B
+    return Phi, Gamma
+
+
+def rollout_scalar(dt, mass, x0, controls):
+    """The point-mass recursion one step and one axis at a time in Python
+    floats: v += (dt / mass) F, then p += dt v_old.  Returns a list of
+    (p_x, v_x, p_y, v_y) rows."""
+    gain = dt / mass
+    px, vx, py, vy = map(float, x0)
+    rows = [[px, vx, py, vy]]
+    for fx, fy in np.asarray(controls, dtype=float).tolist():
+        px, vx = px + dt * vx, vx + gain * fx
+        py, vy = py + dt * vy, vy + gain * fy
+        rows.append([px, vx, py, vy])
+    return rows
 
 
 def read_hulls_one_by_one(doc):

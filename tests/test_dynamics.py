@@ -1,8 +1,10 @@
+import dataclasses
+import math
+
 import numpy as np
 import pytest
 
 from natset.dynamics import (
-    CondensedMap,
     LinearDynamics,
     NonPositiveParameter,
     condense,
@@ -10,21 +12,12 @@ from natset.dynamics import (
     rollout,
 )
 
+from oracles import condense_blockwise, planar_matrices, rollout_scalar
 
-def test_double_integrator_structure():
-    dyn = double_integrator(dt=0.04, mass=1.0)
-    assert dyn.A[0][1] == pytest.approx(0.04)
-    assert dyn.B[1][0] == pytest.approx(0.04)
-    expected_A = np.array(
-        [[1, 0.04, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0.04], [0, 0, 0, 1]]
-    )
-    assert np.allclose(dyn.A, expected_A)
-
-
-def test_double_integrator_mass_scaling():
-    dyn = double_integrator(dt=1.0, mass=2.0)
-    assert dyn.B[1][0] == pytest.approx(0.5)
-    assert dyn.B[3][1] == pytest.approx(0.5)
+# time steps from the demos' to ones whose condensed entries near the
+# limits of floating point
+DTS = (0.04, 0.1, 1 / 3, 0.07, 1e-3, 2.5, 1e-150, 1e150)
+MASSES = (1.0, 1.3, 1e300, 1e-300)
 
 
 def test_double_integrator_rejects_nonpositive():
@@ -35,16 +28,13 @@ def test_double_integrator_rejects_nonpositive():
 
 
 def test_dynamics_holds_only_dt_and_mass():
-    # A and B follow from dt and the mass, so they can neither be given
-    # nor written
     dyn = LinearDynamics(0.1, 2.0)
     assert dyn == double_integrator(0.1, 2.0) and dyn != double_integrator(0.1)
-    assert np.array_equal(dyn.B, np.kron(np.eye(2), [[0.0], [0.05]]))
+    assert [f.name for f in dataclasses.fields(dyn)] == ["dt", "mass"]
     for name in ("A", "B"):
+        assert not hasattr(dyn, name)
         with pytest.raises(TypeError):
             LinearDynamics(dt=0.1, mass=1.0, **{name: np.eye(4)})
-        with pytest.raises(ValueError, match="read-only"):
-            getattr(dyn, name)[0, 0] = 2.0
 
 
 def test_zero_control_rollout_is_constant_velocity():
@@ -68,71 +58,79 @@ def test_constant_unit_force_builds_velocity():
     assert np.allclose(states[:, 1], np.arange(6.0))
 
 
+@pytest.mark.parametrize(
+    "x_init, controls, message",
+    [
+        # six forces if read flat, but (3, 4) is not a control sequence
+        (np.zeros(4), np.zeros((3, 4)), r"controls must be a \(T, 2\) array, got shape \(3, 4\)"),
+        (np.zeros(4), np.zeros(6), r"controls must be a \(T, 2\) array, got shape \(6,\)"),
+        (np.zeros(5), np.zeros((3, 2)), r"x_init must hold 4 numbers, got shape \(5,\)"),
+        (np.zeros((1, 4)), np.zeros((3, 2)), r"x_init must hold 4 numbers, got shape \(1, 4\)"),
+    ],
+)
+def test_rollout_rejects_misshapen_start_and_controls(x_init, controls, message):
+    with pytest.raises(ValueError, match=message):
+        rollout(double_integrator(0.1), x_init, controls)
+
+
+def test_rollout_equals_scalar_reference():
+    rng = np.random.default_rng(11)
+    for dt in DTS:
+        for mass in MASSES:
+            if not math.isfinite(dt / mass):
+                continue  # no force can be applied: every velocity step is inf or nan
+            dyn = double_integrator(dt, mass)
+            for T in (0, 1, 7, 100, 800):
+                x0 = rng.standard_normal(4)
+                controls = mass * rng.standard_normal((T, 2))
+                reference = np.array(rollout_scalar(dt, mass, x0, controls))
+                assert np.array_equal(rollout(dyn, x0, controls), reference), (dt, mass, T)
+
+
 def test_condense_horizon_one():
-    dyn = double_integrator(dt=0.5, mass=2.0)
-    cm = condense(dyn.A, dyn.B, 1)
-    assert np.allclose(cm.Phi[:4], np.eye(4))
-    assert np.allclose(cm.Phi[4:], dyn.A)
-    assert np.allclose(cm.Gamma[:4], 0.0)
-    assert np.allclose(cm.Gamma[4:], dyn.B)
+    cm = condense(0.5, 1)
+    assert np.array_equal(cm.Phi, [[1.0, 0.0], [0.0, 1.0], [1.0, 0.5], [0.0, 1.0]])
+    assert np.array_equal(cm.Gamma, [[0.0], [0.0], [0.0], [0.5]])
 
 
-def test_condense_identity_dynamics_blocks():
-    B = np.eye(4)[:, :2] + np.eye(4)[:, 2:]
-    cm = condense(np.eye(4), B, 3)
-    for t in range(1, 4):
-        for k in range(t):
-            assert np.allclose(cm.Gamma[t * 4 : (t + 1) * 4, k * 2 : (k + 1) * 2], B)
+def axis_stack(cm, x0, U, mass):
+    """The planar states of each axis's condensed map, side by side."""
+    accel = U / mass
+    axes = [(cm.Phi @ x0[2 * c : 2 * c + 2] + cm.Gamma @ accel[:, c]).reshape(-1, 2) for c in range(2)]
+    return np.hstack(axes)
 
 
 def test_condense_matches_rollout():
     rng = np.random.default_rng(7)
     dyn = double_integrator(dt=0.04, mass=1.3)
-    cm = condense(dyn.A, dyn.B, 3)
+    cm = condense(dyn.dt, 3)
     for _ in range(20):
         x0 = rng.standard_normal(4)
         U = rng.standard_normal((3, 2))
-        stacked = cm.Phi @ x0 + cm.Gamma @ U.ravel()
-        assert np.allclose(stacked.reshape(-1, 4), rollout(dyn, x0, U), atol=1e-12)
+        assert np.allclose(axis_stack(cm, x0, U, dyn.mass), rollout(dyn, x0, U), atol=1e-12)
 
 
 def test_condense_rollout_consistency_many_horizons():
     rng = np.random.default_rng(19)
     dyn = double_integrator(dt=0.1, mass=0.7)
     for horizon in [1, 2, 5, 13, 27, 50]:
-        cm = condense(dyn.A, dyn.B, horizon)
+        cm = condense(dyn.dt, horizon)
         x0 = rng.standard_normal(4)
         U = rng.standard_normal((horizon, 2))
-        stacked = (cm.Phi @ x0 + cm.Gamma @ U.ravel()).reshape(-1, 4)
-        assert np.max(np.abs(stacked - rollout(dyn, x0, U))) < 1e-10
+        assert np.max(np.abs(axis_stack(cm, x0, U, dyn.mass) - rollout(dyn, x0, U))) < 1e-10
 
 
-def condense_blockwise(A, B, horizon):
-    """Reference: every block of Gamma formed by its own product."""
-    powers = [np.eye(4)]
-    for _ in range(horizon):
-        powers.append(A @ powers[-1])
-    Phi = np.empty(((horizon + 1) * 4, 4))
-    for t in range(horizon + 1):
-        Phi[t * 4 : (t + 1) * 4] = powers[t]
-    Gamma = np.zeros(((horizon + 1) * 4, horizon * 2))
-    for t in range(1, horizon + 1):
-        for k in range(t):
-            Gamma[t * 4 : (t + 1) * 4, k * 2 : (k + 1) * 2] = powers[t - 1 - k] @ B
-    return Phi, Gamma
-
-
-@pytest.mark.parametrize("horizon", [1, 2, 7, 60])
+@pytest.mark.parametrize("horizon", [1, 2, 7, 60, 100, 400, 800])
 def test_condense_equals_blockwise_reference(horizon):
-    rng = np.random.default_rng(horizon)
-    planar = double_integrator(dt=0.04, mass=1.3)
-    random = (rng.standard_normal((4, 4)) / 2.0, rng.standard_normal((4, 2)))
-    for A, B in ((planar.A, planar.B), random):
-        cm = condense(A, B, horizon)
-        Phi, Gamma = condense_blockwise(A, B, horizon)
+    # the running sums give the very bits of the matrix-power products
+    for dt in DTS:
+        A, B = planar_matrices(dt, 1.0)
+        Phi, Gamma = condense_blockwise(A[:2, :2], B[:2, :1], horizon)
+        cm = condense(dt, horizon)
         assert cm.horizon == horizon
-        assert np.array_equal(cm.Phi, Phi)
-        assert np.array_equal(cm.Gamma, Gamma)
+        assert np.array_equal(cm.Phi, Phi), dt
+        assert np.array_equal(cm.Gamma, Gamma), dt
+        assert not (cm.Phi.flags.writeable or cm.Gamma.flags.writeable)
 
 
 def test_rollout_linearity():
@@ -148,15 +146,15 @@ def test_rollout_linearity():
 
 @pytest.mark.parametrize("horizon", [1, 2, 7, 60])
 def test_per_axis_condensed_map_is_each_axis_of_the_planar_map(horizon):
-    # the projection condenses the (p, v) block of one axis: x and y are
-    # identical and uncoupled, so it is each axis of the planar map
-    dyn = double_integrator(dt=0.04, mass=1.3)
-    planar, axis = condense(dyn.A, dyn.B, horizon), condense(dyn.A[:2, :2], dyn.B[:2, :1], horizon)
+    # x and y are identical and uncoupled, so the one-axis map is each axis
+    # of the planar map in accelerations
+    planar_Phi, planar_Gamma = condense_blockwise(*planar_matrices(0.04, 1.0), horizon)
+    axis = condense(0.04, horizon)
     assert axis.Phi.shape == (2 * (horizon + 1), 2)
     assert axis.Gamma.shape == (2 * (horizon + 1), horizon)
     for c in range(2):
         rows = (np.arange(horizon + 1)[:, None] * 4 + 2 * c + np.arange(2)).ravel()
-        assert np.array_equal(planar.Phi[rows][:, 2 * c : 2 * c + 2], axis.Phi)
-        assert np.array_equal(planar.Gamma[rows][:, c::2], axis.Gamma)
-        other = planar.Gamma[rows][:, 1 - c :: 2]
+        assert np.array_equal(planar_Phi[rows][:, 2 * c : 2 * c + 2], axis.Phi)
+        assert np.array_equal(planar_Gamma[rows][:, c::2], axis.Gamma)
+        other = planar_Gamma[rows][:, 1 - c :: 2]
         assert not np.any(other)

@@ -31,7 +31,6 @@ from natset.natset import (
     InsufficientData,
     TimedHull,
     build_natset,
-    hull_margins,
     natset_stats,
     read_natset,
     trajectory_membership,
@@ -269,12 +268,6 @@ def test_margins_do_not_depend_on_batch():
         assert np.array_equal(signed_violations(hs, p), batch.max(axis=1))
         for q, row in zip(p, batch):
             assert np.array_equal(margins(hs.G, hs.h, q), row)
-    for j in range(n):
-        states = np.zeros((len(tube), 4))
-        states[:, POSITIONS] = pts[:, j]
-        for hull, got in zip(tube.hulls, hull_margins(tube, states)):
-            hs = hull.halfspaces
-            assert np.array_equal(got, margins(hs.G, hs.h, pts[hull.t, j]))
 
 
 def _move_vertex(dist):

@@ -8,7 +8,8 @@ Each outcome is checked here with plain numpy on the hulls' G and h:
 * certified: the result starts at x_0, every state lies in its hull within
   FEAS_TOL, and the controls roll out to the states;
 * InitialStateOutsideTube: x_0 misses W_0 by more than FEAS_TOL;
-* SolverFailure: only when x_1 = A x_0 misses W_1 and the message names t=1.
+* SolverFailure: only when the zero-force step x_1 misses W_1 and the
+  message names t=1.
 
 Forces scale with the mass, so no outcome may depend on the mass unit.
 """
@@ -70,7 +71,7 @@ def check_outcome(cand, ns, dyn):
         assert margin(ns.hulls[0], x0)[0] > FEAS_TOL
         return "outside_start", None
     except SolverFailure as exc:
-        x1 = dyn.A @ x0
+        x1 = rollout(dyn, x0, np.zeros((1, 2)))[1]
         assert margin(ns.hulls[1], x1)[0] > INSIDE_TOL, str(exc)
         assert "at t=1 " in str(exc), str(exc)
         return "t1_miss", None
@@ -101,7 +102,7 @@ def test_dense_curved_scene_whose_first_step_misses_w1():
     cand = CandidateTrajectory.from_trajectory(straight_candidate(spec))
     dyn = double_integrator(ns.dt)
     assert margin(ns.hulls[0], cand.states[0])[0] <= FEAS_TOL
-    assert margin(ns.hulls[1], dyn.A @ cand.states[0])[0] > FEAS_TOL
+    assert margin(ns.hulls[1], rollout(dyn, cand.states[0], np.zeros((1, 2)))[1])[0] > FEAS_TOL
     assert check_outcome(cand, ns, dyn)[0] != "certified"
 
 

@@ -15,11 +15,10 @@ import scipy.linalg
 import natset
 from natset import geometry
 from natset.data import RawActorState, Region, Task, TaskDataset, Trajectory, filter_task
-from natset.dynamics import POSITIONS, condense, double_integrator, rollout
+from natset.dynamics import POSITIONS, double_integrator, rollout
 from natset.geometry import INSIDE_TOL, quickhull, to_halfspaces
 from natset.natset import (
     build_natset,
-    hull_margins,
     step_rows_within,
     trajectory_membership,
 )
@@ -37,7 +36,13 @@ from natset.projection import (
 from natset.qpsolver import QuadraticProgram, SolverStatus, solve
 from natset.synthetic import default_spec, generate_scenario, straight_candidate
 
-from oracles import enumerate_oracle, point_margin, stacked_tube
+from oracles import (
+    condense_blockwise,
+    enumerate_oracle,
+    planar_matrices,
+    point_margin,
+    stacked_tube,
+)
 
 
 def euler_states(p0, v0, accels, dt):
@@ -146,6 +151,28 @@ def test_output_is_feasible_and_dynamic():
     rebuilt = rollout(dyn, cand_states[0], res.controls)
     assert np.max(np.abs(rebuilt - res.states)) <= 1e-9
     assert res.objective > 1e-4  # the dive was not naturalistic
+
+
+def test_result_keeps_the_fresh_arrays_and_copies_writable_ones(monkeypatch):
+    returned = []
+
+    def recorded(*args):
+        returned.append(rollout(*args))
+        return returned[-1]
+
+    monkeypatch.setattr(natset.projection, "rollout", recorded)
+    tube, spec = task_tube("curved_road")
+    candidate = CandidateTrajectory.from_trajectory(straight_candidate(spec))
+    res = project(candidate, tube, double_integrator(tube.dt, 1.7))
+    # project hands over its own arrays read-only, so the result keeps them
+    assert len(returned) == 1 and res.states is returned[0]
+    assert not (res.states.flags.writeable or res.controls.flags.writeable)
+    # a caller's writable arrays are copied: writing them changes no result
+    states, controls = np.array(res.states), np.array(res.controls)
+    copy = replace(res, states=states, controls=controls)
+    assert copy.states is not states and copy.controls is not controls
+    states[:] = controls[:] = 0.0
+    assert np.array_equal(copy.states, res.states) and np.array_equal(copy.controls, res.controls)
 
 
 def test_objective_no_worse_than_any_shared_start_member():
@@ -381,13 +408,14 @@ def test_solver_path_is_pinned():
 
 def dense_program(candidate, natset, dyn):
     """Reference: the projection QP in dyn's forces, with P, q and A formed
-    densely from the planar condensed map, one hull row at a time."""
+    densely from the planar matrix-power map of `condense_blockwise`, one
+    hull row at a time."""
     H = candidate.horizon
-    cm = condense(dyn.A, dyn.B, H)
-    free = cm.Phi @ candidate.states[0]
-    P = 2.0 * cm.Gamma.T @ cm.Gamma
-    q = 2.0 * cm.Gamma.T @ (free - candidate.states.ravel())
-    Gamma_pos = cm.Gamma.reshape(H + 1, 4, -1)[:, [0, 2]]
+    Phi, Gamma = condense_blockwise(*planar_matrices(dyn.dt, dyn.mass), H)
+    free = Phi @ candidate.states[0]
+    P = 2.0 * Gamma.T @ Gamma
+    q = 2.0 * Gamma.T @ (free - candidate.states.ravel())
+    Gamma_pos = Gamma.reshape(H + 1, 4, -1)[:, [0, 2]]
     free_pos = free.reshape(H + 1, 4)[:, [0, 2]]
     rows, rhs = [np.zeros((0, 2 * H))], [np.zeros(0)]
     for t in range(1, min(H, natset.horizon) + 1):
@@ -464,7 +492,7 @@ def test_project_matches_the_dense_program_on_chords():
         assert dense.status is SolverStatus.OPTIMAL and dense.iterations > 0
         controls = dense.z.reshape(-1, 2)
         assert np.max(np.abs(res.controls - controls)) <= 1e-10
-        margins = hull_margins(tube, rollout(dyn, candidate.states[0], controls))
+        margins = step_margins(tube, rollout(dyn, candidate.states[0], controls))
         active = tuple(tuple(np.flatnonzero(np.abs(m) <= ACTIVE_TOL)) for m in margins)
         assert res.active_constraints == active
         compared += 1
@@ -584,13 +612,19 @@ def test_long_horizon_controls_match_the_long_double_optimum(long_tube):
     assert compared >= 12
 
 
-def per_step_reference(tube, states):
-    """Membership, violations and active rows step by step, each step's
-    margins taken from its own hull's rows of the stacked G and h."""
+def step_margins(tube, states):
+    """Each step's margins, taken from its own hull's rows of the stacked
+    G and h, over the steps where tube and states overlap."""
     per_step = []
     for t in range(min(len(tube), len(states))):
         rows = slice(tube.start[t], tube.start[t + 1])
         per_step.append(geometry.margins(tube.G[rows], tube.h[rows], states[t, POSITIONS]))
+    return per_step
+
+
+def per_step_reference(tube, states):
+    """Membership, violations and active rows step by step, from `step_margins`."""
+    per_step = step_margins(tube, states)
     return (
         [bool(np.max(m) <= INSIDE_TOL) for m in per_step],
         [float(np.max(m)) for m in per_step],
@@ -610,7 +644,7 @@ def test_step_reductions_match_the_per_step_reference():
         report = naturalism_report(CandidateTrajectory(states, 1.0), tube)
         assert report == worst + [None] * (T - len(worst))
         assert step_rows_within(tube, states, ACTIVE_TOL) == active
-        met.update(np.concatenate(hull_margins(tube, states)).tolist())
+        met.update(np.concatenate(step_margins(tube, states)).tolist())
     assert {ACTIVE_TOL, -ACTIVE_TOL, INSIDE_TOL, -INSIDE_TOL} <= met
 
 
