@@ -14,6 +14,7 @@ from pathlib import Path
 import numpy as np
 
 from natset import (
+    ConvexPolygon,
     Region,
     build_natset,
     default_spec,
@@ -31,16 +32,21 @@ start = Region(quickhull(np.asarray(task_cfg["start_polygon"])))
 end = Region(quickhull(np.asarray(task_cfg["end_polygon"])))
 dataset = filter_task(trajectories, start, end, task_cfg["min_speed"])
 natset = build_natset(dataset)
-
 lane = (1.0, 0.0)
+
+
+def extent(t):
+    """Along-lane width of hull t, cut from the tube's stacked vertices."""
+    hull = ConvexPolygon(natset.vertices[natset.start[t] : natset.start[t + 1]])
+    return extent_along(hull, lane)
+
+
 print("along-lane hull extent over time:")
 for t in range(0, natset.horizon + 1, max(1, natset.horizon // 10)):
-    length = extent_along(natset.hulls[t].polygon, lane)
+    length = extent(t)
     print(f"  t={t:3d}  extent={length:7.2f} m  {'#' * int(length / 2)}")
 
-stretch = extent_along(natset.hulls[-1].polygon, lane) / extent_along(
-    natset.hulls[1].polygon, lane
-)
+stretch = extent(natset.horizon) / extent(1)
 print(f"stretch factor, late vs early: {stretch:.0f}x")
 
 # a cruising dataset member stays inside the tube the whole way

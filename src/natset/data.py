@@ -255,7 +255,8 @@ def load_trajectories(path, frame_rate=25.0):
     """
     codes, parts = {}, []  # trackId -> order of first appearance; batches
     try:
-        with open(path, newline="", encoding="utf-8") as fh:
+        # a byte-order mark is not part of the first column's name
+        with open(path, newline="", encoding="utf-8-sig") as fh:
             reader = csv.reader(fh)
             header = next(reader, None)
             if header is None:
@@ -366,13 +367,19 @@ def slice_at(dataset, t):
     return pts
 
 
-_NUMBERS = (int, float)
-
-
 def _typed(value, key, types=(int,), what="an integer"):
     if type(value) not in types:
         raise ValueError(f"{key} must be {what}, got {json.dumps(value)}")
     return value
+
+
+def _float(value, key):
+    """A JSON number as a float: a bool, a string or an integer beyond
+    float range is a ValueError naming ``key``."""
+    try:
+        return float(_typed(value, key, (int, float), "a number"))
+    except OverflowError:
+        raise ValueError(f"{key} must be a number, got an integer beyond float range") from None
 
 
 def _numbers(rows, tail):
@@ -409,8 +416,8 @@ def load_task(path):
                 raise ValueError(
                     f"{key} must hold [x, y] pairs of numbers, got {json.dumps(cfg[key])}"
                 )
-        min_speed = float(_typed(cfg.get("min_speed", 0.5), "min_speed", _NUMBERS, "a number"))
-        frame_rate = float(_typed(cfg.get("frame_rate", 25.0), "frame_rate", _NUMBERS, "a number"))
+        min_speed = _float(cfg.get("min_speed", 0.5), "min_speed")
+        frame_rate = _float(cfg.get("frame_rate", 25.0), "frame_rate")
         positive("frame_rate", frame_rate)
         start, end = (Region(quickhull(pts)) for pts in points.values())
         Task(start, end, min_speed)  # the min_speed rule

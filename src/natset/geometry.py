@@ -81,88 +81,80 @@ def first_fault(rules):
     return i, rules[int(np.argmax(bad[:, i]))][1](i)
 
 
-def segments(counts):
-    """Owner index and start offset of each row of a ragged stack."""
-    counts = np.asarray(counts, dtype=np.int64)
-    starts = np.concatenate([[0], np.cumsum(counts)])
-    return np.repeat(np.arange(len(counts)), counts), starts
+def owners(start):
+    """Index of the segment that owns each row of a stack whose segment i is
+    rows ``start[i]:start[i + 1]``."""
+    return np.repeat(np.arange(len(start) - 1), np.diff(start))
 
 
-def padded(starts, counts):
-    """Row indices of each segment of a ragged stack as one row as wide as
-    the widest segment (at least 1), padded with repeats of its first
-    index: repeats move no maximum, minimum or sorted gap."""
+def padded(start):
+    """Row indices of each segment of a stack cut by ``start`` as one row as
+    wide as the widest segment (at least 1), padded with repeats of its
+    first index: repeats move no maximum, minimum or sorted gap."""
+    counts = np.diff(start)
     cols = np.arange(max(np.max(counts, initial=0), 1))
-    first = starts[:-1, None]
+    first = start[:-1, None]
     return np.where(cols < counts[:, None], first + cols, first)
 
 
-def any_per(owner, flags, n):
-    """For each of n segments, whether any of its rows is flagged."""
-    return np.bincount(owner, weights=flags, minlength=n) > 0
+def any_per(start, flags):
+    """For each segment of a stack cut by ``start``, whether any of its rows
+    is flagged: whether the running count of flags grows over it."""
+    runs = np.concatenate([[0], np.cumsum(flags)])
+    return runs[start[1:]] > runs[start[:-1]]
 
 
-def _successors(owner, starts):
+def _successors(start):
     """Index of each row's cyclic successor within its own segment."""
-    nxt = np.arange(1, len(owner) + 1)
-    full = starts[1:] > starts[:-1]
-    nxt[starts[1:][full] - 1] = starts[:-1][full]
+    nxt = np.arange(1, start[-1] + 1)
+    full = start[1:] > start[:-1]
+    nxt[start[1:][full] - 1] = start[:-1][full]
     return nxt
 
 
-def polygon_faults(v, counts):
-    """Check a ragged stack of polygons: ``v`` is ``(N, 2)``, polygon i owns
-    the next ``counts[i]`` rows.  Returns ``first_fault`` of the rules a
+def polygon_faults(v, start):
+    """Check a stack of polygons: ``v`` is ``(N, 2)``, polygon i owns its rows
+    ``start[i]:start[i + 1]``.  Returns ``first_fault`` of the rules a
     `ConvexPolygon` keeps: at least 3 vertices, all within COORD_BOUND, no two
     consecutive ones within DEDUP_GRID, and strict left turns."""
-    counts = np.asarray(counts)
-    n = len(counts)
-    owner, starts = segments(counts)
+    counts = np.diff(start)
     bounded = np.all(np.abs(v) <= COORD_BOUND, axis=1)
     if not bounded.all():
         # a polygon with a far or non-finite vertex fails before its edges count
         v = np.where(bounded[:, None], v, 0.0)
-    nxt = _successors(owner, starts)
+    nxt = _successors(start)
     edges = v[nxt] - v
     turns = edges[:, 0] * edges[nxt, 1] - edges[:, 1] * edges[nxt, 0]
     return first_fault([
         (counts < 3, lambda i: _POLYGON_SHAPE.format((int(counts[i]), 2))),
-        (any_per(owner, ~bounded, n), lambda i: f"polygon vertices {_OUT_OF_BOUNDS}"),
-        (any_per(owner, np.hypot(edges[:, 0], edges[:, 1]) <= DEDUP_GRID, n),
+        (any_per(start, ~bounded), lambda i: f"polygon vertices {_OUT_OF_BOUNDS}"),
+        (any_per(start, np.hypot(edges[:, 0], edges[:, 1]) <= DEDUP_GRID),
          lambda i: "duplicate consecutive vertices"),
-        (any_per(owner, turns <= 0.0, n),
+        (any_per(start, turns <= 0.0),
          lambda i: "vertices must make strict left turns (CCW, all extreme)"),
     ])
 
 
-def halfspace_faults(G, h, counts, h_counts=None):
-    """Check a ragged stack of half-space sets: ``G`` is ``(N, 2)`` and ``h``
-    ``(N,)``, set i owns the next ``counts[i]`` rows of G and ``h_counts[i]``
-    entries of h (default: the same).  Returns ``first_fault`` of the rules
-    a `HalfSpaceSet` keeps: as many h entries as rows, unit rows, finite
-    data, and outward normals that fit in no open half-plane (bounded)."""
-    counts = np.asarray(counts)
-    h_counts = counts if h_counts is None else np.asarray(h_counts)
-    n = len(counts)
-    owner, starts = segments(counts)
-    h_owner, _ = segments(h_counts)
+def halfspace_faults(G, h, start):
+    """Check a stack of half-space sets: ``G`` is ``(N, 2)`` and ``h``
+    ``(N,)``, set i owns their rows ``start[i]:start[i + 1]``.  Returns
+    ``first_fault`` of the rules a `HalfSpaceSet` keeps once its shapes
+    agree: unit rows, finite data, and outward normals that fit in no open
+    half-plane (bounded)."""
+    counts = np.diff(start)
     # an entry beyond 2 already rules out a unit row; clipping keeps hypot finite
     norms = np.hypot(*np.clip(G, -2.0, 2.0).T)
-    finite = any_per(owner, ~np.all(np.isfinite(G), axis=1), n) | any_per(
-        h_owner, ~np.isfinite(h), n
-    )
+    finite = np.all(np.isfinite(G), axis=1) & np.isfinite(h)
     # per set, its normal angles sorted in one row (see `padded`; an empty
     # set reads a spare 0), the gaps between neighbours and the one wrapping
     # around from the last to the first
-    ang = np.append(np.arctan2(G[:, 1], G[:, 0]), 0.0)[padded(starts, counts)]
+    ang = np.append(np.arctan2(G[:, 1], G[:, 0]), 0.0)[padded(start)]
     ang.sort(axis=1)
     wrap = (ang[:, 0] + 2.0 * np.pi) - ang[:, -1]
     return first_fault([
-        (counts != h_counts, lambda i: _HALFSPACE_SHAPE.format(
-            (int(counts[i]), 2), (int(h_counts[i]),))),
-        (any_per(owner, np.abs(norms - 1.0) > 1e-12, n),
+        (any_per(start, np.abs(norms - 1.0) > 1e-12),
          lambda i: "rows of G must have unit Euclidean norm"),
-        (finite, lambda i: "half-space data must be finite"),
+        (any_per(start, ~finite), lambda i: "half-space data must be finite"),
         ((counts < 3) | (wrap >= np.pi) | np.any(np.diff(ang, axis=1) >= np.pi, axis=1),
          lambda i: "half-space set is unbounded"),
     ])
@@ -189,7 +181,7 @@ class ConvexPolygon:
         v = _freeze(self.vertices)
         if v.ndim != 2 or v.shape[1] != 2:
             raise ValueError(_POLYGON_SHAPE.format(v.shape))
-        _raise_fault(polygon_faults(v, [len(v)]))
+        _raise_fault(polygon_faults(v, np.array([0, len(v)])))
         object.__setattr__(self, "vertices", v)
 
     def __len__(self) -> int:
@@ -213,7 +205,7 @@ class HalfSpaceSet:
         h = _freeze(self.h).ravel()
         if G.ndim != 2 or G.shape[1] != 2 or G.shape[0] != h.shape[0]:
             raise ValueError(_HALFSPACE_SHAPE.format(G.shape, h.shape))
-        _raise_fault(halfspace_faults(G, h, [len(G)]))
+        _raise_fault(halfspace_faults(G, h, np.array([0, len(G)])))
         object.__setattr__(self, "G", G)
         object.__setattr__(self, "h", h)
 

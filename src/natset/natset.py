@@ -9,14 +9,17 @@ A `NaturalisticSet` holds its hulls only as stacked arrays: all vertices
 and all half-space rows, cut into hulls by one offsets array.  A hull's
 rows are its polygon's edges: row j is the outward unit normal of the
 edge from vertex j to vertex j + 1, so a hull has as many rows as
-vertices.  Only the constructor makes a tube, checking all hulls in one
-pass over the stacks; building, reading, writing and projection use the
-stacks alone.  `hulls` is an inspection view of checked per-hull objects,
-whose removal waits on the benchmark reading the stacks (ROADMAP item 1).
-Tubes serialize to JSON with 12 significant digits.  Each hull's vertices
-are checked against its rows to a tolerance that grows with the hull's
-distance from the origin, as that rounding error does, so every tube the
-package writes reads back.
+vertices.  A tube file is checked in three layers, each rule once:
+`read_natset` checks the JSON type of every value, then the file's shape
+(one G row and one h entry per vertex, then time indices 0, 1, ...); the
+constructor, the only maker of tubes, checks every hull's geometry in
+one pass over the stacks.  Building, reading, writing and projection use
+the stacks alone.  `hulls` is an inspection view of checked per-hull
+objects, whose removal waits on the benchmark reading the stacks (ROADMAP
+item 1).  Tubes serialize to JSON with 12 significant digits.  Each hull's
+vertices are checked against its rows to a tolerance that grows with the
+hull's distance from the origin, as that rounding error does, so every
+tube the package writes reads back.
 """
 
 import json
@@ -27,24 +30,24 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .data import _NUMBERS, ParseError, _numbers, _typed, slice_at
+from .data import ParseError, _float, _numbers, _typed, slice_at
 from .dynamics import NX, POSITIONS, positive
 from .geometry import (
     INSIDE_TOL,
     ConvexPolygon,
     DegenerateInput,
     HalfSpaceSet,
+    _HALFSPACE_SHAPE,
     _freeze,
-    _raise_fault,
     _successors,
     first_fault,
     halfspace_faults,
     margins,
+    owners,
     padded,
     polygon_area,
     polygon_faults,
     quickhull,
-    segments,
     to_halfspaces,
 )
 
@@ -63,49 +66,33 @@ class InsufficientData(ValueError):
     """Too few trajectories to form a hull even at t = 0."""
 
 
-def hull_faults(t, support, v, v_counts, G, h, counts):
-    """Check that each hull of a ragged stack agrees with its own record.
+def hull_faults(support, v, G, h, start):
+    """Check that each hull of a stack agrees with its own record.
 
-    Hull i has time index ``t[i]``, ``support[i]`` states, polygon i of the
-    stack ``(v, v_counts)`` and half-space set i of ``(G, h, counts)``, both
-    already checked on their own, so no hull is empty.  Returns
-    ``geometry.first_fault`` of the rules each tube hull keeps: t >= 0,
-    support >= MIN_SUPPORT, every vertex inside the half-spaces, one row per
-    edge, and row j through both ends of edge j, vertices j and j + 1
-    (cyclically).  A row through both ends of its edge with every vertex
-    inside is that edge's outward line, so the rows and the polygon are one
-    set.  Rounding to 12 significant digits on write moves a margin by a few
-    1e-11 of the largest coordinate, so the tolerance scales with it.
+    Hull i was built from ``support[i]`` states; its vertices and its rows
+    of ``G`` and ``h`` are rows ``start[i]:start[i + 1]``, already checked
+    as polygons and half-space sets.  Returns ``geometry.first_fault`` of
+    the rules each tube hull keeps: support >= MIN_SUPPORT, every vertex
+    inside the half-spaces, and row j through both ends of edge j (vertices
+    j and j + 1, cyclically), which with every vertex inside makes it that
+    edge's outward line.  Rounding to 12 significant digits on write moves
+    a margin by a few 1e-11 of the largest coordinate, so the tolerance
+    scales with it.
     """
-    t, support = np.asarray(t), np.asarray(support)
-    v_counts, counts = (np.asarray(c, dtype=np.int64) for c in (v_counts, counts))
-    owner, starts = segments(counts)
-    _, v_starts = segments(v_counts)
+    support, start = np.asarray(support), np.asarray(start)
     # each hull's vertices as one row of a block (see `padded`), and each
-    # row's margins over the vertices of its hull: hull i's margins are the
-    # flat run over its rows starts[i]:starts[i + 1], `width` per row
-    block = v[padded(v_starts, v_counts)]
-    width = block.shape[1]
-    reach = margins(G[:, None], h[:, None], block[owner]).ravel()
-    # row j of a hull meets its edge's ends, vertices j and j + 1 (cyclically),
-    # at these flat indices; a hull whose row and vertex counts differ fails
-    # before its ends are read, and "clip" keeps its indices in bounds
-    rows = np.arange(len(owner))
-    at = rows * width - starts[owner]
-    ends = np.minimum(np.take(reach, at + rows, mode="clip"),
-                      np.take(reach, at + _successors(owner, starts), mode="clip"))
+    # row's margins over them: hull i's are the flat run from row start[i]
+    block = v[padded(start)]
+    reach = margins(G[:, None], h[:, None], block[owners(start)])
+    # row j of a hull meets its edge's ends, vertices j and j + 1 (cyclically)
+    ends = np.minimum(margins(G, h, v), margins(G, h, v[_successors(start)]))
     tol = 1e-9 * np.maximum(1.0, np.max(np.abs(block), axis=(1, 2), initial=0.0))
-    worst = np.maximum.reduceat(reach, starts[:-1] * width)
-    slack = np.maximum.reduceat(-ends, starts[:-1])
+    worst = np.maximum.reduceat(reach.ravel(), start[:-1] * reach.shape[1])
+    slack = np.maximum.reduceat(-ends, start[:-1])
     return first_fault([
-        (t < 0, lambda i: f"hull at t={t[i]}: time index must be non-negative"),
-        (support < MIN_SUPPORT, lambda i: (
-            f"hull at t={t[i]} built from {support[i]} states; need {MIN_SUPPORT}")),
-        (worst > tol, lambda i: f"hull at t={t[i]}: vertices violate half-spaces"),
-        (counts != v_counts, lambda i: (
-            f"hull at t={t[i]}: {counts[i]} half-space rows for {v_counts[i]} vertices; "
-            "need one row per edge")),
-        (slack > tol, lambda i: f"hull at t={t[i]}: slack half-space row"),
+        (support < MIN_SUPPORT, lambda i: f"built from {support[i]} states; need {MIN_SUPPORT}"),
+        (worst > tol, lambda i: "vertices violate half-spaces"),
+        (slack > tol, lambda i: "slack half-space row"),
     ])
 
 
@@ -152,8 +139,7 @@ class NaturalisticSet:
         if not (start.shape == (n + 1,) and start[0] == 0
                 and v.shape == G.shape == (start[-1], 2) == h.shape + (2,)):
             raise ValueError("tube stacks and their offsets do not match")
-        counts = np.diff(start)
-        _check_hulls(np.arange(n), self.support, v, counts, G, h, counts, counts)
+        _check_hulls(self.support, v, G, h, start)
         positive("dt", self.dt)
 
     @cached_property
@@ -260,7 +246,7 @@ def _flat_margins(natset, states):
     G, h, start = natset.G, natset.h, natset.start
     steps = min(len(natset), len(states))
     end = start[steps]
-    at = np.repeat(np.arange(steps), np.diff(start[: steps + 1]))
+    at = owners(start[: steps + 1])
     return margins(G[:end], h[:end], np.asarray(states)[at][:, POSITIONS]), start[: steps + 1]
 
 
@@ -395,33 +381,31 @@ def _stack(entries, key, t, tail):
     return values.reshape((-1,) + tail), counts
 
 
-def _check_hulls(t, support, v, v_counts, G, h, g_counts, h_counts):
+def _check_hulls(support, v, G, h, start):
     """Raise the message of the first hull that fails any check, in the
     order `ConvexPolygon`, `HalfSpaceSet` and `hull_faults` run them."""
-    faults = (polygon_faults(v, v_counts), halfspace_faults(G, h, g_counts, h_counts))
-    shape = [f for f in faults if f is not None]
+    faults = [f for f in (polygon_faults(v, start), halfspace_faults(G, h, start))
+              if f is not None]
     # the hulls before the first polygon or half-space fault are well formed,
     # so their two representations can be compared
-    n = min((i for i, _ in shape), default=len(t))
-    v_end, g_end = int(np.sum(v_counts[:n])), int(np.sum(g_counts[:n]))
-    fault = hull_faults(t[:n], support[:n], v[:v_end], v_counts[:n],
-                        G[:g_end], h[:g_end], g_counts[:n])
-    if fault is None and shape:
-        i, msg = min(shape, key=lambda f: f[0])
-        fault = i, f"hull at t={t[i]}: {msg}"
-    _raise_fault(fault)
+    n = min((i for i, _ in faults), default=len(support))
+    fault = hull_faults(support[:n], v[: start[n]], G[: start[n]], h[: start[n]], start[: n + 1])
+    fault = fault or min(faults, key=lambda f: f[0], default=None)
+    if fault is not None:
+        raise ValueError(f"hull at t={fault[0]}: {fault[1]}")
 
 
 def read_natset(path):
     """Load a tube file; every failure to parse it is a ParseError naming it.
 
-    Each hull field is read straight into its stack, and the stacks are
-    checked as `NaturalisticSet` checks them; no per-hull object is built.
+    Each hull field is read straight into its stack; no per-hull object is
+    built.  The JSON types and the file's shape are checked here, in that
+    order, and each hull's geometry by the `NaturalisticSet` constructor.
     """
     try:
         with open(path, encoding="utf-8") as fh:
             doc = json.load(fh)
-        dt = float(_typed(doc["dt"], '"dt"', _NUMBERS, "a number"))
+        dt = _float(doc["dt"], '"dt"')
         if _typed(doc["hull_dim"], '"hull_dim"') != 2:
             raise ValueError("only 2-d hulls are supported")
         # a bool is not a number here either
@@ -439,10 +423,17 @@ def read_natset(path):
         (v, v_counts), (G, g_counts), (h, h_counts) = (
             _stack(entries, key, t, tail)
             for key, tail in (("vertices", (2,)), ("G", (2,)), ("h", ())))
-        if not (v_counts == g_counts == h_counts and t == list(range(len(t)))):
-            # no tube holds these: name the first hull at fault, as a check
-            # hull by hull would (beyond int64 t is exact as Python ints)
-            _check_hulls(np.array(t), np.array(support), v, v_counts, G, h, g_counts, h_counts)
+        # the file's shape, which no tube can break: per hull, as many G rows
+        # as h entries and as vertices, and then the time indices 0, 1, ...
+        fault = first_fault([
+            (np.not_equal(g_counts, h_counts),
+             lambda i: _HALFSPACE_SHAPE.format((g_counts[i], 2), (h_counts[i],))),
+            (np.not_equal(v_counts, g_counts), lambda i: f"{g_counts[i]} half-space rows "
+             f"for {v_counts[i]} vertices; need one row per edge"),
+        ])
+        if fault is not None:
+            raise ValueError(f"hull at t={t[fault[0]]}: {fault[1]}")
+        if t != list(range(len(t))):
             raise ValueError("hull time indices must be contiguous from 0")
         return NaturalisticSet(v, G, h, np.cumsum([0, *g_counts]), support, dt, provenance)
     except (KeyError, TypeError) as exc:

@@ -17,9 +17,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import _NUMBERS, ParseError, Trajectory, _numbers, _typed
+from .data import ParseError, Trajectory, _float, _numbers
 from .dynamics import condense, double_integrator, positive, rollout
-from .geometry import INSIDE_TOL, _freeze, margins
+from .geometry import INSIDE_TOL, _freeze, margins, owners
 from .natset import _round12, _write_json, step_rows_within, step_violations
 from .qpsolver import QuadraticProgram, SolverStatus, solve
 
@@ -152,7 +152,7 @@ def _program(candidate, natset, dt):
     T = min(H, natset.horizon)
     start = natset.start
     G = natset.G[start[1]:start[T + 1]]
-    steps = np.repeat(np.arange(1, T + 1), np.diff(start[1 : T + 2]))
+    steps = owners(start[: T + 2])[start[1]:]
     limit = -margins(G, natset.h[start[1]:start[T + 1]], free_pos[steps])
     # rows of a step no acceleration reaches (all of Cp[t] zero: step 1 for
     # the point mass) are facts, not constraints: check and drop
@@ -249,7 +249,7 @@ def read_projection(path):
                 if values is None or not np.isfinite(values).all():
                     raise ValueError(f'"{key}" must hold rows of {width} finite numbers')
                 doc[key] = values.reshape(-1, width)
-        doc["objective"] = float(_typed(doc["objective"], '"objective"', _NUMBERS, "a number"))
+        doc["objective"] = _float(doc["objective"], '"objective"')
         if not math.isfinite(doc["objective"]):
             raise ValueError(f'"objective" must be finite, got {doc["objective"]}')
     except (KeyError, TypeError, ValueError) as exc:

@@ -66,7 +66,9 @@ def default_spec(kind, count=40, seed=7, **overrides):
 
 
 def _derive_trajectory(actor_id, positions, dt):
-    """Positions -> full states with forward-difference velocities."""
+    """Positions -> full states with forward-difference velocities; a dt
+    that puts a state out of floating-point range is a ValueError naming
+    it, so callers run with numpy's overflow warnings off."""
     vel = np.diff(positions, axis=0) / dt
     vel = np.vstack([vel, vel[-1]])
     acc = np.diff(vel, axis=0) / dt
@@ -74,6 +76,8 @@ def _derive_trajectory(actor_id, positions, dt):
     heading = np.arctan2(vel[:, 1], vel[:, 0])
     data = np.column_stack([positions[:, 0], vel[:, 0], positions[:, 1], vel[:, 1],
                             acc[:, 0], acc[:, 1], heading])
+    if not np.isfinite(data).all():
+        raise ValueError(f"dt={dt!r} puts the generated states out of floating-point range")
     return Trajectory(str(actor_id), 1.0 / dt, data)
 
 
@@ -187,9 +191,9 @@ def _straight_road_with_stop(spec, rng):
 def generate_scenario(spec):
     """Deterministic (trajectories, task config) for the given spec."""
     rng = np.random.default_rng(spec.seed)
-    if spec.kind == "curved_road":
-        return _curved_road(spec, rng)
-    return _straight_road_with_stop(spec, rng)
+    make = _curved_road if spec.kind == "curved_road" else _straight_road_with_stop
+    with np.errstate(over="ignore", invalid="ignore"):
+        return make(spec, rng)
 
 
 def straight_candidate(spec):
@@ -210,11 +214,12 @@ def straight_candidate(spec):
     speeds = rng.uniform(*SPEED_RANGE, size=spec.count)
     r_mid = float(np.median(radii))
     span = float(np.median(speeds / radii)) * spec.dt * spec.horizon
-    a = _arc_point(ARC_CENTER, r_mid, _THETA0)
-    b = _arc_point(ARC_CENTER, r_mid, _THETA0 - span)
-    steps = np.arange(spec.horizon + 1)[:, None] / spec.horizon
-    positions = a[None, :] * (1.0 - steps) + b[None, :] * steps
-    return _derive_trajectory("candidate", positions, spec.dt)
+    with np.errstate(over="ignore", invalid="ignore"):
+        a = _arc_point(ARC_CENTER, r_mid, _THETA0)
+        b = _arc_point(ARC_CENTER, r_mid, _THETA0 - span)
+        steps = np.arange(spec.horizon + 1)[:, None] / spec.horizon
+        positions = a[None, :] * (1.0 - steps) + b[None, :] * steps
+        return _derive_trajectory("candidate", positions, spec.dt)
 
 
 # the Trajectory.data column behind each CSV column from xCenter on
@@ -232,16 +237,18 @@ def write_tracks_csv(trajectories, path):
 
 
 def write_scenario(spec, out_dir):
-    """Write tracks.csv and task.json (plus candidate.csv on curved_road)."""
+    """Write tracks.csv and task.json (plus candidate.csv on curved_road),
+    all generated before the directory is made."""
+    trajs, task = generate_scenario(spec)
+    candidate = straight_candidate(spec) if spec.kind == "curved_road" else None
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    trajs, task = generate_scenario(spec)
     paths = {"tracks": out / "tracks.csv", "task": out / "task.json"}
     write_tracks_csv(trajs, paths["tracks"])
     with open(paths["task"], "w", encoding="utf-8") as fh:
         json.dump(task, fh, indent=2)
         fh.write("\n")
-    if spec.kind == "curved_road":
+    if candidate is not None:
         paths["candidate"] = out / "candidate.csv"
-        write_tracks_csv([straight_candidate(spec)], paths["candidate"])
+        write_tracks_csv([candidate], paths["candidate"])
     return paths

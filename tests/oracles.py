@@ -5,10 +5,11 @@ gift-wrapping march, membership is even-odd ray casting, and both work from
 first principles on raw coordinate lists.  The per-point margin works one
 half-space row at a time in plain floats.  The QP oracle enumerates active
 sets and only borrows the package's result type.  The exceptions are
-the tube reader's reference, which checks hulls one at a time through the
-public constructors and `hull_faults`, the rules `read_natset` checks in
-one batch; `stacked_tube`, which stacks per-hull polygons and half-space
-sets into a tube through its constructor; and the writers' references,
+the tube reader's reference, which checks the file's shape and then hulls
+one at a time through the public constructors and `hull_faults`, the
+rules `read_natset` checks in one batch; `stacked_tube`, which stacks
+per-hull polygons and half-space sets into a tube through its
+constructor; and the writers' references,
 which round one value at a time and lay the document out with
 `json.dump(indent=2)`.  The dynamics references keep the matrix form of the
 point mass: its planar A and B written out, a condensed map whose every
@@ -207,29 +208,37 @@ def rollout_scalar(dt, mass, x0, controls):
 
 
 def read_hulls_one_by_one(doc):
-    """A tube document's hulls built one at a time through the public
-    constructors, each checked by `hull_faults` as a batch of one: the
-    reference for `read_natset`'s batched check.
+    """A tube document checked in the order `read_natset` checks it, one
+    hull at a time: the reference for its batched check.
 
-    Returns the NaturalisticSet, or raises ValueError with the message
-    `read_natset` gives after the file name; polygon and half-space
-    faults are prefixed with the hull's time index.
+    First the file's shape: in the first hull whose counts differ, as many
+    G rows as h entries and one row per vertex, then time indices 0, 1, ...
+    Then each hull through the public constructors, and `hull_faults` as a
+    batch of one.  Returns the NaturalisticSet, or raises ValueError with
+    the message `read_natset` gives after the file name.
     """
-    hulls = []
     entries = doc["hulls"]
     for entry in entries:
+        n, rows, h = len(entry["vertices"]), len(entry["G"]), len(entry["h"])
+        if rows != h:
+            raise ValueError(f"hull at t={entry['t']}: inconsistent shapes G ({rows}, 2), "
+                             f"h ({h},)")
+        if n != rows:
+            raise ValueError(f"hull at t={entry['t']}: {rows} half-space rows for {n} vertices; "
+                             "need one row per edge")
+    if [entry["t"] for entry in entries] != list(range(len(entries))):
+        raise ValueError("hull time indices must be contiguous from 0")
+    hulls = []
+    for t, entry in enumerate(entries):
         try:
             poly = ConvexPolygon(np.array(entry["vertices"], dtype=float))
             hs = HalfSpaceSet(np.array(entry["G"], dtype=float), np.array(entry["h"], dtype=float))
         except ValueError as exc:
-            raise ValueError(f"hull at t={entry['t']}: {exc}") from None
-        fault = hull_faults([entry["t"]], [entry["support"]], poly.vertices, [len(poly)],
-                            hs.G, hs.h, [len(hs)])
+            raise ValueError(f"hull at t={t}: {exc}") from None
+        fault = hull_faults([entry["support"]], poly.vertices, hs.G, hs.h, [0, len(poly)])
         if fault is not None:
-            raise ValueError(fault[1])
+            raise ValueError(f"hull at t={t}: {fault[1]}")
         hulls.append((poly, hs, entry["support"]))
-    if [entry["t"] for entry in entries] != list(range(len(entries))):
-        raise ValueError("hull time indices must be contiguous from 0")
     return stacked_tube(hulls, float(doc["dt"]), doc.get("provenance", {}))
 
 

@@ -527,8 +527,15 @@ def _infinite_dt(doc):
 
 
 def _duplicate_vertex(doc):
-    vertices = doc["hulls"][3]["vertices"]
-    vertices.insert(1, list(vertices[0]))
+    # with its G row and h entry, so the hull keeps one row per vertex
+    hull = doc["hulls"][3]
+    hull["vertices"].insert(1, list(hull["vertices"][0]))
+    hull["G"].insert(1, list(hull["G"][0]))
+    hull["h"].insert(1, hull["h"][0])
+
+
+def _huge_int_dt(doc):
+    doc["dt"] = 10**400
 
 
 def _long_row(doc):
@@ -566,6 +573,7 @@ def _huge_normal(doc):
         (None, "Expecting value"),
         (_text_dt, '"dt" must be a number, got "abc"'),
         (_infinite_dt, "dt must be finite and > 0"),
+        (_huge_int_dt, '"dt" must be a number, got an integer beyond float range'),
         (_duplicate_vertex, "hull at t=3: duplicate consecutive vertices"),
         (_long_row, "hull at t=3: rows of G must have unit Euclidean norm"),
         (_fractional_support, 'hulls[4]["support"] must be an integer, got 3.9'),
@@ -713,6 +721,63 @@ def test_hull_rows_must_be_the_polygon_edges(scene, tmp_path, capsys, spoil):
     assert not (tmp_path / "proj.json").exists()
 
 
+def _vertex_without_row(doc):
+    hull = doc["hulls"][4]
+    hull["vertices"].append([0.0, 0.0])
+    n = len(hull["vertices"])
+    return f"hull at t=4: {n - 1} half-space rows for {n} vertices; need one row per edge"
+
+
+def _h_entry_deleted(doc):
+    hull = doc["hulls"][6]
+    del hull["h"][-1]
+    return f"hull at t=6: inconsistent shapes G ({len(hull['G'])}, 2), h ({len(hull['h'])},)"
+
+
+def _negative_t(doc):
+    doc["hulls"][0]["t"] = -1
+    return "hull time indices must be contiguous from 0"
+
+
+def _slack_row_then_row_deleted(doc):
+    # a geometric fault at t=3 and a shape fault at t=9: the shape is checked first
+    doc["hulls"][3]["h"][0] += 1e-3
+    hull = doc["hulls"][9]
+    del hull["G"][-1]
+    del hull["h"][-1]
+    n = len(hull["vertices"])
+    return f"hull at t=9: {n - 1} half-space rows for {n} vertices; need one row per edge"
+
+
+def _t_gap_then_row_deleted(doc):
+    # a gap in the time indices at t=2 and a count fault at t=9: the counts
+    # are checked first, and the hull is named by the t the file gives it
+    doc["hulls"][2]["t"] = 20
+    return _slack_row_then_row_deleted(doc)
+
+
+@pytest.mark.parametrize("spoil", [_vertex_without_row, _h_entry_deleted, _negative_t,
+                                   _slack_row_then_row_deleted, _t_gap_then_row_deleted])
+def test_tube_file_shape_is_checked_before_hull_geometry(scene, tmp_path, capsys, spoil):
+    spec, paths, _ = scene
+    doc = json.loads(build_natset_file(scene, capsys).read_text())
+    message = spoil(doc)
+    tube = tmp_path / "tube.json"
+    tube.write_text(json.dumps(doc))
+    with pytest.raises(ParseError) as err:
+        read_natset(tube)
+    assert str(err.value) == f"{tube}: {message}"
+    with pytest.raises(ValueError) as err:
+        read_hulls_one_by_one(doc)
+    assert str(err.value) == message
+    out = tmp_path / "proj.json"
+    code, _, err = run(["project", "--natset", str(tube), "--candidate", str(paths["candidate"]),
+                        "--dyn", f"dt={spec.dt}", "--out", str(out)], capsys)
+    assert code == 2
+    assert err == f"error: {tube}: {message}\n"
+    assert not out.exists()
+
+
 def test_project_subnormal_tube_dt_names_the_tube(tmp_path, capsys):
     # 1 / 1e-320 overflows, so no candidate could be sampled at the tube's rate
     doc = json.loads((DEMO_OUT / "tube.json").read_text())
@@ -841,12 +906,15 @@ def test_build_exit_2_names_task_file_and_bad_number(scene, tmp_path, capsys, ke
         ("min_speed", True, "min_speed must be a number, got true"),
         ("frame_rate", True, "frame_rate must be a number, got true"),
         ("frame_rate", "25", 'frame_rate must be a number, got "25"'),
+        ("min_speed", 10**400, "min_speed must be a number, got an integer beyond float range"),
+        ("frame_rate", -10**400, "frame_rate must be a number, got an integer beyond float range"),
         ("start_polygon", [[0, 0], [1, 0], [1, True], [0, 1]],
          "start_polygon must hold [x, y] pairs of numbers, got [[0, 0], [1, 0], [1, true], [0, 1]]"),
         ("end_polygon", [[40, -2], [45, -2], ["45", 2], [40, 2]],
          'end_polygon must hold [x, y] pairs of numbers, got [[40, -2], [45, -2], ["45", 2], '),
     ],
-    ids=["min_speed_bool", "frame_rate_bool", "frame_rate_text", "start_bool", "end_text"],
+    ids=["min_speed_bool", "frame_rate_bool", "frame_rate_text", "min_speed_huge_int",
+         "frame_rate_huge_int", "start_bool", "end_text"],
 )
 def test_task_values_must_be_json_numbers(scene, tmp_path, capsys, key, value, cause):
     # a bool or a string is not a number in a task file, as in a tube file

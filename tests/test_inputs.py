@@ -113,6 +113,18 @@ def test_gen_dt_exits_2_naming_the_key(tmp_path, capsys, value):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("dt", [1e-300, 1e307])
+@pytest.mark.parametrize("kind", ["curved_road", "straight_road_with_stop"])
+def test_gen_dt_whose_scene_overflows_exits_2_naming_it(tmp_path, capsys, kind, dt):
+    # a finite dt with a finite reciprocal, whose velocities (1e-300) or
+    # positions (1e307) leave float range; a numpy warning fails the test
+    out = tmp_path / "scene"
+    code, err = run(["gen", "--kind", kind, "--dt", repr(dt), "--out-dir", out], capsys)
+    assert code == 2
+    assert err == f"error: dt={dt!r} puts the generated states out of floating-point range\n"
+    assert not out.exists()
+
+
 def project_demo(tmp_path, capsys, mass):
     """`natset project` of the demo candidate at ``mass``, with every warning
     an error; returns the exit code, stderr and the output path."""
@@ -163,8 +175,10 @@ def test_filter_task_rejects_a_non_finite_speed_floor(min_speed):
     assert str(exc.value) == f"min_speed must be finite, got {min_speed}"
 
 
-# a bad JSON value: NaN and Infinity are json's spellings of the non-finite
-BAD_NUMBERS = {"nan": float("nan"), "infinity": float("inf"), "string": "1.5", "bool": True}
+# a bad JSON value: NaN and Infinity are json's spellings of the non-finite,
+# and an integer beyond float range
+BAD_NUMBERS = {"nan": float("nan"), "infinity": float("inf"), "string": "1.5", "bool": True,
+               "huge_int": 10**400}
 PROJECTION_KEYS = ["states", "controls", "candidate_states", "objective"]
 
 
@@ -223,6 +237,22 @@ def path_options():
 def test_every_input_file_option_has_an_unreadable_case():
     cases = {(command, option) for command, options in INPUTS.items() for option in options}
     assert {(c, o) for c, o in path_options() if o not in OUTPUTS} == cases
+
+
+@pytest.mark.parametrize("command, option", [("build", "--tracks"), ("project", "--candidate")])
+def test_csv_with_a_byte_order_mark_reads_as_without(tmp_path, capsys, command, option):
+    files = INPUTS[command]
+    bom = tmp_path / "bom.csv"
+    bom.write_bytes(b"\xef\xbb\xbf" + files[option].read_bytes())
+    outputs = []
+    for name, path in (("plain", files[option]), ("bom", bom)):
+        out = tmp_path / f"{name}.json"
+        argv = [command, *(x for pair in {**files, option: path}.items() for x in pair),
+                *OTHER_ARGS.get(command, []), "--out", out]
+        code, err = run(argv, capsys)
+        assert (code, err) == (0, "")
+        outputs.append(out.read_bytes())
+    assert outputs[0] == outputs[1]
 
 
 UNREADABLE = {
