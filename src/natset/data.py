@@ -288,6 +288,9 @@ def load_trajectories(path, frame_rate=25.0):
                 row_num += n
     except UnicodeDecodeError:
         raise ParseError(_not_utf8(path)) from None
+    except csv.Error as exc:
+        # e.g. an unbalanced quote that runs a field past the csv module's limit
+        raise ParseError(f"{path}: line {reader.line_num}: {exc}") from None
     if not parts:
         return []
 
@@ -421,6 +424,6 @@ def load_task(path):
         positive("frame_rate", frame_rate)
         start, end = (Region(quickhull(pts)) for pts in points.values())
         Task(start, end, min_speed)  # the min_speed rule
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError, RecursionError) as exc:
         raise ParseError(f"{path}: bad task config: {exc}") from None
     return start, end, min_speed, frame_rate

@@ -23,6 +23,7 @@ tube the package writes reads back.
 """
 
 import json
+import numbers
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import chain
@@ -56,6 +57,9 @@ MIN_SUPPORT = 3
 
 # half-width of the cross inflating a degenerate (collinear) slice, meters
 INFLATE_EPS = 1e-6
+
+# a hull's support is an integer within this range
+_INT64 = np.iinfo(np.int64)
 
 # the tube file's "transform": the rows of the identity that pick the hull
 # coordinates out of a state; the only value a tube file may hold
@@ -96,6 +100,23 @@ def hull_faults(support, v, G, h, start):
     ])
 
 
+def _supports(support):
+    """``support`` as a read-only int64 array; the first hull whose support
+    is not an integer within int64 (a bool is not one) is a ValueError
+    naming it."""
+    # each entry as given, or as the Python scalar of an array's entry
+    values = np.asarray(support, dtype=object).ravel().tolist()
+    if not (set(map(type, values)) <= {int}
+            and _INT64.min <= min(values, default=0) <= max(values, default=0) <= _INT64.max):
+        for i, s in enumerate(values):
+            if isinstance(s, bool) or not isinstance(s, numbers.Integral):
+                raise ValueError(f"hull at t={i}: support must be an integer, got {s!r}")
+            if not _INT64.min <= s <= _INT64.max:
+                raise ValueError(f"hull at t={i}: support must be an integer, "
+                                 "got an integer beyond int64")
+    return _freeze(support, np.int64)
+
+
 class TimedHull(NamedTuple):
     """One tube cross-section: the hull at time index t, built from
     ``support`` states, whose half-space rows are its polygon's edges.
@@ -115,9 +136,9 @@ class NaturalisticSet:
     Hull t has the vertices ``vertices[start[t]:start[t + 1]]`` and, over
     the same range, the half-space rows ``G`` and ``h``: row j is the
     outward unit normal of the edge from vertex j to vertex j + 1.  It was
-    built from ``support[t]`` states.  The arrays are frozen, and every
-    hull is checked with the rules and messages of `ConvexPolygon`,
-    `HalfSpaceSet` and `hull_faults`.
+    built from ``support[t]`` states, an integer within int64.  The arrays
+    are frozen, and every hull is checked with the rules and messages of
+    `ConvexPolygon`, `HalfSpaceSet` and `hull_faults`.
     """
 
     vertices: np.ndarray
@@ -129,9 +150,10 @@ class NaturalisticSet:
     provenance: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        for name in ("vertices", "G", "h", "start", "support"):
-            dtype = float if name in ("vertices", "G", "h") else None
+        for name in ("vertices", "G", "h", "start"):
+            dtype = None if name == "start" else float
             object.__setattr__(self, name, _freeze(getattr(self, name), dtype))
+        object.__setattr__(self, "support", _supports(self.support))
         n = len(self.support)
         if not n:
             raise ValueError("a tube needs at least one hull")
@@ -420,6 +442,10 @@ def read_natset(path):
             raise ValueError(f'"provenance" must be a JSON object, got {json.dumps(provenance)}')
         entries = doc["hulls"]
         t, support = _integers(entries, "t"), _integers(entries, "support")
+        wide = [i for i, s in enumerate(support) if not _INT64.min <= s <= _INT64.max]
+        if wide:
+            raise ValueError(f'hulls[{wide[0]}]["support"] must be an integer, '
+                             "got an integer beyond int64")
         (v, v_counts), (G, g_counts), (h, h_counts) = (
             _stack(entries, key, t, tail)
             for key, tail in (("vertices", (2,)), ("G", (2,)), ("h", ())))
@@ -436,7 +462,7 @@ def read_natset(path):
         if t != list(range(len(t))):
             raise ValueError("hull time indices must be contiguous from 0")
         return NaturalisticSet(v, G, h, np.cumsum([0, *g_counts]), support, dt, provenance)
-    except (KeyError, TypeError) as exc:
+    except (KeyError, TypeError, RecursionError) as exc:
         raise ParseError(f"{path}: bad tube file: {exc}") from None
     except (ValueError, OverflowError) as exc:
         raise ParseError(f"{path}: {exc}") from None

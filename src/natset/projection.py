@@ -252,6 +252,6 @@ def read_projection(path):
         doc["objective"] = _float(doc["objective"], '"objective"')
         if not math.isfinite(doc["objective"]):
             raise ValueError(f'"objective" must be finite, got {doc["objective"]}')
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, RecursionError) as exc:
         raise ParseError(f"{path}: bad projection file: {exc}") from None
     return doc

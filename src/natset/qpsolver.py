@@ -31,13 +31,14 @@ A row enters by classical Gram-Schmidt with one reorthogonalization,
 which appends the column (Q1'y, |y - Q1 Q1'y|) to R and the normalized
 remainder to Q1; it is dependent on the working set when that remainder
 is below _DEPENDENT_TOL |y|.  A row leaves by Givens rotations of R's
-rows and Q1's columns, after which Q1's last column drops.  Triangular
-solves call LAPACK's dtrtrs directly.  Optimal returns carry a KKT
-certificate checked against the original problem data, so callers can
-trust the status field whatever the rounding of the factor.
+rows and Q1's columns, after which Q1's last column drops.  Optimal
+returns carry a KKT certificate checked against the original problem
+data, so callers can trust the status field whatever the rounding of the
+factor.
 
-scipy is imported where a program is factored or solved, not with this
-module, so a command that solves no QP never loads it.
+LAPACK's dpotrf makes L, and its dtrtrs makes every solve with L or R.
+scipy wraps both and is imported where a program is factored or solved,
+not with this module, so a command that solves no QP never loads it.
 """
 
 from dataclasses import dataclass, field
@@ -95,10 +96,10 @@ class QuadraticProgram:
     """min 0.5 z'(P (x) I_c)z + q'z  s.t.  Az <= b,  with P positive definite.
 
     P is an m x m block and c = len(q) / m (see the module docstring).  P
-    must be symmetric within 1e-10 and have a Cholesky factor, which is
-    kept as the lower triangular `L` (P = L L') for `solve`.  A is a dense
-    (k, n) array, possibly with zero rows (unconstrained), or a row
-    operator.
+    must be symmetric within 1e-10 and have a Cholesky factor, which
+    LAPACK's dpotrf makes and which is kept as the lower triangular `L`
+    (P = L L') for `solve`'s dtrtrs calls.  A is a dense (k, n) array,
+    possibly with zero rows (unconstrained), or a row operator.
     """
 
     P: np.ndarray
@@ -127,11 +128,10 @@ class QuadraticProgram:
             raise ValueError("constraints contain non-finite entries")
         if np.max(np.abs(self.P - self.P.T), initial=0.0) > 1e-10:
             raise ValueError("P is not symmetric within 1e-10")
-        from scipy.linalg import LinAlgError, cholesky
-        try:
-            L = cholesky(self.P, lower=True, check_finite=False)
-        except LinAlgError:
-            raise ValueError("P is not positive definite; not strictly convex") from None
+        from scipy.linalg.lapack import dpotrf
+        L, info = dpotrf(self.P, lower=1, clean=1)
+        if info:
+            raise ValueError("P is not positive definite; not strictly convex")
         L.setflags(write=False)
         object.__setattr__(self, "L", L)
 
@@ -266,10 +266,9 @@ def solve(qp):
     set and no working multiplier can block it, and MAX_ITER when the
     step cap is reached or the final point fails its certificate.
     """
-    from scipy.linalg import cho_solve
     from scipy.linalg.lapack import dtrtrs
     n, k = qp.n, qp.k
-    z = cho_solve((qp.L, True), qp.blocks(-qp.q), check_finite=False).ravel()
+    z = _triangular(dtrtrs, qp, _triangular(dtrtrs, qp, -qp.q), trans=1)
     working = []  # row indices, in R's column order
     u = np.zeros(0)  # their multipliers
     # L^{-1} N = Q1 R for the working rows N as columns; Q1 is kept as its

@@ -16,7 +16,6 @@ up to floating-point error.  All draws come from one seed.
 """
 
 import csv
-import json
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -24,6 +23,7 @@ import numpy as np
 
 from .data import REQUIRED_COLUMNS, Trajectory
 from .dynamics import positive
+from .natset import _write_json
 
 KINDS = ("curved_road", "straight_road_with_stop")
 
@@ -245,9 +245,7 @@ def write_scenario(spec, out_dir):
     out.mkdir(parents=True, exist_ok=True)
     paths = {"tracks": out / "tracks.csv", "task": out / "task.json"}
     write_tracks_csv(trajs, paths["tracks"])
-    with open(paths["task"], "w", encoding="utf-8") as fh:
-        json.dump(task, fh, indent=2)
-        fh.write("\n")
+    _write_json(task, paths["task"])
     if candidate is not None:
         paths["candidate"] = out / "candidate.csv"
         write_tracks_csv([candidate], paths["candidate"])

@@ -177,19 +177,20 @@ def planar_matrices(dt, mass):
 
 def condense_blockwise(A, B, horizon):
     """Phi and Gamma of x' = A x + B u over ``horizon`` steps: block t of
-    Phi is A^t, and every block (t, k < t) of Gamma is formed by its own
-    product A^(t-1-k) B."""
+    Phi is A^t, and every block (t, k < t) of Gamma is the product
+    A^(t-1-k) B, formed once per lag t-1-k and placed along that lag's
+    block diagonal."""
     nx, nu = B.shape
     powers = [np.eye(nx)]
     for _ in range(horizon):
         powers.append(A @ powers[-1])
-    Phi = np.empty(((horizon + 1) * nx, nx))
-    for t in range(horizon + 1):
-        Phi[t * nx : (t + 1) * nx] = powers[t]
+    Phi = np.concatenate(powers)
     Gamma = np.zeros(((horizon + 1) * nx, horizon * nu))
-    for t in range(1, horizon + 1):
-        for k in range(t):
-            Gamma[t * nx : (t + 1) * nx, k * nu : (k + 1) * nu] = powers[t - 1 - k] @ B
+    # block (t, k) of Gamma is blocks[t, :, k, :]
+    blocks = Gamma.reshape(horizon + 1, nx, horizon, nu)
+    for lag in range(horizon):
+        k = np.arange(horizon - lag)
+        blocks[k + 1 + lag, :, k, :] = powers[lag] @ B
     return Phi, Gamma
 
 

@@ -546,6 +546,10 @@ def _fractional_support(doc):
     doc["hulls"][4]["support"] = 3.9
 
 
+def _huge_support(doc):
+    doc["hulls"][2]["support"] = 10**30
+
+
 def _boolean_t(doc):
     doc["hulls"][1]["t"] = True
 
@@ -577,6 +581,7 @@ def _huge_normal(doc):
         (_duplicate_vertex, "hull at t=3: duplicate consecutive vertices"),
         (_long_row, "hull at t=3: rows of G must have unit Euclidean norm"),
         (_fractional_support, 'hulls[4]["support"] must be an integer, got 3.9'),
+        (_huge_support, 'hulls[2]["support"] must be an integer, got an integer beyond int64'),
         (_boolean_t, 'hulls[1]["t"] must be an integer, got true'),
         (_fractional_hull_dim, '"hull_dim" must be an integer, got 2.7'),
         (_number_for_vertices, "hull at t=2: vertices must be a list, got 5"),

@@ -255,18 +255,38 @@ def test_csv_with_a_byte_order_mark_reads_as_without(tmp_path, capsys, command, 
     assert outputs[0] == outputs[1]
 
 
+def nested_json(path):
+    """A JSON document nested deeper than json's decoder can recurse."""
+    path.write_text('{"dt": ' + "[" * 200_000 + "]" * 200_000 + "}")
+
+
+def runaway_quote(path):
+    """The scene's tracks with one unbalanced quote in row 4 (the header is
+    row 1), so that the rest of the file reads as one field past the csv
+    module's limit."""
+    lines = (SCENE / "tracks.csv").read_text().splitlines(keepends=True)
+    lines[3] = '"' + lines[3]
+    path.write_text("".join(lines))
+
+
+# how to spoil an input file, the cause its message names, and the suffix of
+# the files it applies to (None: every input file)
 UNREADABLE = {
-    "directory": (lambda path: path.mkdir(), "is not a file"),
-    "not_utf8": (lambda path: path.write_bytes(b"\xff\xfe not utf-8\n"), "'utf-8' codec"),
+    "directory": (lambda path: path.mkdir(), "is not a file", None),
+    "not_utf8": (lambda path: path.write_bytes(b"\xff\xfe not utf-8\n"), "'utf-8' codec",
+                 None),
+    "nested_json": (nested_json, "maximum recursion depth exceeded", ".json"),
+    "runaway_quote": (runaway_quote, "field larger than field limit (131072)", ".csv"),
 }
 
 
-@pytest.mark.parametrize("kind", sorted(UNREADABLE))
-@pytest.mark.parametrize("command, option",
-                         [(c, o) for c, options in INPUTS.items() for o in options])
+@pytest.mark.parametrize("command, option, kind",
+                         [(c, o, kind) for c, options in INPUTS.items() for o in options
+                          for kind, (_, _, suffix) in sorted(UNREADABLE.items())
+                          if suffix in (None, options[o].suffix)])
 def test_unreadable_input_exits_2_naming_path_and_cause(tmp_path, capsys, command, option,
                                                         kind):
-    make, cause = UNREADABLE[kind]
+    make, cause, _ = UNREADABLE[kind]
     bad = tmp_path / kind
     make(bad)
     files = {**INPUTS[command], option: bad}

@@ -487,6 +487,38 @@ def test_stacks_and_offsets_must_agree():
         replace(tube, h=h)
 
 
+@pytest.mark.parametrize("support, message", [
+    # a float support, which a write would put in the file as 40.5
+    ({0: 40.5}, "hull at t=0: support must be an integer, got 40.5"),
+    ({2: 10**30}, "hull at t=2: support must be an integer, got an integer beyond int64"),
+    ({3: 2**63}, "hull at t=3: support must be an integer, got an integer beyond int64"),
+    ({1: True}, "hull at t=1: support must be an integer, got True"),
+    ({4: "5"}, "hull at t=4: support must be an integer, got '5'"),
+])
+def test_supports_must_be_integers_within_int64(support, message):
+    tube = build_natset(random_dataset())
+    values = tube.support.tolist()
+    for t, value in support.items():
+        values[t] = value
+    with pytest.raises(ValueError) as exc:
+        replace(tube, support=values)
+    assert str(exc.value) == message
+    # an integer array of any width is read as int64; a float array is refused
+    assert replace(tube, support=tube.support.astype(np.uint8)).support.dtype == np.int64
+    with pytest.raises(ValueError, match="hull at t=0: support must be an integer, got 12.0"):
+        replace(tube, support=tube.support.astype(float))
+
+
+def test_every_tube_the_constructor_accepts_reads_back(tmp_path):
+    tube = build_natset(random_dataset())
+    big = np.iinfo(np.int64).max
+    tube = replace(tube, support=[big, *tube.support.tolist()[1:]])
+    write_natset(tube, tmp_path / "tube.json")
+    back = read_natset(tmp_path / "tube.json")
+    assert back.support.tolist() == tube.support.tolist()
+    assert back.support[0] == big
+
+
 def test_hulls_are_checked_objects_whose_rows_are_their_edges():
     for tube in (build_natset(random_dataset()), build_natset(fan_dataset((5, 7, 9, 12)))):
         for hull in tube.hulls:

@@ -612,6 +612,53 @@ def test_long_horizon_controls_match_the_long_double_optimum(long_tube):
     assert compared >= 12
 
 
+@pytest.fixture(scope="module")
+def recorded_scenes():
+    """Per scene kind: its spec, 40 recorded 800-step tracks and the tube
+    built from all of them, with no task filter."""
+    scenes = {}
+    for kind in ("curved_road", "straight_road_with_stop"):
+        spec = default_spec(kind, horizon=800)
+        trajectories, _ = generate_scenario(spec)
+        scenes[kind] = spec, trajectories, build_natset(TaskDataset(trajectories, None))
+    return scenes
+
+
+# the largest state deviation (m) of a recorded track's projection from the
+# track, per horizon; the deviations measured at one and at two OpenBLAS
+# threads peak at 7.9e-13, 5.4e-12, 9.5e-11, 1.3e-9 and 2.45e-8
+SELF_PROJECTION_BOUNDS = {60: 1e-12, 100: 6e-12, 200: 1e-10, 400: 1.5e-9, 800: 3e-8}
+
+
+def test_recorded_tracks_are_their_own_projections(recorded_scenes):
+    # a recorded track lies in the tube built from it, and its velocities
+    # are forward differences, so p_{t+1} = p_t + dt v_t: the exact
+    # projection is the track itself, and any deviation is solver error
+    for spec, trajectories, tube in recorded_scenes.values():
+        dyn = double_integrator(spec.dt)
+        for horizon, bound in SELF_PROJECTION_BOUNDS.items():
+            for track in (trajectories[0], trajectories[-1]):
+                candidate = CandidateTrajectory(track.dyn_states[: horizon + 1], spec.dt)
+                res = project(candidate, tube, dyn)
+                deviation = float(np.max(np.abs(res.states - candidate.states)))
+                assert deviation <= bound, (spec.kind, horizon)
+
+
+@pytest.mark.parametrize("horizon", [30, 100, 400, 800])
+def test_factor_and_start_point_equal_scipys_bit_for_bit(recorded_scenes, horizon):
+    # dpotrf is the routine behind scipy.linalg.cholesky, and the start
+    # point's two dtrtrs solves give cho_solve's bits
+    spec, trajectories, tube = recorded_scenes["curved_road"]
+    candidate = CandidateTrajectory(trajectories[0].dyn_states[: horizon + 1], spec.dt)
+    qp = _program(candidate, tube, spec.dt)
+    L = scipy.linalg.cholesky(qp.P, lower=True)
+    assert np.array_equal(qp.L, L)
+    # with no rows, solve returns its start point -P^{-1} q
+    free = solve(QuadraticProgram(qp.P, qp.q, np.zeros((0, qp.n)), np.zeros(0)))
+    assert free.iterations == 0
+    assert np.array_equal(free.z, scipy.linalg.cho_solve((L, True), qp.blocks(-qp.q)).ravel())
+
+
 def step_margins(tube, states):
     """Each step's margins, taken from its own hull's rows of the stacked
     G and h, over the steps where tube and states overlap."""

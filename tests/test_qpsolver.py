@@ -250,12 +250,13 @@ def test_dimension_mismatch():
 
 
 def test_invalid_objective_rejected():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="P is not symmetric within 1e-10"):
         QuadraticProgram([[0.0, 1.0], [0.0, 0.0]], [0.0, 0.0], np.zeros((0, 2)), np.zeros(0))
-    with pytest.raises(ValueError):
-        QuadraticProgram([[-1.0]], [0.0], np.zeros((0, 1)), np.zeros(0))
-    with pytest.raises(ValueError, match="not positive definite"):
-        QuadraticProgram([[1.0, 1.0], [1.0, 1.0]], [0.0, 0.0], np.zeros((0, 2)), np.zeros(0))
+    # negative, singular and indefinite blocks have no Cholesky factor
+    for P in ([[-1.0]], [[1.0, 1.0], [1.0, 1.0]], [[1.0, 2.0], [2.0, 1.0]], [[0.0]]):
+        with pytest.raises(ValueError) as exc:
+            QuadraticProgram(P, np.zeros(len(P)), np.zeros((0, len(P))), np.zeros(0))
+        assert str(exc.value) == "P is not positive definite; not strictly convex"
 
 
 def test_oracle_refuses_large_row_count():
