@@ -199,35 +199,45 @@ class TaskDataset:
         return out, horizons
 
 
-def _scan(path, rows, first_row, where):
-    """Raise the ParseError naming the first malformed row of a batch."""
-    for row_num, row in enumerate(rows, start=first_row):
-        at = f"{path}: row {row_num}"
-        # a short row reads None past its end, as csv.DictReader fills it
-        cell = {name: row[i] if i < len(row) else None for name, i in where.items()}
-        if not cell["trackId"]:
-            raise ParseError(f"{at}: empty trackId")
+def _scan(path, where):
+    """Read the file again and raise the ParseError naming its first malformed
+    record by its row and, if the csv module cannot read it, the line it begins on."""
+    with open(path, newline="", encoding="utf-8-sig") as fh:
+        reader, row_num, line = csv.reader(fh), 0, 1  # rows read; the next record's line
         try:
-            frame = int(cell["frame"])
-        except (TypeError, ValueError):
-            raise ParseError(f"{at}: frame is not an integer: {cell['frame']!r}") from None
-        if frame < 0:
-            raise ParseError(f"{at}: negative frame {frame}")
-        values = {}
-        for name in REQUIRED_COLUMNS[2:]:
-            try:
-                values[name] = float(cell[name])
-            except (TypeError, ValueError):
-                raise ParseError(f"{at}: column {name!r} is not numeric: {cell[name]!r}") from None
-        for name, value in values.items():
-            if not math.isfinite(value):
-                raise ParseError(f"{at}: column {name!r} is not finite: {cell[name]!r}")
-        for name in ("xCenter", "yCenter"):
-            if abs(values[name]) > COORD_BOUND:
-                raise ParseError(f"{at}: column {name!r} of trackId {cell['trackId']!r} "
-                                 f"is beyond {COORD_BOUND:g} m: {cell[name]!r}")
-    # every row is well formed, so the batch failed on a frame beyond 64 bits
-    raise ParseError(f"{path}: rows {first_row}-{first_row + len(rows) - 1}: frame out of range")
+            for row in reader:
+                line, row_num = reader.line_num + 1, row_num + bool(row)
+                if not row or row_num == 1:
+                    continue
+                at = f"{path}: row {row_num}"
+                # a short row reads None past its end, as csv.DictReader fills it
+                cell = {name: row[i] if i < len(row) else None for name, i in where.items()}
+                if not cell["trackId"]:
+                    raise ParseError(f"{at}: empty trackId")
+                try:
+                    frame = int(cell["frame"])
+                except (TypeError, ValueError):
+                    raise ParseError(f"{at}: frame is not an integer: {cell['frame']!r}") from None
+                if not 0 <= frame <= np.iinfo(np.int64).max:
+                    raise ParseError(f"{at}: negative frame {frame}" if frame < 0 else
+                                     f"{at}: frame is beyond int64: {cell['frame']!r}")
+                values = {}
+                for name in REQUIRED_COLUMNS[2:]:
+                    try:
+                        values[name] = float(cell[name])
+                    except (TypeError, ValueError):
+                        raise ParseError(f"{at}: column {name!r} is not numeric: "
+                                         f"{cell[name]!r}") from None
+                for name, value in values.items():
+                    if not math.isfinite(value):
+                        raise ParseError(f"{at}: column {name!r} is not finite: {cell[name]!r}")
+                for name in ("xCenter", "yCenter"):
+                    if abs(values[name]) > COORD_BOUND:
+                        raise ParseError(f"{at}: column {name!r} of trackId {cell['trackId']!r}"
+                                         f" is beyond {COORD_BOUND:g} m: {cell[name]!r}")
+        except csv.Error as exc:
+            raise ParseError(f"{path}: row {row_num + 1}: line {line}: {exc}") from None
+    raise ParseError(f"{path}: the file changed while it was read")
 
 
 def _not_utf8(path):
@@ -251,9 +261,10 @@ def load_trajectories(path, frame_rate=25.0):
     columns (as in full inD tracks exports) are ignored.  Frames for each
     actor must form a contiguous range once sorted, and every position
     must lie within COORD_BOUND.  Rows are converted by column in batches;
-    a batch that fails a check is scanned row by row.
+    on any fault `_scan` reads the file again to name the first bad record.
     """
-    codes, parts = {}, []  # trackId -> order of first appearance; batches
+    positive("frame_rate", frame_rate)
+    codes, parts, where = {}, [], {}  # trackId -> order of first appearance; batches; columns
     try:
         # a byte-order mark is not part of the first column's name
         with open(path, newline="", encoding="utf-8-sig") as fh:
@@ -267,7 +278,6 @@ def load_trajectories(path, frame_rate=25.0):
             # a repeated column name reads its last copy, as csv.DictReader does
             where = {name: i for i, name in enumerate(header) if name in REQUIRED_COLUMNS}
             rows = filter(None, reader)  # blank lines are skipped and not counted
-            row_num = 2
             for batch in iter(lambda: list(islice(rows, CHUNK_ROWS)), []):
                 n = len(batch)
                 try:
@@ -282,15 +292,13 @@ def load_trajectories(path, frame_rate=25.0):
                 except (IndexError, ValueError, OverflowError):
                     valid = False
                 if not valid:
-                    _scan(path, batch, row_num, where)
+                    _scan(path, where)
                 code = np.fromiter((codes.setdefault(a, len(codes)) for a in ids), np.int64, n)
                 parts.append((code, frames, states))
-                row_num += n
     except UnicodeDecodeError:
         raise ParseError(_not_utf8(path)) from None
-    except csv.Error as exc:
-        # e.g. an unbalanced quote that runs a field past the csv module's limit
-        raise ParseError(f"{path}: line {reader.line_num}: {exc}") from None
+    except csv.Error:  # e.g. a quote that runs a field past the csv module's limit
+        _scan(path, where)
     if not parts:
         return []
 
@@ -301,29 +309,21 @@ def load_trajectories(path, frame_rate=25.0):
             return (1, 0, actor)
 
     actors = sorted(codes, key=sort_key)
-    rank = np.empty(len(actors), dtype=np.int64)
-    rank[[codes[a] for a in actors]] = np.arange(len(actors))
     code, frames, states = (np.concatenate(column) for column in zip(*parts))
-    rank = rank[code]
+    rank = np.argsort([codes[a] for a in actors])[code]  # each row's actor's place
     order = np.lexsort((frames, rank))
     rank, frames, states = rank[order], frames[order], states[order]
     states.setflags(write=False)
     bad = np.flatnonzero((rank[1:] == rank[:-1]) & (np.diff(frames) != 1))
-    # actors sort before the first bad one build first, so their own errors win
-    stop = rank[bad[0]] if bad.size else len(actors)
-    bounds = np.searchsorted(rank, np.arange(stop + 1))
-    out = [Trajectory(actor, frame_rate, states[bounds[k] : bounds[k + 1]])
-           for k, actor in enumerate(actors[:stop])]
-    if bad.size:
-        prev, nxt = int(frames[bad[0]]), int(frames[bad[0] + 1])
-        # file rows of the two frames, numbered as _scan numbers them; a
-        # stable sort keeps a repeated frame's rows in file order
-        first, second = order[bad[0]] + 2, order[bad[0] + 1] + 2
-        rows = f"{path}: rows {first} and {second}: actor {actors[stop]}"
-        if nxt == prev:
-            raise ParseError(f"{rows}: duplicate frame {nxt}")
-        raise GapError(f"{rows}: missing frame {prev + 1}")
-    return out
+    if bad.size:  # rows as _scan numbers them; a stable sort keeps a repeat's in file order
+        i = bad[0]
+        rows = f"{path}: rows {order[i] + 2} and {order[i + 1] + 2}: actor {actors[rank[i]]}"
+        if frames[i + 1] == frames[i]:
+            raise ParseError(f"{rows}: duplicate frame {frames[i]}")
+        raise GapError(f"{rows}: missing frame {frames[i] + 1}")
+    bounds = np.searchsorted(rank, np.arange(len(actors) + 1))
+    return [Trajectory(actor, frame_rate, states[bounds[k] : bounds[k + 1]])
+            for k, actor in enumerate(actors)]
 
 
 def filter_task(trajectories, start, end, min_speed=0.5):
@@ -419,6 +419,7 @@ def load_task(path):
                 raise ValueError(
                     f"{key} must hold [x, y] pairs of numbers, got {json.dumps(cfg[key])}"
                 )
+            points[key] = pts.reshape(-1, 2)
         min_speed = _float(cfg.get("min_speed", 0.5), "min_speed")
         frame_rate = _float(cfg.get("frame_rate", 25.0), "frame_rate")
         positive("frame_rate", frame_rate)

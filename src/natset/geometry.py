@@ -243,6 +243,7 @@ def quickhull(points) -> ConvexPolygon:
     lexicographically smallest vertex. Points within ``COLLINEAR_TOL`` of a
     hull edge are treated as non-extreme and dropped.
 
+    ``points`` must be an (n, 2) array; any other shape is a ValueError.
     Raises DegenerateInput when fewer than 3 distinct points remain after
     deduplication or when all points are collinear within tolerance; callers
     that need a full-dimensional set decide how to inflate (see the tube
@@ -250,7 +251,7 @@ def quickhull(points) -> ConvexPolygon:
     """
     pts = np.asarray(points, dtype=float)
     if pts.ndim != 2 or pts.shape[1] != 2:
-        pts = pts.reshape(-1, 2)
+        raise ValueError(f"input points must be an (n, 2) array, got shape {pts.shape}")
     if not np.all(np.abs(pts) <= COORD_BOUND):
         raise ValueError(f"input points {_OUT_OF_BOUNDS}")
     if pts.shape[0] < 3:
@@ -302,9 +303,13 @@ def margins(G, h, p):
 
 
 def signed_violations(hs: HalfSpaceSet, pts) -> np.ndarray:
-    """max_i (G_i . p - h_i) for each row p of an (n, 2) point array: the
-    worst per-edge signed distance, <= 0 inside."""
-    return np.max(margins(hs.G, hs.h, np.reshape(pts, (-1, 1, 2))), axis=1)
+    """max_i (G_i . p - h_i) for each row p of an (n, 2) point array, or
+    for one (2,) point as a one-entry array: the worst per-edge signed
+    distance, <= 0 inside.  Any other shape is a ValueError."""
+    pts = np.asarray(pts)
+    if pts.shape != (2,) and (pts.ndim != 2 or pts.shape[1] != 2):
+        raise ValueError(f"points must be a (2,) point or an (n, 2) array, got shape {pts.shape}")
+    return np.max(margins(hs.G, hs.h, pts.reshape(-1, 1, 2)), axis=1)
 
 
 def extent_along(poly: ConvexPolygon, direction) -> float:

@@ -58,6 +58,8 @@ MIN_SUPPORT = 3
 # half-width of the cross inflating a degenerate (collinear) slice, meters
 INFLATE_EPS = 1e-6
 
+_MISMATCH = "tube stacks and their offsets do not match"
+
 # a hull's support is an integer within this range
 _INT64 = np.iinfo(np.int64)
 
@@ -136,9 +138,11 @@ class NaturalisticSet:
     Hull t has the vertices ``vertices[start[t]:start[t + 1]]`` and, over
     the same range, the half-space rows ``G`` and ``h``: row j is the
     outward unit normal of the edge from vertex j to vertex j + 1.  It was
-    built from ``support[t]`` states, an integer within int64.  The arrays
-    are frozen, and every hull is checked with the rules and messages of
-    `ConvexPolygon`, `HalfSpaceSet` and `hull_faults`.
+    built from ``support[t]`` states, an integer within int64.  ``start``
+    is an integer array, non-decreasing from 0.  The arrays are frozen
+    (``start`` and ``support`` as int64), and every hull is checked with
+    the rules and messages of `ConvexPolygon`, `HalfSpaceSet` and
+    `hull_faults`.
     """
 
     vertices: np.ndarray
@@ -150,17 +154,19 @@ class NaturalisticSet:
     provenance: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        for name in ("vertices", "G", "h", "start"):
-            dtype = None if name == "start" else float
+        # checked before the freeze, which would truncate float offsets
+        if np.asarray(self.start).dtype.kind not in "iu":
+            raise ValueError(_MISMATCH)
+        for name, dtype in (("vertices", float), ("G", float), ("h", float), ("start", np.int64)):
             object.__setattr__(self, name, _freeze(getattr(self, name), dtype))
         object.__setattr__(self, "support", _supports(self.support))
         n = len(self.support)
         if not n:
             raise ValueError("a tube needs at least one hull")
         v, G, h, start = self.vertices, self.G, self.h, self.start
-        if not (start.shape == (n + 1,) and start[0] == 0
+        if not (start.shape == (n + 1,) and start[0] == 0 and (np.diff(start) >= 0).all()
                 and v.shape == G.shape == (start[-1], 2) == h.shape + (2,)):
-            raise ValueError("tube stacks and their offsets do not match")
+            raise ValueError(_MISMATCH)
         _check_hulls(self.support, v, G, h, start)
         positive("dt", self.dt)
 
@@ -292,8 +298,12 @@ def trajectory_membership(natset, states):
     """Per-time containment flags of (T, 4) dynamics states against the tube.
 
     Entries run over t = 0 .. min(tube horizon, T - 1); a position counts as
-    inside within INSIDE_TOL meters.
+    inside within INSIDE_TOL meters.  States of any other shape are a
+    ValueError.
     """
+    states = np.asarray(states)
+    if states.ndim != 2 or states.shape[1] != NX:
+        raise ValueError(f"states must be a (T, {NX}) array, got shape {states.shape}")
     return (step_violations(natset, states) <= INSIDE_TOL).tolist()
 
 

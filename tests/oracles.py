@@ -17,6 +17,8 @@ block is its own matrix product, and a rollout in plain Python floats.
 """
 
 import json
+from fractions import Fraction
+from math import lcm
 
 import numpy as np
 
@@ -159,6 +161,83 @@ def enumerate_oracle(qp):
         raise NoFeasibleActiveSet("no active set yields a feasible KKT point")
     obj, z, lam = best
     return QPSolution(z, obj, SolverStatus.OPTIMAL, 1 << k, lam)
+
+
+def _integer_row(values):
+    """Floats as integers: each times the least common denominator of all."""
+    exact = [Fraction(v) for v in values]
+    scale = lcm(*(v.denominator for v in exact))
+    return [int(v * scale) for v in exact]
+
+
+def exact_solve(M, B):
+    """X with M X = B for a nonsingular square M, exactly, as lists of
+    Fractions.  Each row of [M | B] is scaled to integers, which leaves X
+    as it is, and reduced by fraction-free (Bareiss) Gauss-Jordan
+    elimination: every entry stays an integer minor, so each division is
+    exact, and M ends as its determinant times the identity."""
+    n = len(M)
+    rows = [_integer_row([*m, *b]) for m, b in zip(M, B)]
+    prev = 1
+    for k in range(n):
+        pivot = next(r for r in range(k, n) if rows[r][k])
+        rows[k], rows[pivot] = rows[pivot], rows[k]
+        head = rows[k]
+        for i, row in enumerate(rows):
+            if i != k:
+                f = row[k]
+                row[k:] = [(head[k] * a - f * h) // prev for a, h in zip(row[k:], head[k:])]
+        prev = head[k]
+    return [[Fraction(v, prev) for v in row[n:]] for row in rows]
+
+
+def exact_kkt_point(qp, working):
+    """The KKT point of a block program ``qp`` whose rows ``working`` hold
+    with equality, solved exactly from the program's floats.
+
+    Stationarity gives z = -P^{-1}(q + A_W' lam), and A_W z = b_W then
+    gives (A_W P^{-1} A_W') lam = -b_W - A_W P^{-1} q.  P is its block
+    times the identity, so P^{-1} is applied one block column at a time.
+    Returns z and lam, lists of Fractions, and the margins A z - b of all
+    k rows, as Fractions.  Stationarity is checked exactly before the
+    return, so an answer that comes back is exact.
+    """
+    H, c, m = qp.P.shape[0], qp.n // qp.P.shape[0], len(working)
+    rows = np.asarray(qp.A[np.arange(qp.k)], dtype=float)
+    A_W = rows[working]
+    # the columns q and each working row, as (H, c) blocks side by side
+    blocks = np.hstack([qp.q.reshape(H, c), *A_W.reshape(m, H, c)])
+    solved = exact_solve(qp.P.tolist(), blocks.tolist())
+    inv = [[v for row in solved for v in row[c * j : c * (j + 1)]] for j in range(m + 1)]
+    a = [[Fraction(v) for v in row] for row in A_W.tolist()]
+    S = [[sum(x * y for x, y in zip(a[i], inv[1 + j])) for j in range(m)] for i in range(m)]
+    r = [[-Fraction(qp.b[w]) - sum(x * y for x, y in zip(a[i], inv[0]))]
+         for i, w in enumerate(working)]
+    lam = [row[0] for row in exact_solve(S, r)]
+    z = [-(inv[0][i] + sum(l * inv[1 + j][i] for j, l in enumerate(lam))) for i in range(qp.n)]
+    # with z over a common denominator d, the products are of integers and floats
+    d = lcm(*(v.denominator for v in z))
+    numer = [int(v * d) for v in z]
+    P = [[Fraction(v) for v in row] for row in qp.P.tolist()]
+    Pz = [sum(p * numer[c * j + i % c] for j, p in enumerate(P[i // c])) for i in range(qp.n)]
+    assert all(Pz[i] + d * (Fraction(qp.q[i]) + sum(a[j][i] * l for j, l in enumerate(lam))) == 0
+               for i in range(qp.n))
+    margins = [(sum(Fraction(x) * y for x, y in zip(row, numer) if x) - d * Fraction(b)) / d
+               for row, b in zip(rows.tolist(), qp.b.tolist())]
+    return z, lam, margins
+
+
+def rollout_exact(dt, x0, accelerations):
+    """The unit-mass point mass in Fractions: v += dt a, then p += dt v_old,
+    from the float dt and state x0.  Returns a list of (p_x, v_x, p_y,
+    v_y) rows."""
+    dt = Fraction(dt)
+    px, vx, py, vy = map(Fraction, np.asarray(x0, dtype=float).tolist())
+    rows = [[px, vx, py, vy]]
+    for ax, ay in zip(accelerations[0::2], accelerations[1::2]):
+        px, vx, py, vy = px + dt * vx, vx + dt * ax, py + dt * vy, vy + dt * ay
+        rows.append([px, vx, py, vy])
+    return rows
 
 
 def planar_matrices(dt, mass):

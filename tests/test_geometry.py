@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -50,9 +52,20 @@ def test_quickhull_degenerate_inputs():
         quickhull([(1, 2), (1, 2), (1 + 1e-12, 2)])
     with pytest.raises(DegenerateInput):
         quickhull([(0, 0), (1, 0)])
+    with pytest.raises(DegenerateInput):
+        quickhull(np.zeros((0, 2)))
     # Collinear within 1e-9 of a line counts as degenerate.
     with pytest.raises(DegenerateInput):
         quickhull([(0, 0), (1, 1e-10), (2, 0)])
+
+
+@pytest.mark.parametrize("shape", [(4, 3), (8,), (2, 2, 2)])
+def test_quickhull_takes_only_an_n_by_2_array(shape):
+    # a (4, 3) array would read as six (x, y) pairs if it were reshaped
+    pts = np.arange(np.prod(shape), dtype=float).reshape(shape) ** 2
+    with pytest.raises(ValueError, match=re.escape(f"an (n, 2) array, got shape {shape}")) as err:
+        quickhull(pts)
+    assert not isinstance(err.value, DegenerateInput)
 
 
 def test_quickhull_matches_gift_wrapping_oracle():
@@ -147,6 +160,13 @@ def test_signed_violations_values():
     assert margins == pytest.approx([-0.5, 0.5])
     # one point is a one-row array
     assert signed_violations(UNIT_SQUARE_HS, (1.5, 0.5)) == pytest.approx([0.5])
+
+
+@pytest.mark.parametrize("shape", [(3, 4), (3,), (1, 2, 2)])
+def test_signed_violations_takes_a_point_or_an_n_by_2_array(shape):
+    # (3, 4) states would read as six points if they were reshaped
+    with pytest.raises(ValueError, match=re.escape(f"an (n, 2) array, got shape {shape}")):
+        signed_violations(UNIT_SQUARE_HS, np.zeros(shape))
 
 
 def test_signed_violations_matches_row_brute_force():

@@ -298,3 +298,40 @@ def test_unreadable_input_exits_2_naming_path_and_cause(tmp_path, capsys, comman
     assert str(bad) in err
     assert cause in err
     assert not out.exists()
+
+
+def spoiled_tracks(path, line, edit):
+    """The scene's tracks with ``edit`` applied to the text of one line."""
+    lines = (SCENE / "tracks.csv").read_text().splitlines(keepends=True)
+    lines[line - 1] = edit(lines[line - 1])
+    path.write_text("".join(lines))
+
+
+def frame_beyond_int64(text):
+    track, _, rest = text.split(",", 2)
+    return ",".join([track, str(2**64), rest])
+
+
+# a tracks file spoiled on one line, and the cause its message names after the file
+BAD_RECORDS = {
+    "runaway_quote": (4, lambda text: '"' + text,
+                      "row 4: line 4: field larger than field limit (131072)"),
+    "runaway_header": (1, lambda text: '"' + text,
+                       "row 1: line 1: field larger than field limit (131072)"),
+    "frame_beyond_int64": (6, frame_beyond_int64,
+                           f"row 6: frame is beyond int64: '{2**64}'"),
+}
+
+
+@pytest.mark.parametrize("command, option", [("build", "--tracks"), ("project", "--candidate")])
+@pytest.mark.parametrize("kind", sorted(BAD_RECORDS))
+def test_bad_record_exits_2_naming_its_row(tmp_path, capsys, command, option, kind):
+    line, edit, cause = BAD_RECORDS[kind]
+    bad = tmp_path / "tracks.csv"
+    spoiled_tracks(bad, line, edit)
+    out = tmp_path / "out.json"
+    argv = [command, *(x for pair in {**INPUTS[command], option: bad}.items() for x in pair),
+            *OTHER_ARGS.get(command, []), "--out", out]
+    code, err = run(argv, capsys)
+    assert (code, err) == (2, f"error: {bad}: {cause}\n")
+    assert not out.exists()

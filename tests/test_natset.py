@@ -1,4 +1,5 @@
 import json
+import re
 from dataclasses import replace
 from pathlib import Path
 
@@ -124,6 +125,13 @@ def test_membership_flags_outsider():
     far = np.zeros((ns.horizon + 1, 4))
     far[:, 0] = 500.0
     assert not any(trajectory_membership(ns, far))
+
+
+@pytest.mark.parametrize("shape", [(5, 2), (5,), (5, 7)])
+def test_membership_takes_only_t_by_4_states(shape):
+    ns = build_natset(random_dataset())
+    with pytest.raises(ValueError, match=re.escape(f"(T, 4) array, got shape {shape}")):
+        trajectory_membership(ns, np.zeros(shape))
 
 
 def test_membership_single_state_overlap():
@@ -485,6 +493,18 @@ def test_stacks_and_offsets_must_agree():
     h[0] += 1e-3
     with pytest.raises(ValueError, match="hull at t=0: slack half-space row"):
         replace(tube, h=h)
+
+
+def test_offsets_are_integers_non_decreasing_from_0():
+    # a float start would index the stacks, and a decreasing one cut them
+    # into hulls that are not the tube's
+    tube = build_natset(random_dataset())
+    swapped = tube.start[[0, 2, 1, *range(3, len(tube.start))]]
+    for start in (tube.start.astype(float), swapped, tube.start.astype(bool)):
+        with pytest.raises(ValueError, match="stacks and their offsets do not match"):
+            replace(tube, start=start)
+    narrow = replace(tube, start=tube.start.astype(np.int32)).start
+    assert narrow.dtype == np.int64 and not narrow.flags.writeable
 
 
 @pytest.mark.parametrize("support, message", [
