@@ -3,9 +3,10 @@
 Subcommands: build (tracks + task -> tube JSON with stats on stdout),
 project (tube + candidate -> projection JSON), gen (synthetic scenario
 directories), export-svg (figure rendering).  Exit codes are a stable
-contract: 0 success, 2 parse or validation failure (an --out file or
---out-dir that cannot be written included), 3 empty or undersized
-dataset, 4 candidate starting outside the tube, 5 solver failure.
+contract: 0 success, 2 parse or validation failure (an input that cannot
+be read and an --out file or --out-dir that cannot be written included),
+3 empty or undersized dataset, 4 candidate starting outside the tube,
+5 solver failure.
 """
 
 import argparse
@@ -55,22 +56,24 @@ def _require(args, *names):
 
 
 @contextmanager
-def _writing(flag, path):
-    """Around a writer: a failure to write the path given by ``flag`` is a
-    ParseError naming both."""
+def _io(verb, flag, path):
+    """Around a reader or a writer: a failure to ``verb`` ("read" or "write")
+    the path given by ``flag`` is a ParseError naming both."""
     try:
         yield
     except OSError as exc:
-        raise ParseError(f"cannot write {flag} {path}: {exc.strerror or exc}") from None
+        raise ParseError(f"cannot {verb} {flag} {path}: {exc.strerror or exc}") from None
 
 
 def cmd_build(args):
     _require(args, "tracks", "task")
-    start, end, min_speed, frame_rate = load_task(args.task)
-    trajectories = load_trajectories(args.tracks, frame_rate=frame_rate)
+    with _io("read", "--task", args.task):
+        start, end, min_speed, frame_rate = load_task(args.task)
+    with _io("read", "--tracks", args.tracks):
+        trajectories = load_trajectories(args.tracks, frame_rate=frame_rate)
     dataset = filter_task(trajectories, start, end, min_speed)
     natset = build_natset(dataset, trim=args.trim)
-    with _writing("--out", args.out):
+    with _io("write", "--out", args.out):
         write_natset(natset, args.out)
     print(f"trajectories: {len(dataset)}")
     print(f"horizon: {natset.horizon}")
@@ -84,8 +87,10 @@ def cmd_build(args):
 def cmd_project(args):
     dyn = _parse_dyn(args.dyn)
     _require(args, "natset", "candidate")
-    natset = read_natset(args.natset)
-    trajectories = load_trajectories(args.candidate, frame_rate=1.0 / natset.dt)
+    with _io("read", "--natset", args.natset):
+        natset = read_natset(args.natset)
+    with _io("read", "--candidate", args.candidate):
+        trajectories = load_trajectories(args.candidate, frame_rate=1.0 / natset.dt)
     if len(trajectories) != 1:
         raise ParseError(
             f"{args.candidate}: expected a single candidate trajectory, "
@@ -96,7 +101,7 @@ def cmd_project(args):
     except ValueError as exc:
         raise ParseError(f"{args.candidate}: {exc}") from None
     result = project(candidate, natset, dyn)
-    with _writing("--out", args.out):
+    with _io("write", "--out", args.out):
         write_projection(result, candidate, args.out)
     print(f"status: {result.status.value}")
     print(f"objective: {result.objective:.9g}")
@@ -105,13 +110,10 @@ def cmd_project(args):
 
 
 def cmd_gen_synthetic(args):
-    overrides = {}
-    if args.horizon is not None:
-        overrides["horizon"] = args.horizon
-    if args.dt is not None:
-        overrides["dt"] = args.dt
-    spec = default_spec(args.kind, count=args.count, seed=args.seed, **overrides)
-    with _writing("--out-dir", args.out_dir):
+    # only the options given: the kind's spec holds every default
+    given = {k: getattr(args, k) for k in ("count", "seed", "horizon", "dt")}
+    spec = default_spec(args.kind, **{k: v for k, v in given.items() if v is not None})
+    with _io("write", "--out-dir", args.out_dir):
         paths = write_scenario(spec, args.out_dir)
     for name in sorted(paths):
         print(f"wrote {paths[name]}")
@@ -120,12 +122,14 @@ def cmd_gen_synthetic(args):
 
 def cmd_export_svg(args):
     _require(args, "natset")
-    natset = read_natset(args.natset)
+    with _io("read", "--natset", args.natset):
+        natset = read_natset(args.natset)
     projection_doc = None
     if args.projection is not None:
         _require(args, "projection")
-        projection_doc = read_projection(args.projection)
-    with _writing("--out", args.out):
+        with _io("read", "--projection", args.projection):
+            projection_doc = read_projection(args.projection)
+    with _io("write", "--out", args.out):
         write_svg(natset, args.out, projection_doc)
     print(f"wrote {args.out}")
     return EXIT_OK
@@ -176,8 +180,8 @@ def _build_parser():
 
     p_gen = sub.add_parser("gen", help="generate a synthetic scenario")
     p_gen.add_argument("--kind", required=True)
-    p_gen.add_argument("--count", type=int, default=40)
-    p_gen.add_argument("--seed", type=int, default=7)
+    p_gen.add_argument("--count", type=int)
+    p_gen.add_argument("--seed", type=int)
     p_gen.add_argument("--horizon", type=int)
     p_gen.add_argument("--dt", type=float)
     p_gen.add_argument("--out-dir", required=True, type=Path)

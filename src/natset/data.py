@@ -52,6 +52,13 @@ _DATA_COLUMNS = ("xCenter", "xVelocity", "yCenter", "yVelocity", "xAcceleration"
 # CSV rows converted per batch; bounds the rows held as strings at once
 CHUNK_ROWS = 4096
 
+# defaults: inD's frame rate (Hz) and a task's speed floor (m/s)
+FRAME_RATE = 25.0
+MIN_SPEED = 0.5
+
+# a recorded frame and a hull's support are integers within this range
+_INT64 = np.iinfo(np.int64)
+
 
 class ParseError(ValueError):
     """Malformed recording file: bad header, non-numeric field, bad frame."""
@@ -218,7 +225,7 @@ def _scan(path, where):
                     frame = int(cell["frame"])
                 except (TypeError, ValueError):
                     raise ParseError(f"{at}: frame is not an integer: {cell['frame']!r}") from None
-                if not 0 <= frame <= np.iinfo(np.int64).max:
+                if not 0 <= frame <= _INT64.max:
                     raise ParseError(f"{at}: negative frame {frame}" if frame < 0 else
                                      f"{at}: frame is beyond int64: {cell['frame']!r}")
                 values = {}
@@ -254,7 +261,7 @@ def _not_utf8(path):
     return f"{path}: not UTF-8"  # the file changed while it was read
 
 
-def load_trajectories(path, frame_rate=25.0):
+def load_trajectories(path, frame_rate=FRAME_RATE):
     """Read a tracks CSV into one Trajectory per actor.
 
     The file must carry at least the REQUIRED_COLUMNS header names; extra
@@ -326,7 +333,7 @@ def load_trajectories(path, frame_rate=25.0):
             for k, actor in enumerate(actors)]
 
 
-def filter_task(trajectories, start, end, min_speed=0.5):
+def filter_task(trajectories, start, end, min_speed=MIN_SPEED):
     """Keep the trajectories performing the task between two Regions.
 
     A trajectory survives when some frame lies inside the start region,
@@ -420,8 +427,8 @@ def load_task(path):
                     f"{key} must hold [x, y] pairs of numbers, got {json.dumps(cfg[key])}"
                 )
             points[key] = pts.reshape(-1, 2)
-        min_speed = _float(cfg.get("min_speed", 0.5), "min_speed")
-        frame_rate = _float(cfg.get("frame_rate", 25.0), "frame_rate")
+        min_speed = _float(cfg.get("min_speed", MIN_SPEED), "min_speed")
+        frame_rate = _float(cfg.get("frame_rate", FRAME_RATE), "frame_rate")
         positive("frame_rate", frame_rate)
         start, end = (Region(quickhull(pts)) for pts in points.values())
         Task(start, end, min_speed)  # the min_speed rule

@@ -31,7 +31,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .data import ParseError, _float, _numbers, _typed, slice_at
+from .data import _INT64, ParseError, _float, _numbers, _typed, slice_at
 from .dynamics import NX, POSITIONS, positive
 from .geometry import (
     INSIDE_TOL,
@@ -59,9 +59,6 @@ MIN_SUPPORT = 3
 INFLATE_EPS = 1e-6
 
 _MISMATCH = "tube stacks and their offsets do not match"
-
-# a hull's support is an integer within this range
-_INT64 = np.iinfo(np.int64)
 
 # the tube file's "transform": the rows of the identity that pick the hull
 # coordinates out of a state; the only value a tube file may hold

@@ -21,11 +21,16 @@ from pathlib import Path
 
 import numpy as np
 
-from .data import REQUIRED_COLUMNS, Trajectory
+from .data import _DATA_COLUMNS, MIN_SPEED, REQUIRED_COLUMNS, Trajectory
 from .dynamics import positive
-from .natset import _write_json
+from .natset import MIN_SUPPORT, _write_json
 
-KINDS = ("curved_road", "straight_road_with_stop")
+# each kind's departures from ScenarioSpec's defaults; the stop scene runs longer
+_KIND_DEFAULTS = {
+    "curved_road": {},
+    "straight_road_with_stop": {"horizon": 100, "dt": 0.1},
+}
+KINDS = tuple(_KIND_DEFAULTS)
 
 # scene shape, shared by every spec: the curved lane's center and radius
 # band and the straight lane's width (m), the speed band of both (m/s),
@@ -48,21 +53,17 @@ class ScenarioSpec:
     def __post_init__(self):
         if self.kind not in KINDS:
             raise ValueError(f"unknown scenario kind {self.kind!r}; pick one of {KINDS}")
-        if self.count < 3:
-            raise ValueError("count must be at least 3 (hulls need 3 points)")
+        if self.count < MIN_SUPPORT:
+            raise ValueError(f"count must be at least {MIN_SUPPORT} "
+                             f"(hulls need {MIN_SUPPORT} points)")
         if self.horizon < 2:
             raise ValueError("horizon must be at least 2 steps")
         positive("dt", self.dt)
 
 
-def default_spec(kind, count=40, seed=7, **overrides):
-    """Per-kind parameter defaults; the stop scene needs a longer clock."""
-    if kind == "straight_road_with_stop":
-        base = dict(kind=kind, count=count, seed=seed, horizon=100, dt=0.1)
-    else:
-        base = dict(kind=kind, count=count, seed=seed)
-    base.update(overrides)
-    return ScenarioSpec(**base)
+def default_spec(kind, **overrides):
+    """The spec of ``kind`` with its own defaults, then ``overrides``."""
+    return ScenarioSpec(kind, **{**_KIND_DEFAULTS.get(kind, {}), **overrides})
 
 
 def _derive_trajectory(actor_id, positions, dt):
@@ -96,11 +97,15 @@ def _sector_polygon(center, r_lo, r_hi, th_lo, th_hi, samples=24):
     return [[float(x), float(y)] for x, y in pts]
 
 
+def _curved_draws(spec, rng):
+    """Each curved-scene trajectory's radius and speed, the rng's first draws."""
+    return rng.uniform(*RADII, size=spec.count), rng.uniform(*SPEED_RANGE, size=spec.count)
+
+
 def _curved_road(spec, rng):
     h = spec.horizon
     r_lo, r_hi = RADII
-    radii = rng.uniform(r_lo, r_hi, size=spec.count)
-    speeds = rng.uniform(*SPEED_RANGE, size=spec.count)
+    radii, speeds = _curved_draws(spec, rng)
     noise = rng.normal(0.0, NOISE_STD, size=(spec.count, h + 1, 2))
 
     trajs = []
@@ -132,13 +137,7 @@ def _curved_road(spec, rng):
         _THETA0 - w_hi * span - 0.03,
         _THETA0 - w_lo * span + 0.03,
     )
-    task = {
-        "start_polygon": start_poly,
-        "end_polygon": end_poly,
-        "min_speed": 0.5,
-        "frame_rate": 1.0 / spec.dt,
-    }
-    return trajs, task
+    return trajs, start_poly, end_poly
 
 
 def _stop_profile(h, cruise):
@@ -179,13 +178,7 @@ def _straight_road_with_stop(spec, rng):
     start_poly = [[-0.5, band_lo], [1.5, band_lo], [1.5, band_hi], [-0.5, band_hi]]
     e_lo, e_hi = min(ends) - 0.5, max(ends) + 0.5
     end_poly = [[e_lo, band_lo], [e_hi, band_lo], [e_hi, band_hi], [e_lo, band_hi]]
-    task = {
-        "start_polygon": start_poly,
-        "end_polygon": end_poly,
-        "min_speed": 0.5,
-        "frame_rate": 1.0 / spec.dt,
-    }
-    return trajs, task
+    return trajs, start_poly, end_poly
 
 
 def generate_scenario(spec):
@@ -193,7 +186,10 @@ def generate_scenario(spec):
     rng = np.random.default_rng(spec.seed)
     make = _curved_road if spec.kind == "curved_road" else _straight_road_with_stop
     with np.errstate(over="ignore", invalid="ignore"):
-        return make(spec, rng)
+        trajs, start_poly, end_poly = make(spec, rng)
+    task = {"start_polygon": start_poly, "end_polygon": end_poly,
+            "min_speed": MIN_SPEED, "frame_rate": 1.0 / spec.dt}
+    return trajs, task
 
 
 def straight_candidate(spec):
@@ -209,9 +205,7 @@ def straight_candidate(spec):
     """
     if spec.kind != "curved_road":
         raise ValueError("the chord candidate only makes sense on curved_road")
-    rng = np.random.default_rng(spec.seed)
-    radii = rng.uniform(RADII[0], RADII[1], size=spec.count)
-    speeds = rng.uniform(*SPEED_RANGE, size=spec.count)
+    radii, speeds = _curved_draws(spec, np.random.default_rng(spec.seed))
     r_mid = float(np.median(radii))
     span = float(np.median(speeds / radii)) * spec.dt * spec.horizon
     with np.errstate(over="ignore", invalid="ignore"):
@@ -223,7 +217,7 @@ def straight_candidate(spec):
 
 
 # the Trajectory.data column behind each CSV column from xCenter on
-_CSV_ORDER = [0, 2, 1, 3, 4, 5, 6]
+_CSV_ORDER = [_DATA_COLUMNS.index(name) for name in REQUIRED_COLUMNS[2:]]
 
 
 def write_tracks_csv(trajectories, path):

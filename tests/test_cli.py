@@ -62,6 +62,17 @@ def test_gen_writes_scenario_files(tmp_path, capsys):
     assert "wrote" in out
 
 
+@pytest.mark.parametrize("kind", ["curved_road", "straight_road_with_stop"])
+def test_gen_without_options_writes_the_default_spec(tmp_path, capsys, kind):
+    code, _, _ = run(["gen", "--kind", kind, "--out-dir", str(tmp_path / "cli")], capsys)
+    assert code == 0
+    paths = write_scenario(default_spec(kind), tmp_path / "lib")
+    assert sorted(p.name for p in (tmp_path / "cli").iterdir()) == sorted(
+        p.name for p in paths.values())
+    for path in paths.values():
+        assert (tmp_path / "cli" / path.name).read_bytes() == path.read_bytes()
+
+
 def test_gen_rejects_bad_kind(tmp_path, capsys):
     code, _, err = run(
         ["gen", "--kind", "figure_eight", "--out-dir", str(tmp_path)], capsys

@@ -3,7 +3,10 @@ states, finite projection-file numbers, the task's speed floor and
 unreadable input files, each through the library and the command line."""
 
 import argparse
+import builtins
+import errno
 import json
+import os
 import warnings
 from pathlib import Path
 
@@ -334,4 +337,44 @@ def test_bad_record_exits_2_naming_its_row(tmp_path, capsys, command, option, ki
             *OTHER_ARGS.get(command, []), "--out", out]
     code, err = run(argv, capsys)
     assert (code, err) == (2, f"error: {bad}: {cause}\n")
+    assert not out.exists()
+
+
+
+def fail_reads(monkeypatch, path):
+    """Make every open of ``path`` fail as a disk read error does."""
+    real_open = open
+
+    def fake_open(file, *args, **kwargs):
+        if str(file) == str(path):
+            raise OSError(errno.EIO, os.strerror(errno.EIO))
+        return real_open(file, *args, **kwargs)
+
+    monkeypatch.setattr(builtins, "open", fake_open)
+
+
+# a file that opens but cannot be read: on Linux, reading a process's memory
+# at address 0 fails with EIO
+PROC_MEM = Path("/proc/self/mem")
+
+
+@pytest.mark.parametrize("fault", ["open_fails", "read_fails"])
+@pytest.mark.parametrize("command, option",
+                         [(c, o) for c, options in INPUTS.items() for o in options])
+def test_input_that_cannot_be_read_exits_2_naming_option_and_path(tmp_path, capsys,
+                                                                  monkeypatch, command,
+                                                                  option, fault):
+    if fault == "read_fails":
+        if not PROC_MEM.is_file():
+            pytest.skip("no /proc/self/mem on this system")
+        bad = PROC_MEM
+    else:
+        bad = tmp_path / "input"
+        bad.write_bytes(INPUTS[command][option].read_bytes())
+        fail_reads(monkeypatch, bad)
+    out = tmp_path / "out"
+    argv = [command, *(x for pair in {**INPUTS[command], option: bad}.items() for x in pair),
+            *OTHER_ARGS.get(command, []), "--out", out]
+    code, err = run(argv, capsys)
+    assert (code, err) == (2, f"error: cannot read {option} {bad}: {os.strerror(errno.EIO)}\n")
     assert not out.exists()

@@ -1,5 +1,6 @@
 """Synthetic scenario generators: determinism, task compatibility, shape."""
 
+import hashlib
 from pathlib import Path
 
 import numpy as np
@@ -49,6 +50,20 @@ def test_default_scene_reproduces_committed_demo_files(tmp_path):
     assert sorted(paths) == ["candidate", "task", "tracks"]
     for path in paths.values():
         assert path.read_bytes() == (committed / path.name).read_bytes()
+
+
+def test_default_stop_scene_keeps_its_bytes(tmp_path):
+    # sha256 of the files this generator wrote for the default stop scene
+    # (seed 7, 40 tracks, H=100, dt=0.1); the long benchmark's tube and
+    # held-out candidates come from the same generator
+    digests = {
+        "tracks": "972106c6fe1a789a6b54b7e4ead4b56d462ac97436f64c06ae0d3184614d6e22",
+        "task": "261c4db6d19d43e8172cf2846fd2acf2c7a572004bb1187214db9036bce5a87d",
+    }
+    paths = write_scenario(default_spec("straight_road_with_stop"), tmp_path)
+    assert sorted(paths) == sorted(digests)
+    for name, digest in digests.items():
+        assert hashlib.sha256(paths[name].read_bytes()).hexdigest() == digest
 
 
 def test_different_seeds_differ(tmp_path):
