@@ -6,10 +6,12 @@ directories), export-svg (figure rendering).  Exit codes are a stable
 contract: 0 success, 2 parse or validation failure (an input that cannot
 be read and an --out file or --out-dir that cannot be written included),
 3 empty or undersized dataset, 4 candidate starting outside the tube,
-5 solver failure.
+5 solver failure.  A command prints only after its files are written, so
+a stdout closed by its reader ends it with exit 0.
 """
 
 import argparse
+import os
 import sys
 from contextlib import contextmanager
 from pathlib import Path
@@ -204,7 +206,13 @@ COMMANDS = {
 def main(argv=None):
     args = _build_parser().parse_args(argv)
     try:
-        return COMMANDS[args.command](args)
+        code = COMMANDS[args.command](args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # only the report is lost (see above); the interpreter's last flush goes nowhere
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_OK
     except (EmptyTask, InsufficientData) as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_EMPTY

@@ -333,10 +333,10 @@ def _json_text(value, depth=0):
     levels deep, where ``value`` may hold float ndarrays: each is written as
     its nested lists of values rounded to 12 significant digits.
 
-    Non-empty dicts with string keys and non-empty lists are laid out
-    here, so that arrays may sit inside them; every other value is json's
-    own text, made by its C encoder unless a dict's keys need json's
-    conversion.  An array is rounded and formatted in one pass, as json
+    Non-empty dicts with string keys, and lists that directly hold a dict
+    or an array, are laid out here so that arrays may sit inside them;
+    every other value is one call of json's (its C encoder for a scalar),
+    re-indented.  An array is rounded and formatted in one pass, as json
     formats a float, by ``repr``; one holding NaN or infinity goes through
     json, which spells those NaN and Infinity.
     """
@@ -350,18 +350,20 @@ def _json_text(value, depth=0):
     if isinstance(value, dict) and value and all(isinstance(key, str) for key in value):
         items = (f"{json.dumps(key)}: {_json_text(v, depth + 1)}" for key, v in value.items())
         return "{" + ",".join(pad + "  " + item for item in items) + pad + "}"
-    if isinstance(value, (list, tuple)) and value:
+    if isinstance(value, (list, tuple)) and any(isinstance(v, (dict, np.ndarray)) for v in value):
         return "[" + ",".join(pad + "  " + _json_text(v, depth + 1) for v in value) + pad + "]"
-    return json.dumps(value, indent=2 if isinstance(value, dict) else None).replace("\n", pad)
+    indent = 2 if isinstance(value, (list, tuple, dict)) else None
+    return json.dumps(value, indent=indent).replace("\n", pad)
+
+
+def _write_text(text, path):
+    """Write a file's finished text: a document that fails to render opens no file."""
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(text)
 
 
 def _write_json(doc, path):
-    """Write `_json_text` of doc and a final newline; the text is complete
-    before the file is opened, so a document that fails to render leaves
-    no file behind."""
-    text = _json_text(doc) + "\n"
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(text)
+    _write_text(_json_text(doc) + "\n", path)
 
 
 def write_natset(natset, path):

@@ -18,8 +18,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import ParseError, Trajectory, _float, _numbers
-from .dynamics import condense, double_integrator, positive, rollout
-from .geometry import INSIDE_TOL, _freeze, margins, owners
+from .dynamics import POSITIONS, condense, double_integrator, positive, rollout
+from .geometry import COORD_BOUND, INSIDE_TOL, _OUT_OF_BOUNDS, _freeze, margins, owners
 from .natset import _round12, _write_json, step_rows_within, step_violations
 from .qpsolver import QuadraticProgram, SolverStatus, solve
 
@@ -83,7 +83,8 @@ class ProjectionResult:
     def __post_init__(self):
         for name in ("states", "controls"):
             object.__setattr__(self, name, _freeze(getattr(self, name)))
-        object.__setattr__(self, "active_constraints", tuple(map(tuple, self.active_constraints)))
+        object.__setattr__(self, "active_constraints",
+                           tuple(tuple(map(int, rows)) for rows in self.active_constraints))
         object.__setattr__(self, "violation_report", tuple(self.violation_report))
 
 
@@ -166,8 +167,11 @@ def _program(candidate, natset, dt):
             "and no control input can change it"
         )
     A = HullRows(Cp, steps[~fixed], G[~fixed])
+    b = limit[~fixed]
+    # all three are fresh and held by no one else: read-only, the program keeps them
+    P.flags.writeable = q.flags.writeable = b.flags.writeable = False
     try:
-        return QuadraticProgram(P, q.ravel(), A, limit[~fixed])
+        return QuadraticProgram(P, q.ravel(), A, b)
     except ValueError as exc:
         raise ValueError(f"the projection QP in accelerations for dt={dt!r} "
                          f"cannot be posed: {exc}") from None
@@ -228,10 +232,8 @@ def write_projection(result, candidate, path):
         "objective": _round12(result.objective),
         "states": result.states,
         "controls": result.controls,
-        "violations_before": [
-            None if v is None else _round12(v) for v in result.violation_report
-        ],
-        "active_constraints": [list(map(int, rows)) for rows in result.active_constraints],
+        "violations_before": [None if v is None else _round12(v) for v in result.violation_report],
+        "active_constraints": result.active_constraints,
         "candidate_states": candidate.states,
     }
     _write_json(doc, path)
@@ -239,7 +241,8 @@ def write_projection(result, candidate, path):
 
 def read_projection(path):
     """Load a projection JSON into a plain dict with array values; like a
-    tube file's, its arrays and objective must hold finite JSON numbers."""
+    tube file's, its arrays and objective must hold finite JSON numbers,
+    and the positions of its states within COORD_BOUND."""
     try:
         with open(path, encoding="utf-8") as fh:
             doc = json.load(fh)
@@ -249,6 +252,8 @@ def read_projection(path):
                 if values is None or not np.isfinite(values).all():
                     raise ValueError(f'"{key}" must hold rows of {width} finite numbers')
                 doc[key] = values.reshape(-1, width)
+                if key != "controls" and not (abs(doc[key][:, POSITIONS]) <= COORD_BOUND).all():
+                    raise ValueError(f'"{key}" positions {_OUT_OF_BOUNDS}')
         doc["objective"] = _float(doc["objective"], '"objective"')
         if not math.isfinite(doc["objective"]):
             raise ValueError(f'"objective" must be finite, got {doc["objective"]}')

@@ -12,7 +12,7 @@ import numpy as np
 
 from .dynamics import POSITIONS
 from .geometry import polygon_area
-from .natset import _cut
+from .natset import _cut, _write_text
 
 _CANVAS = 720.0
 _PAD = 1.0
@@ -103,6 +103,4 @@ def render_svg(natset, projection_doc=None):
 
 
 def write_svg(natset, path, projection_doc=None):
-    text = render_svg(natset, projection_doc)
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(text)
+    _write_text(render_svg(natset, projection_doc), path)

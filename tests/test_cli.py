@@ -271,6 +271,26 @@ def test_built_tube_bytes_do_not_depend_on_the_blas_thread_count(tmp_path):
     assert (tmp_path / "tube1.json").read_bytes() == (tmp_path / "tube2.json").read_bytes()
 
 
+def test_closed_stdout_ends_a_command_quietly(tmp_path):
+    # stdout is a pipe whose reader is gone before the command starts: its
+    # report is lost, but the tube is written and the exit is 0, untraced
+    read, write = os.pipe()
+    os.close(read)
+    env = dict(os.environ, PYTHONPATH=str(Path(natset.__file__).parents[1]))
+    out = tmp_path / "tube.json"
+    try:
+        done = subprocess.run(
+            [sys.executable, "-m", "natset.cli", "build", "--tracks",
+             str(DEMO_OUT / "scene" / "tracks.csv"), "--task", str(DEMO_OUT / "scene" / "task.json"),
+             "--out", str(out)],
+            stdout=write, stderr=subprocess.PIPE, text=True, env=env, timeout=120,
+        )
+    finally:
+        os.close(write)
+    assert (done.returncode, done.stderr) == (0, "")
+    assert out.read_bytes() == (DEMO_OUT / "tube.json").read_bytes()
+
+
 def test_export_svg_reproduces_committed_demo_figures(tmp_path, capsys):
     overlays = {"tube.svg": [], "projection.svg": ["--projection", str(DEMO_OUT / "projection.json")]}
     for name, overlay in overlays.items():

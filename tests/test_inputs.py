@@ -217,6 +217,41 @@ def test_export_svg_exits_2_on_a_bad_projection_number(tmp_path, capsys, key, ba
     assert not out.exists()
 
 
+@pytest.mark.parametrize("column", [0, 2])
+@pytest.mark.parametrize("key", ["states", "candidate_states"])
+def test_export_svg_exits_2_on_positions_it_cannot_draw(tmp_path, capsys, key, column):
+    # two finite positions whose distance overflows: the figure would be
+    # width="nan" with every hull at one point
+    doc = json.loads((DEMO_OUT / "projection.json").read_text())
+    doc[key][0][column], doc[key][1][column] = 1.7e308, -1.7e308
+    path = tmp_path / "far.json"
+    path.write_text(json.dumps(doc))
+    out = tmp_path / "fig.svg"
+    code, err = run(["export-svg", "--natset", DEMO_OUT / "tube.json", "--projection", path,
+                     "--out", out], capsys)
+    assert code == 2
+    assert err == (f"error: {path}: bad projection file: \"{key}\" positions "
+                   "must be finite with |x|, |y| <= 1e+09 m\n")
+    assert not out.exists()
+
+
+def test_export_svg_draws_positions_up_to_the_bound_and_any_velocity(tmp_path, capsys):
+    doc = json.loads((DEMO_OUT / "projection.json").read_text())
+    for key in ("states", "candidate_states"):
+        doc[key][0][0], doc[key][1][2], doc[key][2][1] = 1e9, -1e9, 1.7e308
+    path = tmp_path / "edge.json"
+    path.write_text(json.dumps(doc))
+    code, _ = run(["export-svg", "--natset", DEMO_OUT / "tube.json", "--projection", path,
+                   "--out", tmp_path / "fig.svg"], capsys)
+    assert code == 0
+    assert "nan" not in (tmp_path / "fig.svg").read_text()
+    doc["states"][3][2] = np.nextafter(1e9, 2e9)
+    path.write_text(json.dumps(doc))
+    code, err = run(["export-svg", "--natset", DEMO_OUT / "tube.json", "--projection", path,
+                     "--out", tmp_path / "fig.svg"], capsys)
+    assert code == 2 and '"states" positions must be finite' in err
+
+
 # a well-formed value of every input file option of every command, and the
 # other arguments each command needs; options that name an output are
 # covered by the writers' own error handling

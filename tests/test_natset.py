@@ -31,6 +31,7 @@ from natset.cli import main
 from natset.natset import (
     InsufficientData,
     TimedHull,
+    _json_text,
     build_natset,
     natset_stats,
     read_natset,
@@ -415,6 +416,56 @@ def test_write_of_read_gives_the_same_bytes(tube_texts, tmp_path):
         path.write_text(text)
         write_natset(read_natset(path), tmp_path / "again.json")
         assert (tmp_path / "again.json").read_text() == text
+
+
+# values that hold no array, json lays out itself: nested containers (empty
+# ones, and dicts with non-string keys, which json converts), None, bools,
+# ints, floats at repr's switches and the non-finite, and escaped strings
+ARRAY_FREE = {
+    "nested": [[1, [2.5, -0.0, []]], (3, (4, ())), {}, [], ()],
+    "tuple_of_tuples": ((0, 2), (), (1,)),
+    "string_keys": {"k": None, "\u00fc": [True, False], "e": {}},
+    "list_of_dicts": [{"a": [1, 2]}, {}, 3],
+    "tuple_of_a_dict": ({"x": 1.5},),
+    "other_keys": {1: "a", 2.5: [None], None: (), False: {}},
+    "mixed_keys": {"a": 1, 2: [3, {"b": {}}]},
+    "empty_dict": {},
+    "empty_list": [],
+    "none": None,
+    "true": True,
+    "false": False,
+    "int": -7,
+    "big_int": 2**70,
+    "scalars": [None, True, False, 0, -7, 2**70],
+    "negative_zero": -0.0,
+    "floats": [-0.0, 1e16, 1e-7, 9999999999999998.0, 1e-4, 0.1 + 0.2],
+    "non_finite": [float("nan"), float("inf"), -float("inf")],
+    "nan": float("nan"),
+    "inf": -float("inf"),
+    "unicode": "na\u00efve \u2713 \U0001f600",
+    "escapes": 'quote " back \\ slash\n\ttab \x00 \u2028',
+    "strings": ["", "\x7f", "\r\n"],
+}
+
+
+@pytest.mark.parametrize("name", list(ARRAY_FREE))
+def test_array_free_values_are_laid_out_as_json_lays_them_out(name, monkeypatch):
+    value = ARRAY_FREE[name]
+    assert _json_text(value) == json.dumps(value, indent=2)
+    # nested beside an array, in a dict and in a list
+    array = np.array([[1.5, -0.0], [2.0, 1e-7]])
+    beside = {"array": array, "value": value}
+    assert _json_text(beside) == json.dumps({"array": array.tolist(), "value": value}, indent=2)
+    assert _json_text([array, value]) == json.dumps([array.tolist(), value], indent=2)
+    # a value that is neither a dict nor a list or tuple directly holding one
+    # is one call of json's own
+    items = value if isinstance(value, (list, tuple)) else ()
+    if not isinstance(value, dict) and not any(isinstance(v, dict) for v in items):
+        calls = []
+        dumps = json.dumps
+        monkeypatch.setattr(json, "dumps", lambda *a, **k: calls.append(a) or dumps(*a, **k))
+        _json_text(value)
+        assert calls == [(value,)]
 
 
 def test_read_and_project_build_no_per_hull_object(tube_texts, tmp_path, monkeypatch):

@@ -178,6 +178,23 @@ def test_result_keeps_the_fresh_arrays_and_copies_writable_ones(monkeypatch):
     assert np.array_equal(copy.states, res.states) and np.array_equal(copy.controls, res.controls)
 
 
+def test_program_keeps_the_arrays_it_is_given(monkeypatch):
+    passed = []
+
+    def recorded(P, q, A, b):
+        passed.append((P, q, b))
+        return QuadraticProgram(P, q, A, b)
+
+    monkeypatch.setattr(natset.projection, "QuadraticProgram", recorded)
+    tube, spec = task_tube("curved_road")
+    candidate = CandidateTrajectory.from_trajectory(straight_candidate(spec))
+    qp = _program(candidate, tube, spec.dt)
+    # _program hands over fresh read-only arrays, so the program copies none
+    ((P, q, b),) = passed
+    assert qp.P is P
+    assert np.shares_memory(qp.q, q) and np.shares_memory(qp.b, b)
+
+
 def test_objective_no_worse_than_any_shared_start_member():
     dt = 0.1
     family = spread_family(seed=29)
