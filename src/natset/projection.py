@@ -148,26 +148,13 @@ def _program(candidate, natset, dt):
         q = 2.0 * (cm.Gamma.T @ (free - target))
 
     Cp, free_pos = cm.Gamma[0::2], free[0::2]
-    # x_init is pinned, so t = 0 carries no constraint; its membership was
-    # the pre-check.  Rows of steps 1 .. T of the stacked tube, in order.
+    # rows of steps 2 .. T, in order; `project` checks the pinned steps 0 and 1
     T = min(H, natset.horizon)
-    start = natset.start
-    G = natset.G[start[1]:start[T + 1]]
-    steps = owners(start[: T + 2])[start[1]:]
-    limit = -margins(G, natset.h[start[1]:start[T + 1]], free_pos[steps])
-    # rows of a step no acceleration reaches (all of Cp[t] zero: step 1 for
-    # the point mass) are facts, not constraints: check and drop
-    fixed = ~np.any(Cp, axis=1)[steps]
-    broken = np.flatnonzero(fixed & (limit < -INSIDE_TOL))
-    if broken.size:
-        j = broken[0]
-        t = steps[j]
-        raise SolverFailure(
-            f"hull row {j + start[1] - start[t]} at t={t} is violated by {-limit[j]:.6g} m "
-            "and no control input can change it"
-        )
-    A = HullRows(Cp, steps[~fixed], G[~fixed])
-    b = limit[~fixed]
+    lo, hi = natset.start[min(2, T + 1)], natset.start[T + 1]
+    G = natset.G[lo:hi]
+    steps = owners(natset.start[: T + 2])[lo:]
+    A = HullRows(Cp, steps, G)
+    b = -margins(G, natset.h[lo:hi], free_pos[steps])
     # all three are fresh and held by no one else: read-only, the program keeps them
     P.flags.writeable = q.flags.writeable = b.flags.writeable = False
     try:
@@ -180,12 +167,14 @@ def _program(candidate, natset, dt):
 def project(candidate, natset, dyn):
     """Solve the tube-constrained least-squares projection.
 
-    The initial state is pinned, so a candidate whose first position
-    misses the t = 0 hull by more than FEAS_TOL raises
-    InitialStateOutsideTube.  The states are those of the accelerations
-    that solve the QP, whatever ``dyn``'s mass; the controls are those
-    accelerations times the mass, and a mass that puts a force out of
-    floating-point range raises ValueError naming it.
+    The initial state is pinned: a candidate whose first position misses
+    the t = 0 hull by more than FEAS_TOL raises InitialStateOutsideTube,
+    and one whose step-1 position p_0 + dt v_0 misses a t = 1 hull row by
+    more than INSIDE_TOL raises SolverFailure.  The states are those of
+    the accelerations that solve the QP, whatever ``dyn``'s mass; the
+    controls are those accelerations times the mass.  ValueError names a
+    projected position beyond COORD_BOUND and its step, or a mass that
+    puts a force out of floating-point range.
     """
     # a relative rule: tube files keep dt to 12 significant digits, and the
     # CLI samples a candidate at 1 / (1 / dt)
@@ -196,13 +185,29 @@ def project(candidate, natset, dyn):
     report = naturalism_report(candidate, natset)
     if report[0] > FEAS_TOL:
         raise InitialStateOutsideTube(report[0])
+    x0 = candidate.states[0]
+    # a tube of 1 hull has no t = 1 rows; an extreme dt or v_0 puts p_1 out of range
+    with np.errstate(over="ignore"):
+        p1 = x0[POSITIONS] + dyn.dt * x0[1::2]
+    lo, hi = natset.start[1], natset.start[min(2, natset.horizon + 1)]
+    miss = margins(natset.G[lo:hi], natset.h[lo:hi], p1)
+    broken = np.flatnonzero(miss > INSIDE_TOL)
+    if broken.size:
+        j = broken[0]
+        raise SolverFailure(f"hull row {j} at t=1 is violated by {miss[j]:.6g} m "
+                            "and no control input can change it")
 
     sol = solve(_program(candidate, natset, dyn.dt))
     if sol.status is not SolverStatus.OPTIMAL:
         raise SolverFailure(f"solver returned {sol.status.value}")
 
     accel = sol.z.reshape(-1, 2)
-    states = rollout(double_integrator(dyn.dt), candidate.states[0], accel)
+    states = rollout(double_integrator(dyn.dt), x0, accel)
+    beyond = np.flatnonzero(~(np.abs(states[:, POSITIONS]) <= COORD_BOUND).all(axis=1))
+    if beyond.size:
+        x, y = states[beyond[0], POSITIONS]
+        raise ValueError(f"projected position at t={beyond[0]} is ({x:.12g}, {y:.12g}); "
+                         f"positions {_OUT_OF_BOUNDS}")
     with np.errstate(over="ignore"):
         controls = dyn.mass * accel
     if not np.isfinite(controls).all():

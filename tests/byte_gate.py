@@ -1,0 +1,87 @@
+"""Same-outputs gate: every benchmark input through the command line.
+
+    python tests/byte_gate.py SRC WORK > records.jsonl
+
+Imports natset from the directory SRC, generates the seeds 1-3 inputs of
+the three benchmark workloads into WORK with ``perfbench/workloads.generate``,
+runs each input through ``natset.cli.main`` in this process and prints one
+JSON record per run: the exit code, the sha256 of the output file (null
+when none was written), stdout with the output path replaced by ``<out>``,
+and stderr.  Two source trees give the same outputs when their records
+diff clean:
+
+    python tests/byte_gate.py old/src /tmp/gate-old > old.jsonl
+    python tests/byte_gate.py new/src /tmp/gate-new > new.jsonl
+    diff old.jsonl new.jsonl
+
+Projection bytes depend on the BLAS thread count, so the script pins one
+OpenBLAS thread.  It writes only under WORK, and no bytecode cache.
+"""
+
+import os
+import sys
+
+os.environ["OPENBLAS_NUM_THREADS"] = "1"
+sys.dont_write_bytecode = True
+
+import argparse  # noqa: E402
+import contextlib  # noqa: E402
+import hashlib  # noqa: E402
+import io  # noqa: E402
+import json  # noqa: E402
+from pathlib import Path  # noqa: E402
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+WORKLOADS = ("build_large", "project_active", "project_long")
+SEEDS = (1, 2, 3)
+
+
+def commands(workload, run_dir, manifest):
+    """(input id, command line without --out) of each input of one run."""
+    if workload == "build_large":
+        return [("recording", ["build", "--tracks", str(run_dir / "tracks.csv"),
+                               "--task", str(run_dir / "task.json")])]
+    with open(run_dir / "tube.json", encoding="utf-8") as fh:
+        dt = float(json.load(fh)["dt"])
+    return [(name, ["project", "--natset", str(run_dir / "tube.json"),
+                    "--candidate", str(run_dir / f"{name}.csv"), "--dyn", f"dt={dt!r}"])
+            for name in manifest["inputs"]]
+
+
+def run(main, argv, out):
+    """One in-process run of the command line, as a JSON-ready record."""
+    out.unlink(missing_ok=True)
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+        code = main(argv)
+    digest = hashlib.sha256(out.read_bytes()).hexdigest() if out.exists() else None
+    return {"exit": code, "sha256": digest,
+            "stdout": stdout.getvalue().replace(str(out), "<out>"),
+            "stderr": stderr.getvalue()}
+
+
+def main(argv=None):
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("src", type=Path, help="directory that holds the natset package")
+    parser.add_argument("work", type=Path, help="directory for the inputs and outputs")
+    args = parser.parse_args(argv)
+    sys.path[:0] = [str(args.src.resolve()), str(PERFBENCH)]
+    import workloads
+    from natset import cli
+
+    if not Path(cli.__file__).resolve().is_relative_to(args.src.resolve()):
+        raise SystemExit(f"natset imported from {cli.__file__}, not from {args.src}")
+    for seed in SEEDS:
+        for workload in WORKLOADS:
+            run_dir = args.work / f"{workload}-{seed}"
+            manifest = workloads.generate(workload, seed, run_dir)
+            (run_dir / "out").mkdir(exist_ok=True)
+            for input_id, argv in commands(workload, run_dir, manifest):
+                out = run_dir / "out" / f"{input_id}.json"
+                record = {"workload": workload, "seed": seed, "input": input_id,
+                          **run(cli.main, argv + ["--out", str(out)], out)}
+                print(json.dumps(record), flush=True)
+
+
+if __name__ == "__main__":
+    main()

@@ -1,6 +1,7 @@
 """Input rules stated once: the positive-scalar rule, the candidate's two
-states, finite projection-file numbers, the task's speed floor and
-unreadable input files, each through the library and the command line."""
+states, finite projection-file numbers and the position bound of a
+written projection, the task's speed floor and unreadable input files,
+each through the library and the command line."""
 
 import argparse
 import builtins
@@ -17,8 +18,9 @@ from natset.cli import _build_parser, main
 from natset.data import ParseError, Region, Trajectory, filter_task, load_task
 from natset.dynamics import NonPositiveParameter, double_integrator, positive
 from natset.geometry import quickhull, to_halfspaces
+from natset.natset import write_natset
 from natset.projection import CandidateTrajectory, read_projection
-from natset.synthetic import ScenarioSpec
+from natset.synthetic import ScenarioSpec, write_tracks_csv
 from oracles import stacked_tube
 
 DEMO_OUT = Path(__file__).resolve().parents[1] / "demos" / "out"
@@ -250,6 +252,24 @@ def test_export_svg_draws_positions_up_to_the_bound_and_any_velocity(tmp_path, c
     code, err = run(["export-svg", "--natset", DEMO_OUT / "tube.json", "--projection", path,
                      "--out", tmp_path / "fig.svg"], capsys)
     assert code == 2 and '"states" positions must be finite' in err
+
+
+def test_project_writes_no_projection_that_export_svg_refuses(tmp_path, capsys):
+    # a candidate 10 m inside the bound that contradicts its own 100 m/s:
+    # the projection follows the velocity past the bound, x = 1e9 + 1.55 m
+    # at t = 6 and 1e9 + 80.84 m at most
+    poly = quickhull([(1e9 - 50, 0.0), (1e9, 0.0), (1e9, 10.0), (1e9 - 50, 10.0)])
+    tube = stacked_tube([(poly, to_halfspaces(poly), 3)] * 6, 0.04)
+    write_natset(tube, tmp_path / "tube.json")
+    data = np.zeros((40, 7))
+    data[:, :3] = [1e9 - 10, 100.0, 5.0]
+    write_tracks_csv([Trajectory("c", 25.0, data)], tmp_path / "candidate.csv")
+    out = tmp_path / "projection.json"
+    code, err = run(["project", "--natset", tmp_path / "tube.json", "--candidate",
+                     tmp_path / "candidate.csv", "--dyn", "dt=0.04", "--out", out], capsys)
+    assert (code, err) == (2, "error: projected position at t=6 is (1000000001.55, 5); "
+                              "positions must be finite with |x|, |y| <= 1e+09 m\n")
+    assert not out.exists()
 
 
 # a well-formed value of every input file option of every command, and the

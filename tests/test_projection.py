@@ -272,6 +272,59 @@ def test_unreachable_fixed_step_is_solver_failure():
     assert "t=1" in str(err.value)
 
 
+def box_tube(hulls, dt):
+    """`hulls` copies of the 10 m box [0, 10]^2, each built from 3 states."""
+    return stacked_tube([box_hull(0.0, 10.0, 0.0, 10.0, support=3)] * hulls, dt)
+
+
+def at_box_centre(states, vx, dt):
+    return CandidateTrajectory([[5.0, vx, 5.0, 0.0]] * states, dt)
+
+
+T1_MISS = "hull row 1 at t=1 is violated by 3 m and no control input can change it"
+
+
+@pytest.mark.parametrize("hulls, vx, outcome", [
+    (1, 1.0, ((),)), (1, 30.0, ((),)), (1, 80.0, ((),)),
+    (2, 1.0, ((), ())), (2, 30.0, ((), ())), (2, 80.0, T1_MISS),
+    (3, 1.0, ((), (), ())), (3, 30.0, ((), (), (1,))), (3, 80.0, T1_MISS),
+])
+def test_short_tubes_check_step_1_and_pose_steps_from_2(hulls, vx, outcome):
+    # at 80 m/s p_1 = 13 misses the box by 3 m; at 30 m/s only the free
+    # p_2 = 11 does, and a control reaches it. A tube of 1 hull has no step 1.
+    cand = at_box_centre(5, vx, 0.1)
+    if isinstance(outcome, str):
+        with pytest.raises(SolverFailure, match=f"^{outcome}$"):
+            project(cand, box_tube(hulls, 0.1), double_integrator(0.1))
+    else:
+        res = project(cand, box_tube(hulls, 0.1), double_integrator(0.1))
+        assert (res.status, res.active_constraints) == (SolverStatus.OPTIMAL, outcome)
+
+
+@pytest.mark.parametrize("speed", [0.0, 4.0])
+def test_a_step_2_miss_at_a_tiny_dt_is_posed_to_the_qp(speed):
+    # dt^2 underflows, so no entry of the condensed position map is nonzero;
+    # at 4 m per step p_1 = 9 fits and the free p_2 = 13 misses by 3 m, but
+    # that is a program in accelerations, not a fact of the pinned start
+    dt = 1e-200
+    with pytest.raises(ValueError) as err:
+        project(at_box_centre(6, speed / dt, dt), box_tube(6, dt), double_integrator(dt))
+    assert str(err.value) == ("the projection QP in accelerations for dt=1e-200 cannot be "
+                              "posed: P is not positive definite; not strictly convex")
+
+
+def test_demo_program_poses_the_hull_rows_of_steps_2_on():
+    demo = Path(__file__).resolve().parents[1] / "demos" / "out"
+    tube = natset.read_natset(demo / "tube.json")
+    (track,) = natset.load_trajectories(demo / "scene" / "candidate.csv", frame_rate=1.0 / tube.dt)
+    cand = CandidateTrajectory.from_trajectory(track)
+    qp = _program(cand, tube, tube.dt)
+    T = min(cand.horizon, tube.horizon)
+    counts = [len(tube.hulls[t].halfspaces.h) for t in range(2, T + 1)]
+    assert np.array_equal(qp.A.steps, np.repeat(np.arange(2, T + 1), counts))
+    assert np.array_equal(qp.A.G, tube.G[tube.start[2]:tube.start[T + 1]])
+
+
 def test_dt_mismatch_rejected():
     ns = two_step_tube()
     cand = CandidateTrajectory([[t, 1.0, 0.5, 0.0] for t in range(3)], dt=0.5)
