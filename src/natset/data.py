@@ -410,6 +410,22 @@ def _numbers(rows, tail):
     return None if any(type(rows[j]) is bool for j in maybe) else values
 
 
+def _kind(value):
+    """A JSON value as a message names it: an array or an object by its
+    type, any other value by its text."""
+    return {list: "an array", dict: "an object"}.get(type(value)) or json.dumps(value)
+
+
+def _json_object(path):
+    """The JSON object that the UTF-8 file at ``path`` holds; a file that
+    holds any other JSON value is a ValueError."""
+    with open(path, encoding="utf-8") as fh:
+        doc = json.load(fh)
+    if type(doc) is not dict:
+        raise ValueError(f"the file must hold a JSON object, got {_kind(doc)}")
+    return doc
+
+
 def load_task(path):
     """Read a task config JSON: regions, speed floor, frame rate.
 
@@ -418,8 +434,7 @@ def load_task(path):
     a tube file: a bool or a string is not one.
     """
     try:
-        with open(path, encoding="utf-8") as fh:
-            cfg = json.load(fh)
+        cfg = _json_object(path)
         points = {key: _numbers(cfg[key], (2,)) for key in ("start_polygon", "end_polygon")}
         for key, pts in points.items():
             if pts is None:

@@ -10,10 +10,10 @@ and all half-space rows, cut into hulls by one offsets array.  A hull's
 rows are its polygon's edges: row j is the outward unit normal of the
 edge from vertex j to vertex j + 1, so a hull has as many rows as
 vertices.  A tube file is checked in three layers, each rule once:
-`read_natset` checks the JSON type of every value, then the file's shape
-(one G row and one h entry per vertex, then time indices 0, 1, ...); the
-constructor, the only maker of tubes, checks every hull's geometry in
-one pass over the stacks.  Building, reading, writing and projection use
+`read_natset` checks the JSON type of every value but the supports, then
+the file's shape (one G row and one h entry per vertex, then time indices
+0, 1, ...); the constructor, the only maker of tubes, checks every hull's
+support and geometry in one pass over the stacks.  Building, reading, writing and projection use
 the stacks alone.  `hulls` is an inspection view of checked per-hull
 objects, whose removal waits on the benchmark reading the stacks (ROADMAP
 item 1).  Tubes serialize to JSON with 12 significant digits.  Each hull's
@@ -31,7 +31,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .data import _INT64, ParseError, _float, _numbers, _typed, slice_at
+from .data import _INT64, ParseError, _float, _json_object, _kind, _numbers, _typed, slice_at
 from .dynamics import NX, POSITIONS, positive
 from .geometry import (
     INSIDE_TOL,
@@ -101,10 +101,10 @@ def hull_faults(support, v, G, h, start):
 
 def _supports(support):
     """``support`` as a read-only int64 array; the first hull whose support
-    is not an integer within int64 (a bool is not one) is a ValueError
-    naming it."""
-    # each entry as given, or as the Python scalar of an array's entry
-    values = np.asarray(support, dtype=object).ravel().tolist()
+    is not an integer within int64 (a bool or a list is not one) is a
+    ValueError naming it."""
+    # each hull's entry as given, or as the Python value of an array's entry
+    values = support.tolist() if isinstance(support, np.ndarray) else list(support)
     if not (set(map(type, values)) <= {int}
             and _INT64.min <= min(values, default=0) <= max(values, default=0) <= _INT64.max):
         for i, s in enumerate(values):
@@ -383,9 +383,18 @@ def write_natset(natset, path):
     _write_json(doc, path)
 
 
+def _column(entries, key):
+    """Every hull's ``key`` as a list; a hull without one is a ValueError."""
+    try:
+        return [entry[key] for entry in entries]
+    except KeyError:
+        i = next(i for i, entry in enumerate(entries) if key not in entry)
+        raise ValueError(f'hulls[{i}] has no "{key}"') from None
+
+
 def _integers(entries, key):
     """Every hull's ``key``, which must be an integer, as a list."""
-    values = [entry[key] for entry in entries]
+    values = _column(entries, key)
     if not set(map(type, values)) <= {int}:
         i = next(i for i, value in enumerate(values) if type(value) is not int)
         _typed(values[i], f'hulls[{i}]["{key}"]')
@@ -395,7 +404,7 @@ def _integers(entries, key):
 def _stack(entries, key, t, tail):
     """Every hull's ``key`` rows as one read-only float array of rows of
     shape ``tail``, and the list of each hull's row count."""
-    lists = [entry[key] for entry in entries]
+    lists = _column(entries, key)
     for i, rows in enumerate(lists):
         if type(rows) is not list:
             raise ValueError(f"hull at t={t[i]}: {key} must be a list, got {json.dumps(rows)}")
@@ -431,11 +440,11 @@ def read_natset(path):
 
     Each hull field is read straight into its stack; no per-hull object is
     built.  The JSON types and the file's shape are checked here, in that
-    order, and each hull's geometry by the `NaturalisticSet` constructor.
+    order, and each hull's support and geometry by the `NaturalisticSet`
+    constructor.
     """
     try:
-        with open(path, encoding="utf-8") as fh:
-            doc = json.load(fh)
+        doc = _json_object(path)
         dt = _float(doc["dt"], '"dt"')
         if _typed(doc["hull_dim"], '"hull_dim"') != 2:
             raise ValueError("only 2-d hulls are supported")
@@ -450,11 +459,12 @@ def read_natset(path):
         if type(provenance) is not dict:
             raise ValueError(f'"provenance" must be a JSON object, got {json.dumps(provenance)}')
         entries = doc["hulls"]
-        t, support = _integers(entries, "t"), _integers(entries, "support")
-        wide = [i for i, s in enumerate(support) if not _INT64.min <= s <= _INT64.max]
-        if wide:
-            raise ValueError(f'hulls[{wide[0]}]["support"] must be an integer, '
-                             "got an integer beyond int64")
+        if type(entries) is not list:
+            raise ValueError(f'"hulls" must be a list, got {_kind(entries)}')
+        i = next((i for i, entry in enumerate(entries) if type(entry) is not dict), None)
+        if i is not None:
+            raise ValueError(f"hulls[{i}] must be a JSON object, got {_kind(entries[i])}")
+        t, support = _integers(entries, "t"), _column(entries, "support")
         (v, v_counts), (G, g_counts), (h, h_counts) = (
             _stack(entries, key, t, tail)
             for key, tail in (("vertices", (2,)), ("G", (2,)), ("h", ())))

@@ -11,13 +11,13 @@ The x and y axes share one condensed map, so the QP's matrix is one
 H x H block and its hull rows stay implicit (`HullRows`).
 """
 
-import json
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .data import ParseError, Trajectory, _float, _numbers
+from . import qpsolver
+from .data import ParseError, Trajectory, _float, _json_object, _numbers
 from .dynamics import POSITIONS, condense, double_integrator, positive, rollout
 from .geometry import COORD_BOUND, INSIDE_TOL, _OUT_OF_BOUNDS, _freeze, margins, owners
 from .natset import _round12, _write_json, step_rows_within, step_violations
@@ -170,7 +170,9 @@ def project(candidate, natset, dyn):
     The initial state is pinned: a candidate whose first position misses
     the t = 0 hull by more than FEAS_TOL raises InitialStateOutsideTube,
     and one whose step-1 position p_0 + dt v_0 misses a t = 1 hull row by
-    more than INSIDE_TOL raises SolverFailure.  The states are those of
+    more than INSIDE_TOL raises SolverFailure, as does a solve that is not
+    Optimal, naming its steps and, for MaxIter, the cap or the certificate
+    that stopped it.  The states are those of
     the accelerations that solve the QP, whatever ``dyn``'s mass; the
     controls are those accelerations times the mass.  ValueError names a
     projected position beyond COORD_BOUND and its step, or a mass that
@@ -198,8 +200,13 @@ def project(candidate, natset, dyn):
                             "and no control input can change it")
 
     sol = solve(_program(candidate, natset, dyn.dt))
-    if sol.status is not SolverStatus.OPTIMAL:
-        raise SolverFailure(f"solver returned {sol.status.value}")
+    steps = f"{sol.iterations} active-set steps"
+    if sol.status is SolverStatus.INFEASIBLE:
+        raise SolverFailure(f"solver returned Infeasible after {steps}")
+    if sol.status is SolverStatus.MAX_ITER:
+        why = (f"it stopped at its cap of {steps}" if sol.iterations == qpsolver._MAX_STEPS
+               else f"its answer after {steps} fails the KKT certificate")
+        raise SolverFailure(f"solver returned MaxIter: {why}")
 
     accel = sol.z.reshape(-1, 2)
     states = rollout(double_integrator(dyn.dt), x0, accel)
@@ -249,8 +256,7 @@ def read_projection(path):
     tube file's, its arrays and objective must hold finite JSON numbers,
     and the positions of its states within COORD_BOUND."""
     try:
-        with open(path, encoding="utf-8") as fh:
-            doc = json.load(fh)
+        doc = _json_object(path)
         for key, width in (("states", 4), ("controls", 2), ("candidate_states", 4)):
             if key != "candidate_states" or key in doc:
                 values = _numbers(doc[key], (width,))

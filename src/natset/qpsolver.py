@@ -34,7 +34,11 @@ is below _DEPENDENT_TOL |y|.  A row leaves by Givens rotations of R's
 rows and Q1's columns, after which Q1's last column drops.  Optimal
 returns carry a KKT certificate checked against the original problem
 data, so callers can trust the status field whatever the rounding of the
-factor.
+factor.  Its four tests have their own scales: stationarity relative to
+1 + max|q|, feasibility absolute, the multipliers' sign, and the duality
+gap  sum_W lam_i |a_i z - b_i|  relative to the objective's terms
+1 + |q'z| + z'Pz, so looser than an absolute bound where those terms are
+large, as a huge linear term makes them, and about as strict near 1.
 
 LAPACK's dpotrf makes L, and its dtrtrs makes every solve with L or R.
 scipy wraps both and is imported where a program is factored or solved,
@@ -67,19 +71,15 @@ def _freeze(arr, ndim):
     return out
 
 
-# KKT certificate tolerances, checked against the original problem data;
-# stationarity is allowed _STAT_TOL * (1 + max|q|) plus the rounding of
-# P z + q + A'lam, _ROUNDINGS eps (||P||_inf max|z| + |q| + |A_W|' |lam_W|)
-# per entry, since huge multipliers magnify the rounding of their rows' terms
+# KKT certificate tolerances, checked against the original problem data:
+# stationarity within _STAT_TOL (1 + max|q|) plus its terms' rounding,
+# _ROUNDINGS eps (||P||_inf max|z| + |q| + |A_W|' |lam_W|) per entry, which
+# huge multipliers magnify; max(A z - b) <= _FEAS_TOL; the duality gap within
+# _COMP_SLACK_TOL (1 + |q'z| + z'Pz); and every lam_i >= -_DUAL_SIGN_TOL
 _STAT_TOL = 1e-7
 _FEAS_TOL = 1e-7
 _COMP_SLACK_TOL = 1e-6
 _DUAL_SIGN_TOL = 1e-9
-# a sum is computed to within a few eps times the sum of its terms'
-# magnitudes; row i may miss complementarity by lam_i times this many
-# roundings of its margin a_i z - b_i, eps (|a_i| |z| + |b_i|), on top of
-# _COMP_SLACK_TOL, since a large multiplier magnifies them past any
-# absolute bound
 _ROUNDINGS = 16
 # a row enters the working set only when violated by more than this
 _VIOL_TOL = 1e-9
@@ -196,22 +196,21 @@ def _certificate(qp, z, lam):
     Returns (passed, stationarity residual, worst constraint violation).
     """
     eps = np.finfo(float).eps
-    # only rows with a multiplier enter A'lam or can miss complementarity
+    # only rows with a multiplier enter A'lam or the duality gap
     w = np.flatnonzero(lam)
     A_w = qp.A[w]
-    residual = np.abs((qp.P @ qp.blocks(z)).ravel() + qp.q + A_w.T @ lam[w])
+    Pz = (qp.P @ qp.blocks(z)).ravel()
+    residual = np.abs(Pz + qp.q + A_w.T @ lam[w])
     size = (np.linalg.norm(qp.P, np.inf) * np.max(np.abs(z), initial=0.0)
             + np.abs(qp.q) + np.abs(A_w).T @ np.abs(lam[w]))
     stat_bound = _STAT_TOL * (1.0 + np.max(np.abs(qp.q), initial=0.0)) + _ROUNDINGS * eps * size
     margins = qp.A @ z - qp.b
     viol = np.max(margins, initial=0.0)
-    rounding = (_ROUNDINGS * eps
-                * (np.linalg.norm(A_w, axis=1) * np.linalg.norm(z) + np.abs(qp.b[w])))
-    comp = np.max(np.abs(lam[w]) * (np.abs(margins[w]) - rounding), initial=0.0)
+    gap = np.abs(lam[w]) @ np.abs(margins[w])
     passed = bool(
         np.all(residual <= stat_bound)
         and viol <= _FEAS_TOL
-        and comp <= _COMP_SLACK_TOL
+        and gap <= _COMP_SLACK_TOL * (1.0 + abs(qp.q @ z) + z @ Pz)
         and np.min(lam, initial=0.0) >= -_DUAL_SIGN_TOL
     )
     return passed, np.max(residual, initial=0.0), viol

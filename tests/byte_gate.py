@@ -4,7 +4,10 @@
 
 Imports natset from the directory SRC, generates the seeds 1-3 inputs of
 the three benchmark workloads into WORK with ``perfbench/workloads.generate``,
-runs each input through ``natset.cli.main`` in this process and prints one
+and writes the ladder inputs there too: the demo candidate with frame 30's
+xVelocity set to each speed of LADDER, projected into the demo tube, which
+takes the solver's certificate from ordinary scales to huge ones.  It runs
+each input through ``natset.cli.main`` in this process and prints one
 JSON record per run: the exit code, the sha256 of the output file (null
 when none was written), stdout with the output path replaced by ``<out>``,
 and stderr.  Two source trees give the same outputs when their records
@@ -26,14 +29,18 @@ sys.dont_write_bytecode = True
 
 import argparse  # noqa: E402
 import contextlib  # noqa: E402
+import csv  # noqa: E402
 import hashlib  # noqa: E402
 import io  # noqa: E402
 import json  # noqa: E402
 from pathlib import Path  # noqa: E402
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+DEMO = Path(__file__).resolve().parents[1] / "demos" / "out"
 WORKLOADS = ("build_large", "project_active", "project_long")
 SEEDS = (1, 2, 3)
+# frame 30's xVelocity (m/s) in the ladder's demo candidates
+LADDER = (1e2, 1e4, 1e5, 1e6, 1e7, 1e8, 1e9, 1e10, 1e11, 1e12, 1e20, 1e50)
 
 
 def commands(workload, run_dir, manifest):
@@ -46,6 +53,25 @@ def commands(workload, run_dir, manifest):
     return [(name, ["project", "--natset", str(run_dir / "tube.json"),
                     "--candidate", str(run_dir / f"{name}.csv"), "--dyn", f"dt={dt!r}"])
             for name in manifest["inputs"]]
+
+
+def ladder(run_dir):
+    """(input id, command line without --out) of each ladder input, whose
+    candidate it writes into run_dir."""
+    with open(DEMO / "scene" / "candidate.csv", newline="", encoding="utf-8") as fh:
+        rows = list(csv.reader(fh))
+    column = rows[0].index("xVelocity")
+    (row,) = [row for row in rows[1:] if row[rows[0].index("frame")] == "30"]
+    run_dir.mkdir(parents=True, exist_ok=True)
+    inputs = []
+    for v in LADDER:
+        row[column] = repr(v)
+        path = run_dir / f"xVelocity={v:.0e}.csv"
+        with open(path, "w", newline="", encoding="utf-8") as fh:
+            csv.writer(fh, lineterminator="\n").writerows(rows)
+        inputs.append((path.stem, ["project", "--natset", str(DEMO / "tube.json"),
+                                   "--candidate", str(path), "--dyn", "dt=0.04"]))
+    return inputs
 
 
 def run(main, argv, out):
@@ -71,16 +97,20 @@ def main(argv=None):
 
     if not Path(cli.__file__).resolve().is_relative_to(args.src.resolve()):
         raise SystemExit(f"natset imported from {cli.__file__}, not from {args.src}")
+    runs = []
     for seed in SEEDS:
         for workload in WORKLOADS:
             run_dir = args.work / f"{workload}-{seed}"
             manifest = workloads.generate(workload, seed, run_dir)
-            (run_dir / "out").mkdir(exist_ok=True)
-            for input_id, argv in commands(workload, run_dir, manifest):
-                out = run_dir / "out" / f"{input_id}.json"
-                record = {"workload": workload, "seed": seed, "input": input_id,
-                          **run(cli.main, argv + ["--out", str(out)], out)}
-                print(json.dumps(record), flush=True)
+            runs.append((workload, seed, run_dir, commands(workload, run_dir, manifest)))
+    runs.append(("ladder", None, args.work / "ladder", ladder(args.work / "ladder")))
+    for workload, seed, run_dir, inputs in runs:
+        (run_dir / "out").mkdir(exist_ok=True)
+        for input_id, argv in inputs:
+            out = run_dir / "out" / f"{input_id}.json"
+            record = {"workload": workload, "seed": seed, "input": input_id,
+                      **run(cli.main, argv + ["--out", str(out)], out)}
+            print(json.dumps(record), flush=True)
 
 
 if __name__ == "__main__":

@@ -601,6 +601,29 @@ def _huge_normal(doc):
     doc["hulls"][3]["G"][0] = [1.7e308, 1.7e308]
 
 
+def _tube_in_a_list(doc):
+    return [doc]
+
+
+def _hulls_as(value):
+    def spoil(doc):
+        doc["hulls"] = value
+    return spoil
+
+
+def _list_for_hull(doc):
+    doc["hulls"][3] = [1, 2]
+
+
+def _hull_without_G(doc):
+    del doc["hulls"][2]["G"]
+
+
+def _supports_as_lists(doc):
+    for hull in doc["hulls"]:
+        hull["support"] = [hull["support"]]
+
+
 @pytest.mark.parametrize(
     "spoil, cause",
     [
@@ -611,13 +634,19 @@ def _huge_normal(doc):
         (_huge_int_dt, '"dt" must be a number, got an integer beyond float range'),
         (_duplicate_vertex, "hull at t=3: duplicate consecutive vertices"),
         (_long_row, "hull at t=3: rows of G must have unit Euclidean norm"),
-        (_fractional_support, 'hulls[4]["support"] must be an integer, got 3.9'),
-        (_huge_support, 'hulls[2]["support"] must be an integer, got an integer beyond int64'),
+        (_fractional_support, "hull at t=4: support must be an integer, got 3.9"),
+        (_huge_support, "hull at t=2: support must be an integer, got an integer beyond int64"),
+        (_supports_as_lists, "hull at t=0: support must be an integer, got [20]"),
         (_boolean_t, 'hulls[1]["t"] must be an integer, got true'),
         (_fractional_hull_dim, '"hull_dim" must be an integer, got 2.7'),
         (_number_for_vertices, "hull at t=2: vertices must be a list, got 5"),
         (_huge_vertex, "hull at t=3: polygon vertices must be finite with |x|, |y| <= 1e+09 m"),
         (_huge_normal, "hull at t=3: rows of G must have unit Euclidean norm"),
+        (_tube_in_a_list, "the file must hold a JSON object, got an array"),
+        (_hulls_as({}), '"hulls" must be a list, got an object'),
+        (_hulls_as(5), '"hulls" must be a list, got 5'),
+        (_list_for_hull, "hulls[3] must be a JSON object, got an array"),
+        (_hull_without_G, 'hulls[2] has no "G"'),
     ],
 )
 def test_project_bad_tube_names_the_file(scene, tmp_path, capsys, spoil, cause):
@@ -628,8 +657,8 @@ def test_project_bad_tube_names_the_file(scene, tmp_path, capsys, spoil, cause):
         tube.write_text("not a tube\n")
     else:
         doc = json.loads(text)
-        spoil(doc)
-        tube.write_text(json.dumps(doc))
+        # a spoiler edits the document, or returns the one to write instead
+        tube.write_text(json.dumps(spoil(doc) or doc))
     code, _, err = run(
         [
             "project",

@@ -76,6 +76,28 @@ def test_task_frame_rate_states_the_one_rule_naming_the_file(tmp_path, value):
     assert str(exc.value) == f"{task}: bad task config: {rule('frame_rate', value)}"
 
 
+# a JSON input that holds another value than an object, with what the
+# message calls it
+NOT_OBJECTS = {"array": (lambda doc: [doc], "an array"), "number": (lambda doc: 25, "25")}
+
+
+@pytest.mark.parametrize("name", sorted(NOT_OBJECTS))
+def test_task_file_must_hold_a_json_object(tmp_path, capsys, name):
+    wrap, kind = NOT_OBJECTS[name]
+    task = tmp_path / "task.json"
+    task.write_text(json.dumps(wrap(json.loads((SCENE / "task.json").read_text()))))
+    cause = f"{task}: bad task config: the file must hold a JSON object, got {kind}"
+    with pytest.raises(ParseError) as exc:
+        load_task(task)
+    assert str(exc.value) == cause
+    out = tmp_path / "tube.json"
+    code, err = run(["build", "--tracks", SCENE / "tracks.csv", "--task", task, "--out", out],
+                    capsys)
+    assert code == 2
+    assert err == f"error: {cause}\n"
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("value", [1e-300, 1e300, 0.04, 25])
 def test_small_and_large_scalars_with_finite_reciprocals_pass(value):
     positive("x", value)
@@ -216,6 +238,23 @@ def test_export_svg_exits_2_on_a_bad_projection_number(tmp_path, capsys, key, ba
                      "--out", out], capsys)
     assert code == 2
     assert err.startswith(f"error: {path}: bad projection file: \"{key}\" must ")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("name", sorted(NOT_OBJECTS))
+def test_projection_file_must_hold_a_json_object(tmp_path, capsys, name):
+    wrap, kind = NOT_OBJECTS[name]
+    path = tmp_path / "projection.json"
+    path.write_text(json.dumps(wrap(json.loads((DEMO_OUT / "projection.json").read_text()))))
+    cause = f"{path}: bad projection file: the file must hold a JSON object, got {kind}"
+    with pytest.raises(ParseError) as exc:
+        read_projection(path)
+    assert str(exc.value) == cause
+    out = tmp_path / "fig.svg"
+    code, err = run(["export-svg", "--natset", DEMO_OUT / "tube.json", "--projection", path,
+                     "--out", out], capsys)
+    assert code == 2
+    assert err == f"error: {cause}\n"
     assert not out.exists()
 
 

@@ -580,6 +580,16 @@ def test_supports_must_be_integers_within_int64(support, message):
         replace(tube, support=tube.support.astype(float))
 
 
+def test_a_support_of_lists_is_named():
+    # a 2-d support holds one list per hull, not an integer
+    tube = build_natset(random_dataset())
+    first = int(tube.support[0])
+    for support in ([[s] for s in tube.support.tolist()], tube.support.reshape(-1, 1)):
+        with pytest.raises(ValueError) as exc:
+            replace(tube, support=support)
+        assert str(exc.value) == f"hull at t=0: support must be an integer, got [{first}]"
+
+
 def test_every_tube_the_constructor_accepts_reads_back(tmp_path):
     tube = build_natset(random_dataset())
     big = np.iinfo(np.int64).max

@@ -14,12 +14,21 @@ import pytest
 import scipy.linalg
 
 import natset
-from natset import geometry
-from natset.data import RawActorState, Region, Task, TaskDataset, Trajectory, filter_task
+from natset import geometry, qpsolver
+from natset.data import (
+    RawActorState,
+    Region,
+    Task,
+    TaskDataset,
+    Trajectory,
+    filter_task,
+    load_trajectories,
+)
 from natset.dynamics import POSITIONS, double_integrator, rollout
 from natset.geometry import INSIDE_TOL, quickhull, to_halfspaces
 from natset.natset import (
     build_natset,
+    read_natset,
     step_rows_within,
     trajectory_membership,
 )
@@ -746,10 +755,75 @@ def test_projection_is_the_exact_kkt_point_of_its_working_set(case):
     assert min(lam) >= 0 and max(margins) <= 0
     assert all(margins[i] == 0 for i in working)
     res = project(candidate, tube, double_integrator(spec.dt))
-    exact = rollout_exact(spec.dt, candidate.states[0], z)
-    deviation = max(abs(Fraction(s) - e) for row, exact_row in zip(res.states.tolist(), exact)
-                    for s, e in zip(row, exact_row))
-    assert deviation <= bound
+    assert exact_deviation(res, candidate, z) <= bound
+
+
+def exact_deviation(res, candidate, z):
+    """The largest distance (m) of a projection's states from the exact
+    rollout of the accelerations z, a list of Fractions, from the
+    candidate's pinned start."""
+    exact = rollout_exact(candidate.dt, candidate.states[0], z)
+    return max(abs(Fraction(s) - e) for row, exact_row in zip(res.states.tolist(), exact)
+               for s, e in zip(row, exact_row))
+
+
+@pytest.fixture(scope="module")
+def demo_files():
+    """The committed demo tube and the states of its candidate."""
+    demo = Path(__file__).resolve().parents[1] / "demos" / "out"
+    tube = read_natset(demo / "tube.json")
+    (track,) = load_trajectories(demo / "scene" / "candidate.csv", frame_rate=1.0 / tube.dt)
+    return tube, track.dyn_states
+
+
+def ladder_candidate(demo_files, v, length=None):
+    """The demo candidate, cut to its first ``length`` states, with frame
+    30's xVelocity set to v."""
+    tube, states = demo_files
+    states = np.array(states[:length])
+    states[30, 1] = v
+    return CandidateTrajectory(states, tube.dt)
+
+
+@pytest.mark.parametrize("v", [1e4, 1e6, 1e8])
+def test_huge_candidate_velocities_certify_the_exact_optimum(demo_files, v):
+    # the start point -P^{-1}q grows with v, and its rounding stays in the
+    # answer, which the duality gap relative to the objective's terms
+    # accepts: measured at 6.6e-15 v to 6.7e-15 v m from the exact optimum,
+    # at one and at two OpenBLAS threads
+    tube, _ = demo_files
+    candidate = ladder_candidate(demo_files, v, 41)
+    qp = _program(candidate, tube, tube.dt)
+    sol = solve(qp)
+    assert sol.status is SolverStatus.OPTIMAL
+    z, lam, margins = exact_kkt_point(qp, np.flatnonzero(sol.lam))
+    assert min(lam) >= 0 and max(margins) <= 0
+    res = project(candidate, tube, double_integrator(tube.dt))
+    assert exact_deviation(res, candidate, z) <= 1e-14 * v
+
+
+@pytest.mark.parametrize("v, cause", [
+    # the answer misses a hull row by 6.8e-7 m, past the feasibility tolerance
+    (1e10, "MaxIter: its answer after {} active-set steps fails the KKT certificate"),
+    (1e20, "Infeasible after {} active-set steps"),
+])
+def test_exit_5_names_the_steps_and_why_the_solve_stopped(demo_files, v, cause):
+    tube, _ = demo_files
+    candidate = ladder_candidate(demo_files, v)
+    sol = solve(_program(candidate, tube, tube.dt))
+    assert sol.iterations < qpsolver._MAX_STEPS
+    with pytest.raises(SolverFailure) as exc:
+        project(candidate, tube, double_integrator(tube.dt))
+    assert str(exc.value) == "solver returned " + cause.format(sol.iterations)
+
+
+def test_exit_5_names_the_step_cap(demo_files, monkeypatch):
+    # the demo chord leaves the tube, so its solve takes more than one step
+    tube, states = demo_files
+    monkeypatch.setattr(qpsolver, "_MAX_STEPS", 1)
+    with pytest.raises(SolverFailure) as exc:
+        project(CandidateTrajectory(states, tube.dt), tube, double_integrator(tube.dt))
+    assert str(exc.value) == "solver returned MaxIter: it stopped at its cap of 1 active-set steps"
 
 
 @pytest.mark.parametrize("horizon", [30, 100, 400, 800])

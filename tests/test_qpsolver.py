@@ -205,6 +205,17 @@ def test_certificate_rejects_a_slack_working_row():
         assert passed is ok
 
 
+def test_certificate_judges_the_gap_against_the_objective_scale():
+    # min z^2 - 2000 z s.t. z <= 1 has z* = 1 and lam* = 1998, and its scale
+    # 1 + |q'z| + z'Pz is about 2.0e3: the gap lam |z - 1| may reach 2e-3
+    qp = QuadraticProgram([[2.0]], [-2000.0], [[1.0]], [1.0])
+    for slack, ok in ((1e-7, True), (1e-6, True), (1e-5, False)):
+        z = 1.0 - slack
+        passed, _, viol = qpsolver._certificate(qp, np.array([z]), np.array([2000.0 - 2.0 * z]))
+        assert viol == 0.0
+        assert passed is ok, slack
+
+
 def test_nearly_parallel_rows_match_linprog_feasibility():
     infeasible = 0
     for idx, qp in enumerate(degenerate_qps(400, seed=2024, multiples=(3.0, 0.25))):
