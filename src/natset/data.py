@@ -56,6 +56,15 @@ CHUNK_ROWS = 4096
 FRAME_RATE = 25.0
 MIN_SPEED = 0.5
 
+# Largest |xVelocity| or |yVelocity| a recorded sample may have, in m/s:
+# far beyond any road user, and the largest power of ten at which a speed
+# set in one frame of the demo or benchmark candidates still projects to
+# within 1e-8 m of the hulls (the projection's rounding grows with speed).
+SPEED_BOUND = 1e7
+# each bounded column, its bound and unit, in the order `_scan` checks them
+_BOUNDS = (("xCenter", COORD_BOUND, "m"), ("yCenter", COORD_BOUND, "m"),
+           ("xVelocity", SPEED_BOUND, "m/s"), ("yVelocity", SPEED_BOUND, "m/s"))
+
 # a recorded frame and a hull's support are integers within this range
 _INT64 = np.iinfo(np.int64)
 
@@ -238,10 +247,10 @@ def _scan(path, where):
                 for name, value in values.items():
                     if not math.isfinite(value):
                         raise ParseError(f"{at}: column {name!r} is not finite: {cell[name]!r}")
-                for name in ("xCenter", "yCenter"):
-                    if abs(values[name]) > COORD_BOUND:
+                for name, bound, unit in _BOUNDS:
+                    if abs(values[name]) > bound:
                         raise ParseError(f"{at}: column {name!r} of trackId {cell['trackId']!r}"
-                                         f" is beyond {COORD_BOUND:g} m: {cell[name]!r}")
+                                         f" is beyond {bound:g} {unit}: {cell[name]!r}")
         except csv.Error as exc:
             raise ParseError(f"{path}: row {row_num + 1}: line {line}: {exc}") from None
     raise ParseError(f"{path}: the file changed while it was read")
@@ -266,9 +275,10 @@ def load_trajectories(path, frame_rate=FRAME_RATE):
 
     The file must carry at least the REQUIRED_COLUMNS header names; extra
     columns (as in full inD tracks exports) are ignored.  Frames for each
-    actor must form a contiguous range once sorted, and every position
-    must lie within COORD_BOUND.  Rows are converted by column in batches;
-    on any fault `_scan` reads the file again to name the first bad record.
+    actor must form a contiguous range once sorted, every position must
+    lie within COORD_BOUND and every velocity component within SPEED_BOUND.
+    Rows are converted by column in batches; on any fault `_scan` reads
+    the file again to name the first bad record.
     """
     positive("frame_rate", frame_rate)
     codes, parts, where = {}, [], {}  # trackId -> order of first appearance; batches; columns
@@ -295,7 +305,8 @@ def load_trajectories(path, frame_rate=FRAME_RATE):
                     cells = chain.from_iterable(fields[where[c]] for c in _DATA_COLUMNS)
                     states = np.fromiter(map(float, cells), float, 7 * n).reshape(7, n).T
                     valid = ("" not in ids and frames.min() >= 0 and np.isfinite(states).all()
-                             and np.abs(states[:, POSITIONS]).max() <= COORD_BOUND)
+                             and np.abs(states[:, POSITIONS]).max() <= COORD_BOUND
+                             and np.abs(states[:, 1:4:2]).max() <= SPEED_BOUND)
                 except (IndexError, ValueError, OverflowError):
                     valid = False
                 if not valid:

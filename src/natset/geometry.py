@@ -34,8 +34,8 @@ COORD_BOUND = 1e9
 _OUT_OF_BOUNDS = f"must be finite with |x|, |y| <= {COORD_BOUND:g} m"
 
 # A point lies inside a half-space set when its worst margin G p - h is at
-# most this many meters: the one inside rule for task regions, tube
-# membership and the projection's control-independent rows.
+# most this many meters: the inside rule for free points, in task regions
+# and tube membership; the projection's pinned start uses its FEAS_TOL.
 INSIDE_TOL = 1e-9
 
 

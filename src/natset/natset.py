@@ -109,7 +109,11 @@ def _supports(support):
             and _INT64.min <= min(values, default=0) <= max(values, default=0) <= _INT64.max):
         for i, s in enumerate(values):
             if isinstance(s, bool) or not isinstance(s, numbers.Integral):
-                raise ValueError(f"hull at t={i}: support must be an integer, got {s!r}")
+                try:
+                    got = json.dumps(s)
+                except (TypeError, ValueError):  # a value JSON cannot spell, e.g. np.float32
+                    got = repr(s)
+                raise ValueError(f"hull at t={i}: support must be an integer, got {got}")
             if not _INT64.min <= s <= _INT64.max:
                 raise ValueError(f"hull at t={i}: support must be an integer, "
                                  "got an integer beyond int64")

@@ -19,11 +19,11 @@ import numpy as np
 from . import qpsolver
 from .data import ParseError, Trajectory, _float, _json_object, _numbers
 from .dynamics import POSITIONS, condense, double_integrator, positive, rollout
-from .geometry import COORD_BOUND, INSIDE_TOL, _OUT_OF_BOUNDS, _freeze, margins, owners
+from .geometry import COORD_BOUND, _OUT_OF_BOUNDS, _freeze, margins, owners
 from .natset import _round12, _write_json, step_rows_within, step_violations
 from .qpsolver import QuadraticProgram, SolverStatus, solve
 
-# membership tolerance of the t = 0 pre-check on the pinned initial state
+# meters a written state may miss its hull by; so also the pinned start's rule
 FEAS_TOL = 1e-6
 ACTIVE_TOL = 1e-6
 
@@ -167,16 +167,16 @@ def _program(candidate, natset, dt):
 def project(candidate, natset, dyn):
     """Solve the tube-constrained least-squares projection.
 
-    The initial state is pinned: a candidate whose first position misses
-    the t = 0 hull by more than FEAS_TOL raises InitialStateOutsideTube,
-    and one whose step-1 position p_0 + dt v_0 misses a t = 1 hull row by
-    more than INSIDE_TOL raises SolverFailure, as does a solve that is not
-    Optimal, naming its steps and, for MaxIter, the cap or the certificate
-    that stopped it.  The states are those of
-    the accelerations that solve the QP, whatever ``dyn``'s mass; the
-    controls are those accelerations times the mass.  ValueError names a
-    projected position beyond COORD_BOUND and its step, or a mass that
-    puts a force out of floating-point range.
+    The initial state is pinned, and FEAS_TOL judges both of its facts: a
+    first position that misses the t = 0 hull by more raises
+    InitialStateOutsideTube, and a step-1 position p_0 + dt v_0 that misses
+    a t = 1 hull row by more raises SolverFailure, as does a solve that is
+    not Optimal, naming its steps and, for MaxIter, the cap or the
+    certificate that stopped it.  The states are those of the accelerations
+    that solve the QP, whatever ``dyn``'s mass; the controls are those
+    accelerations times the mass.  ValueError names a projected position
+    beyond COORD_BOUND and its step, or a mass that puts a force out of
+    floating-point range.
     """
     # a relative rule: tube files keep dt to 12 significant digits, and the
     # CLI samples a candidate at 1 / (1 / dt)
@@ -193,7 +193,7 @@ def project(candidate, natset, dyn):
         p1 = x0[POSITIONS] + dyn.dt * x0[1::2]
     lo, hi = natset.start[1], natset.start[min(2, natset.horizon + 1)]
     miss = margins(natset.G[lo:hi], natset.h[lo:hi], p1)
-    broken = np.flatnonzero(miss > INSIDE_TOL)
+    broken = np.flatnonzero(miss > FEAS_TOL)
     if broken.size:
         j = broken[0]
         raise SolverFailure(f"hull row {j} at t=1 is violated by {miss[j]:.6g} m "

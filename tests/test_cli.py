@@ -220,6 +220,31 @@ def test_build_exit_2_names_the_far_position(tmp_path, scene, capsys):
 DEMO_OUT = Path(__file__).resolve().parents[1] / "demos" / "out"
 
 
+@pytest.mark.parametrize("column, value, code", [
+    ("xVelocity", "1e8", 2), ("yVelocity", "-2e7", 2), ("xVelocity", "1e7", 0),
+])
+def test_project_exit_2_names_a_speed_beyond_the_bound(tmp_path, capsys, column, value, code):
+    # the demo candidate with one of frame 30's velocities set to ``value``:
+    # up to SPEED_BOUND it projects, beyond it the file is refused
+    lines = (DEMO_OUT / "scene" / "candidate.csv").read_text().splitlines()
+    header = lines[0].split(",")
+    fields = lines[31].split(",")
+    assert fields[header.index("frame")] == "30"
+    fields[header.index(column)] = value
+    lines[31] = ",".join(fields)
+    candidate = tmp_path / "fast.csv"
+    candidate.write_text("\n".join(lines) + "\n")
+    out = tmp_path / "projection.json"
+    exit_code, _, err = run(["project", "--natset", str(DEMO_OUT / "tube.json"),
+                             "--candidate", str(candidate), "--dyn", "dt=0.04", "--out", str(out)],
+                            capsys)
+    assert (exit_code, out.exists()) == (code, code == 0)
+    if code:
+        track = fields[header.index("trackId")]
+        assert err == (f"error: {candidate}: row 32: column {column!r} of trackId {track!r} "
+                       f"is beyond 1e+07 m/s: {value!r}\n")
+
+
 def test_build_reproduces_committed_demo_tube(tmp_path, capsys):
     scene_dir = DEMO_OUT / "scene"
     out = tmp_path / "tube.json"

@@ -563,8 +563,10 @@ def test_offsets_are_integers_non_decreasing_from_0():
     ({0: 40.5}, "hull at t=0: support must be an integer, got 40.5"),
     ({2: 10**30}, "hull at t=2: support must be an integer, got an integer beyond int64"),
     ({3: 2**63}, "hull at t=3: support must be an integer, got an integer beyond int64"),
-    ({1: True}, "hull at t=1: support must be an integer, got True"),
-    ({4: "5"}, "hull at t=4: support must be an integer, got '5'"),
+    # spelled as in the file, or by repr where JSON cannot spell the value
+    ({1: True}, "hull at t=1: support must be an integer, got true"),
+    ({4: "5"}, 'hull at t=4: support must be an integer, got "5"'),
+    ({0: np.float32(40.5)}, f"hull at t=0: support must be an integer, got {np.float32(40.5)!r}"),
 ])
 def test_supports_must_be_integers_within_int64(support, message):
     tube = build_natset(random_dataset())

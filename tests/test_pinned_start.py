@@ -8,8 +8,8 @@ Each outcome is checked here with plain numpy on the hulls' G and h:
 * certified: the result starts at x_0, every state lies in its hull within
   FEAS_TOL, and the controls roll out to the states;
 * InitialStateOutsideTube: x_0 misses W_0 by more than FEAS_TOL;
-* SolverFailure: only when the zero-force step x_1 misses W_1 and the
-  message names t=1.
+* SolverFailure: only when the zero-force step x_1 misses W_1 by more
+  than FEAS_TOL, the same bound as at t = 0, and the message names t=1.
 
 Forces scale with the mass, so no outcome may depend on the mass unit.
 """
@@ -27,9 +27,13 @@ from natset import (
     filter_task,
     project,
     quickhull,
+    read_natset,
+    read_projection,
     rollout,
+    write_natset,
+    write_projection,
 )
-from natset.geometry import INSIDE_TOL
+from natset.data import Trajectory
 from natset.projection import FEAS_TOL
 from natset.synthetic import KINDS, default_spec, generate_scenario, straight_candidate
 
@@ -72,7 +76,7 @@ def check_outcome(cand, ns, dyn):
         return "outside_start", None
     except SolverFailure as exc:
         x1 = rollout(dyn, x0, np.zeros((1, 2)))[1]
-        assert margin(ns.hulls[1], x1)[0] > INSIDE_TOL, str(exc)
+        assert margin(ns.hulls[1], x1)[0] > FEAS_TOL, str(exc)
         assert "at t=1 " in str(exc), str(exc)
         return "t1_miss", None
     assert np.array_equal(res.states[0], x0)
@@ -120,3 +124,37 @@ def test_scene_grid_outcomes_do_not_depend_on_the_mass(kind, seed):
             assert kind_at_m == kind_at_1, f"mass={mass:g}"
             if res is not None:
                 assert res.active_constraints == res_at_1.active_constraints, f"mass={mass:g}"
+
+
+def shifted_members_and_tube(kind, shift, path):
+    """The members of the seed-7 scene of 40 tracks, every position moved
+    by ``shift`` m in x and in y, each cut at its start-region entry, and
+    their tube as written to ``path`` and read back."""
+    trajs, task = generate_scenario(default_spec(kind, count=40, seed=7))
+    moved = []
+    for tr in trajs:
+        data = np.array(tr.data)
+        data[:, [0, 2]] += shift
+        moved.append(Trajectory(tr.actor_id, tr.frame_rate, data))
+    start, end = (Region(quickhull(np.array(task[key]) + shift))
+                  for key in ("start_polygon", "end_polygon"))
+    dataset = filter_task(moved, start, end, task["min_speed"])
+    write_natset(build_natset(dataset), path)
+    return dataset.trajectories, read_natset(path)
+
+
+@pytest.mark.parametrize("shift", (1e3, 1e5))
+@pytest.mark.parametrize("kind", KINDS)
+def test_members_far_from_the_origin_are_certified(kind, shift, tmp_path):
+    # the written tube keeps 12 digits, which moves a hull by about
+    # 1e-12 |x|: a member's pinned p_1 then misses W_1 by up to 3e-7 m at
+    # 1e5 m, inside FEAS_TOL, the bound every written state keeps
+    members, ns = shifted_members_and_tube(kind, shift, tmp_path / "tube.json")
+    dyn = double_integrator(ns.dt)
+    for tr in members:
+        cand = CandidateTrajectory.from_trajectory(tr)
+        write_projection(project(cand, ns, dyn), cand, tmp_path / "projection.json")
+        states = read_projection(tmp_path / "projection.json")["states"]
+        assert np.allclose(states[0], cand.states[0], rtol=1e-11, atol=0), tr.actor_id
+        for t in range(min(ns.horizon, len(states) - 1) + 1):
+            assert margin(ns.hulls[t], states[t])[0] <= FEAS_TOL, (tr.actor_id, t)

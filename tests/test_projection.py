@@ -15,7 +15,9 @@ import scipy.linalg
 
 import natset
 from natset import geometry, qpsolver
+from natset.cli import main
 from natset.data import (
+    SPEED_BOUND,
     RawActorState,
     Region,
     Task,
@@ -31,9 +33,11 @@ from natset.natset import (
     read_natset,
     step_rows_within,
     trajectory_membership,
+    write_natset,
 )
 from natset.projection import (
     ACTIVE_TOL,
+    FEAS_TOL,
     CandidateTrajectory,
     InitialStateOutsideTube,
     SolverFailure,
@@ -44,7 +48,7 @@ from natset.projection import (
     write_projection,
 )
 from natset.qpsolver import QuadraticProgram, SolverStatus, solve
-from natset.synthetic import default_spec, generate_scenario, straight_candidate
+from natset.synthetic import default_spec, generate_scenario, straight_candidate, write_tracks_csv
 
 from oracles import (
     condense_blockwise,
@@ -308,6 +312,29 @@ def test_short_tubes_check_step_1_and_pose_steps_from_2(hulls, vx, outcome):
     else:
         res = project(cand, box_tube(hulls, 0.1), double_integrator(0.1))
         assert (res.status, res.active_constraints) == (SolverStatus.OPTIMAL, outcome)
+
+
+@pytest.mark.parametrize("outside, code", [(0.5 * FEAS_TOL, 0), (2 * FEAS_TOL, 5)])
+def test_a_t1_miss_is_judged_by_feas_tol(tmp_path, capsys, outside, code):
+    # at 5 + outside m per 1 s step, the pinned p_1 lies ``outside`` m past
+    # the box's edge x = 10: as a miss of p_0 would be, that is judged by
+    # FEAS_TOL, the bound every written state keeps
+    write_natset(box_tube(3, 1.0), tmp_path / "tube.json")
+    data = np.zeros((5, 7))
+    data[:, :4] = [5.0, 5.0 + outside, 5.0, 0.0]
+    write_tracks_csv([Trajectory("c", 1.0, data)], tmp_path / "candidate.csv")
+    out = tmp_path / "projection.json"
+    assert main(["project", "--natset", str(tmp_path / "tube.json"),
+                 "--candidate", str(tmp_path / "candidate.csv"),
+                 "--dyn", "dt=1", "--out", str(out)]) == code
+    err = capsys.readouterr().err
+    if code:
+        assert err == (f"error: hull row 1 at t=1 is violated by "
+                       f"{outside:.6g} m and no control input can change it\n")
+        assert not out.exists()
+    else:
+        states = read_projection(out)["states"]
+        assert 0.4 * FEAS_TOL < states[1, 0] - 10.0 <= FEAS_TOL
 
 
 @pytest.mark.parametrize("speed", [0.0, 4.0])
@@ -785,7 +812,7 @@ def ladder_candidate(demo_files, v, length=None):
     return CandidateTrajectory(states, tube.dt)
 
 
-@pytest.mark.parametrize("v", [1e4, 1e6, 1e8])
+@pytest.mark.parametrize("v", [1e4, 1e6, SPEED_BOUND, 1e8])
 def test_huge_candidate_velocities_certify_the_exact_optimum(demo_files, v):
     # the start point -P^{-1}q grows with v, and its rounding stays in the
     # answer, which the duality gap relative to the objective's terms
