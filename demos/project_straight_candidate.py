@@ -5,7 +5,7 @@ Projecting a straight line into a curved tube
 A constant-velocity chord across a curved lane is dynamically feasible
 but cuts the inside of the bend, which recorded drivers never do.  The
 projection bends it back onto the outside of the curve while keeping it
-feasible for the point-mass model.
+feasible for the double integrator.
 """
 
 from pathlib import Path

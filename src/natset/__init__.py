@@ -3,7 +3,7 @@
 The package builds a time-indexed sequence of convex position hulls (a
 "tube") from a filtered set of recorded driving trajectories, then
 projects candidate trajectories into that tube as a convex quadratic
-program subject to point-mass dynamics.
+program subject to double-integrator dynamics.
 """
 
 from .data import (

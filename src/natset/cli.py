@@ -138,7 +138,7 @@ def cmd_export_svg(args):
 
 
 def _parse_dyn(text):
-    """--dyn dt=<seconds>,mass=<kg> -> point-mass dynamics."""
+    """--dyn dt=<seconds> -> double-integrator dynamics."""
     fields = {}
     for chunk in text.split(","):
         key, sep, value = chunk.partition("=")
@@ -148,17 +148,16 @@ def _parse_dyn(text):
         if key in fields:
             raise ParseError(f"--dyn repeats the key {key!r}")
         fields[key] = value.strip()
-    unknown = set(fields) - {"dt", "mass"}
+    unknown = set(fields) - {"dt"}
     if unknown:
         raise ParseError(f"--dyn got unknown keys {sorted(unknown)}")
     if "dt" not in fields:
         raise ParseError("--dyn needs at least dt=<seconds>")
     try:
         dt = float(fields["dt"])
-        mass = float(fields.get("mass", "1.0"))
     except ValueError as exc:
         raise ParseError(f"--dyn values must be numeric: {exc}") from None
-    return double_integrator(dt, mass=mass)
+    return double_integrator(dt)
 
 
 def _build_parser():

@@ -65,6 +65,14 @@ SPEED_BOUND = 1e7
 _BOUNDS = (("xCenter", COORD_BOUND, "m"), ("yCenter", COORD_BOUND, "m"),
            ("xVelocity", SPEED_BOUND, "m/s"), ("yVelocity", SPEED_BOUND, "m/s"))
 
+
+def _within_bounds(states):
+    """Whether a (T, 7) array of Trajectory.data rows, T >= 1, is finite with
+    every position within COORD_BOUND and every velocity within SPEED_BOUND."""
+    return (np.isfinite(states).all() and np.abs(states[:, POSITIONS]).max() <= COORD_BOUND
+            and np.abs(states[:, 1:4:2]).max() <= SPEED_BOUND)
+
+
 # a recorded frame and a hull's support are integers within this range
 _INT64 = np.iinfo(np.int64)
 
@@ -103,10 +111,6 @@ class RawActorState:
         object.__setattr__(self, "velocity", vel)
         object.__setattr__(self, "acceleration", acc)
         object.__setattr__(self, "heading", head)
-
-    @property
-    def speed(self):
-        return float(np.hypot(self.velocity[0], self.velocity[1]))
 
 
 class Trajectory:
@@ -304,9 +308,7 @@ def load_trajectories(path, frame_rate=FRAME_RATE):
                     frames = np.fromiter(map(int, fields[where["frame"]]), np.int64, n)
                     cells = chain.from_iterable(fields[where[c]] for c in _DATA_COLUMNS)
                     states = np.fromiter(map(float, cells), float, 7 * n).reshape(7, n).T
-                    valid = ("" not in ids and frames.min() >= 0 and np.isfinite(states).all()
-                             and np.abs(states[:, POSITIONS]).max() <= COORD_BOUND
-                             and np.abs(states[:, 1:4:2]).max() <= SPEED_BOUND)
+                    valid = "" not in ids and frames.min() >= 0 and _within_bounds(states)
                 except (IndexError, ValueError, OverflowError):
                     valid = False
                 if not valid:

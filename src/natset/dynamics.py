@@ -1,17 +1,15 @@
-"""Planar point-mass dynamics and the condensed control-to-state map.
+"""Planar double-integrator dynamics and the condensed control-to-state map.
 
 The state vector ordering is fixed package-wide to ``(p_x, v_x, p_y, v_y)``
-and controls are planar forces ``(F_x, F_y)`` on a point of mass M:
+and controls are planar accelerations ``(a_x, a_y)``:
 
-    p_{x,t+1} = p_x,t + dt * v_x,t        v_{x,t+1} = v_x,t + dt * F_x,t / M
-    p_{y,t+1} = p_y,t + dt * v_y,t        v_{y,t+1} = v_y,t + dt * F_y,t / M
+    p_{x,t+1} = p_x,t + dt * v_x,t        v_{x,t+1} = v_x,t + dt * a_x,t
+    p_{y,t+1} = p_y,t + dt * v_y,t        v_{y,t+1} = v_y,t + dt * a_y,t
 
-`LinearDynamics` is that model and holds only dt and M.  The mass is only
-a unit: the accelerations F / M give the same states whatever M is.  Both
-maps below are running sums added in step order: ``rollout`` sums each
-axis's velocity steps dt F / M and then its position steps dt v, and
-``condense`` builds one unit-mass axis's map ``Phi @ x0 + Gamma @ a``
-from the sums s_t of t time steps.
+`LinearDynamics` is that model and holds only dt.  Both maps below are
+running sums added in step order: ``rollout`` sums each axis's velocity
+steps dt a and then its position steps dt v, and ``condense`` builds one
+axis's map ``Phi @ x0 + Gamma @ a`` from the sums s_t of t time steps.
 """
 
 from __future__ import annotations
@@ -29,7 +27,7 @@ POSITIONS = slice(0, NX, 2)
 
 
 class NonPositiveParameter(ValueError):
-    """A dt, mass or frame rate that is not finite and > 0 with a finite 1/value."""
+    """A dt or frame rate that is not finite and > 0 with a finite 1/value."""
 
 
 def positive(name, value):
@@ -41,40 +39,36 @@ def positive(name, value):
 
 @dataclass(frozen=True)
 class LinearDynamics:
-    """The planar point mass with time step ``dt`` and ``mass``."""
+    """The planar double integrator with time step ``dt``."""
 
     dt: float
-    mass: float = 1.0
 
     def __post_init__(self):
         positive("dt", self.dt)
-        positive("mass", self.mass)
         object.__setattr__(self, "dt", float(self.dt))
-        object.__setattr__(self, "mass", float(self.mass))
 
 
 @dataclass(frozen=True)
 class CondensedMap:
-    """Stacked map of one unit-mass axis: rows 2t and 2t + 1 are step t's
-    position and velocity.  With s_t the sum of t time steps, step t's rows
-    of Phi are [[1, s_t], [0, 1]]; at column k < t, Gamma's position row
-    holds s_(t-1-k) dt and its velocity row dt, and both are zero at k >= t."""
+    """Stacked map of one axis: rows 2t and 2t + 1 are step t's position and
+    velocity.  With s_t the sum of t time steps, step t's rows of Phi are
+    [[1, s_t], [0, 1]]; at column k < t, Gamma's position row holds
+    s_(t-1-k) dt and its velocity row dt, and both are zero at k >= t."""
 
     Phi: np.ndarray
     Gamma: np.ndarray
-    horizon: int
 
 
-def double_integrator(dt: float, mass: float = 1.0) -> LinearDynamics:
-    """Discrete planar double integrator with force controls."""
-    return LinearDynamics(dt, mass)
+def double_integrator(dt: float) -> LinearDynamics:
+    """Discrete planar double integrator with acceleration controls."""
+    return LinearDynamics(dt)
 
 
 def rollout(dyn: LinearDynamics, x_init, controls) -> np.ndarray:
     """Simulate the recursion; returns states of shape (len(controls)+1, 4).
 
     ``x_init`` holds the 4 start values and ``controls`` is a (T, 2) array
-    of forces.
+    of accelerations.
     """
     x = np.asarray(x_init, dtype=float)
     U = np.asarray(controls, dtype=float)
@@ -85,7 +79,7 @@ def rollout(dyn: LinearDynamics, x_init, controls) -> np.ndarray:
     states = np.empty((len(U) + 1, NX))
     states[0] = x
     v, p = states[:, 1::2], states[:, 0::2]
-    v[1:] = U * (dyn.dt / dyn.mass)
+    v[1:] = U * dyn.dt
     np.cumsum(v, axis=0, out=v)
     p[1:] = dyn.dt * v[:-1]
     np.cumsum(p, axis=0, out=p)
@@ -93,9 +87,9 @@ def rollout(dyn: LinearDynamics, x_init, controls) -> np.ndarray:
 
 
 def condense(dt: float, horizon: int) -> CondensedMap:
-    """One unit-mass axis over ``horizon`` steps of ``dt``: for a start
-    (p_0, v_0) and accelerations a, the stacked (position, velocity) pairs
-    of steps 0 .. horizon are ``Phi @ (p_0, v_0) + Gamma @ a``."""
+    """One axis over ``horizon`` steps of ``dt``: for a start (p_0, v_0) and
+    accelerations a, the stacked (position, velocity) pairs of steps
+    0 .. horizon are ``Phi @ (p_0, v_0) + Gamma @ a``."""
     if horizon < 1:
         raise ValueError(f"horizon must be >= 1, got {horizon}")
     H = horizon
@@ -114,4 +108,4 @@ def condense(dt: float, horizon: int) -> CondensedMap:
     Phi, Gamma = Phi.reshape(-1, 2), Gamma.reshape(-1, H)
     Phi.flags.writeable = False
     Gamma.flags.writeable = False
-    return CondensedMap(Phi=Phi, Gamma=Gamma, horizon=H)
+    return CondensedMap(Phi=Phi, Gamma=Gamma)

@@ -4,11 +4,10 @@ The candidate is replaced by the closest dynamically feasible trajectory
 (squared Euclidean distance over stacked states) whose positions stay
 inside the tube cross-sections wherever tube and candidate overlap in
 time.  With the dynamics eliminated by condensation this is a convex QP
-in the accelerations; the initial state is pinned, never optimized.  The
-mass is only a unit, so it stays out of the QP and the rollout: it enters
-once, when the forces mass * acceleration are written as the controls.
-The x and y axes share one condensed map, so the QP's matrix is one
-H x H block and its hull rows stay implicit (`HullRows`).
+in the accelerations, which are the written controls; the initial state
+is pinned, never optimized.  The x and y axes share one condensed map, so
+the QP's matrix is one H x H block and its hull rows stay implicit
+(`HullRows`).
 """
 
 import math
@@ -18,7 +17,7 @@ import numpy as np
 
 from . import qpsolver
 from .data import ParseError, Trajectory, _float, _json_object, _numbers
-from .dynamics import POSITIONS, condense, double_integrator, positive, rollout
+from .dynamics import POSITIONS, condense, positive, rollout
 from .geometry import COORD_BOUND, _OUT_OF_BOUNDS, _freeze, margins, owners
 from .natset import _round12, _write_json, step_rows_within, step_violations
 from .qpsolver import QuadraticProgram, SolverStatus, solve
@@ -129,7 +128,7 @@ class HullRows:
 
 def _program(candidate, natset, dt):
     """The projection QP in the accelerations, from the condensed map of
-    one axis of the unit-mass point mass.
+    one axis of the double integrator.
 
     Per axis the stacked (position, velocity) trajectory is ``Phi x0 +
     Gamma a``, so the objective's block is 2 Gamma'Gamma = 2 (Cp'Cp +
@@ -172,11 +171,10 @@ def project(candidate, natset, dyn):
     InitialStateOutsideTube, and a step-1 position p_0 + dt v_0 that misses
     a t = 1 hull row by more raises SolverFailure, as does a solve that is
     not Optimal, naming its steps and, for MaxIter, the cap or the
-    certificate that stopped it.  The states are those of the accelerations
-    that solve the QP, whatever ``dyn``'s mass; the controls are those
-    accelerations times the mass.  ValueError names a projected position
-    beyond COORD_BOUND and its step, or a mass that puts a force out of
-    floating-point range.
+    certificate that stopped it.  The controls are the accelerations that
+    solve the QP, and the states their rollout.  ValueError names a dt of
+    ``candidate`` or ``dyn`` that is not the tube's, or a projected position
+    beyond COORD_BOUND and its step.
     """
     # a relative rule: tube files keep dt to 12 significant digits, and the
     # CLI samples a candidate at 1 / (1 / dt)
@@ -208,20 +206,16 @@ def project(candidate, natset, dyn):
                else f"its answer after {steps} fails the KKT certificate")
         raise SolverFailure(f"solver returned MaxIter: {why}")
 
-    accel = sol.z.reshape(-1, 2)
-    states = rollout(double_integrator(dyn.dt), x0, accel)
+    controls = sol.z.reshape(-1, 2)
+    states = rollout(dyn, x0, controls)
     beyond = np.flatnonzero(~(np.abs(states[:, POSITIONS]) <= COORD_BOUND).all(axis=1))
     if beyond.size:
         x, y = states[beyond[0], POSITIONS]
         raise ValueError(f"projected position at t={beyond[0]} is ({x:.12g}, {y:.12g}); "
                          f"positions {_OUT_OF_BOUNDS}")
-    with np.errstate(over="ignore"):
-        controls = dyn.mass * accel
-    if not np.isfinite(controls).all():
-        raise ValueError(f"mass={dyn.mass!r} puts the forces out of floating-point range: "
-                         f"the largest acceleration is {np.max(np.abs(accel)):.6g} m/s^2")
-    # both are fresh and held by no one else: read-only, ProjectionResult keeps them
-    states.flags.writeable = controls.flags.writeable = False
+    # the states are fresh and held by no one else, and the controls view the
+    # solution's read-only z: ProjectionResult keeps both
+    states.flags.writeable = False
     diff = states.ravel() - candidate.states.ravel()
     objective = float(diff @ diff)
 

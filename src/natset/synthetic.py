@@ -11,7 +11,7 @@ spans the whole horizon:
   along the lane far more than the curved scene does.
 
 Velocities are forward differences of the emitted positions divided by
-dt, so every generated trajectory is feasible for the point-mass model
+dt, so every generated trajectory is feasible for the double integrator
 up to floating-point error.  All draws come from one seed.
 """
 
@@ -21,8 +21,16 @@ from pathlib import Path
 
 import numpy as np
 
-from .data import _DATA_COLUMNS, MIN_SPEED, REQUIRED_COLUMNS, Trajectory
+from .data import (
+    _DATA_COLUMNS,
+    MIN_SPEED,
+    REQUIRED_COLUMNS,
+    SPEED_BOUND,
+    Trajectory,
+    _within_bounds,
+)
 from .dynamics import positive
+from .geometry import COORD_BOUND
 from .natset import MIN_SUPPORT, _write_json
 
 # each kind's departures from ScenarioSpec's defaults; the stop scene runs longer
@@ -68,8 +76,8 @@ def default_spec(kind, **overrides):
 
 def _derive_trajectory(actor_id, positions, dt):
     """Positions -> full states with forward-difference velocities; a dt
-    that puts a state out of floating-point range is a ValueError naming
-    it, so callers run with numpy's overflow warnings off."""
+    that puts a state beyond the bounds that `load_trajectories` reads is a
+    ValueError naming it, so callers run with numpy's overflow warnings off."""
     vel = np.diff(positions, axis=0) / dt
     vel = np.vstack([vel, vel[-1]])
     acc = np.diff(vel, axis=0) / dt
@@ -77,8 +85,9 @@ def _derive_trajectory(actor_id, positions, dt):
     heading = np.arctan2(vel[:, 1], vel[:, 0])
     data = np.column_stack([positions[:, 0], vel[:, 0], positions[:, 1], vel[:, 1],
                             acc[:, 0], acc[:, 1], heading])
-    if not np.isfinite(data).all():
-        raise ValueError(f"dt={dt!r} puts the generated states out of floating-point range")
+    if not _within_bounds(data):
+        raise ValueError(f"dt={dt!r} puts a generated position beyond {COORD_BOUND:g} m "
+                         f"or velocity beyond {SPEED_BOUND:g} m/s")
     return Trajectory(str(actor_id), 1.0 / dt, data)
 
 

@@ -14,9 +14,9 @@ that tube; a tube file's 12 digits move its hulls by about 1e-12 |x|.  Their
 records carry the offset in the seed field.  It runs
 each input through ``natset.cli.main`` in this process and prints one
 JSON record per run: the exit code, the sha256 of the output file (null
-when none was written), stdout with the output path replaced by ``<out>``,
-and stderr.  Two source trees give the same outputs when their records
-diff clean:
+when none was written), and stdout and stderr with the output path
+replaced by ``<out>`` and then WORK by ``<work>``.  Two source trees give
+the same outputs when their records diff clean:
 
     python tests/byte_gate.py old/src /tmp/gate-old > old.jsonl
     python tests/byte_gate.py new/src /tmp/gate-new > new.jsonl
@@ -116,16 +116,16 @@ def far_scene(shift, run_dir):
     return inputs
 
 
-def run(main, argv, out):
+def run(main, argv, out, work):
     """One in-process run of the command line, as a JSON-ready record."""
     out.unlink(missing_ok=True)
     stdout, stderr = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
         code = main(argv)
     digest = hashlib.sha256(out.read_bytes()).hexdigest() if out.exists() else None
-    return {"exit": code, "sha256": digest,
-            "stdout": stdout.getvalue().replace(str(out), "<out>"),
-            "stderr": stderr.getvalue()}
+    text = {name: stream.getvalue().replace(str(out), "<out>").replace(str(work), "<work>")
+            for name, stream in (("stdout", stdout), ("stderr", stderr))}
+    return {"exit": code, "sha256": digest, **text}
 
 
 def main(argv=None):
@@ -154,7 +154,7 @@ def main(argv=None):
         for input_id, argv in inputs:
             out = run_dir / "out" / f"{input_id}.json"
             record = {"workload": workload, "seed": seed, "input": input_id,
-                      **run(cli.main, argv + ["--out", str(out)], out)}
+                      **run(cli.main, argv + ["--out", str(out)], out, args.work)}
             print(json.dumps(record), flush=True)
 
 

@@ -12,7 +12,7 @@ per-hull polygons and half-space sets into a tube through its
 constructor; and the writers' references,
 which round one value at a time and lay the document out with
 `json.dump(indent=2)`.  The dynamics references keep the matrix form of the
-point mass: its planar A and B written out, a condensed map whose every
+double integrator: its planar A and B written out, a condensed map whose every
 block is its own matrix product, and a rollout in plain Python floats.
 """
 
@@ -228,7 +228,7 @@ def exact_kkt_point(qp, working):
 
 
 def rollout_exact(dt, x0, accelerations):
-    """The unit-mass point mass in Fractions: v += dt a, then p += dt v_old,
+    """The double integrator in Fractions: v += dt a, then p += dt v_old,
     from the float dt and state x0.  Returns a list of (p_x, v_x, p_y,
     v_y) rows."""
     dt = Fraction(dt)
@@ -240,17 +240,17 @@ def rollout_exact(dt, x0, accelerations):
     return rows
 
 
-def planar_matrices(dt, mass):
-    """A and B of the planar point mass, x' = A x + B F with the state
-    (p_x, v_x, p_y, v_y) and the force (F_x, F_y), written out."""
+def planar_matrices(dt):
+    """A and B of the planar double integrator, x' = A x + B a with the
+    state (p_x, v_x, p_y, v_y) and the acceleration (a_x, a_y), written out."""
     A = np.array([[1.0, dt, 0.0, 0.0],
                   [0.0, 1.0, 0.0, 0.0],
                   [0.0, 0.0, 1.0, dt],
                   [0.0, 0.0, 0.0, 1.0]])
     B = np.array([[0.0, 0.0],
-                  [dt / mass, 0.0],
+                  [dt, 0.0],
                   [0.0, 0.0],
-                  [0.0, dt / mass]])
+                  [0.0, dt]])
     return A, B
 
 
@@ -273,16 +273,15 @@ def condense_blockwise(A, B, horizon):
     return Phi, Gamma
 
 
-def rollout_scalar(dt, mass, x0, controls):
-    """The point-mass recursion one step and one axis at a time in Python
-    floats: v += (dt / mass) F, then p += dt v_old.  Returns a list of
+def rollout_scalar(dt, x0, controls):
+    """The double-integrator recursion one step and one axis at a time in
+    Python floats: v += dt a, then p += dt v_old.  Returns a list of
     (p_x, v_x, p_y, v_y) rows."""
-    gain = dt / mass
     px, vx, py, vy = map(float, x0)
     rows = [[px, vx, py, vy]]
-    for fx, fy in np.asarray(controls, dtype=float).tolist():
-        px, vx = px + dt * vx, vx + gain * fx
-        py, vy = py + dt * vy, vy + gain * fy
+    for ax, ay in np.asarray(controls, dtype=float).tolist():
+        px, vx = px + dt * vx, vx + dt * ax
+        py, vy = py + dt * vy, vy + dt * ay
         rows.append([px, vx, py, vy])
     return rows
 

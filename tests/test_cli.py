@@ -359,6 +359,25 @@ def test_build_exit_2_on_missing_input(tmp_path, capsys):
     assert "not found" in err
 
 
+def test_project_dyn_refuses_a_mass(scene, tmp_path, capsys):
+    # controls are accelerations: the dynamics hold no mass
+    _, paths, _ = scene
+    tube = build_natset_file(scene, capsys)
+    code, _, err = run(
+        [
+            "project",
+            "--natset", str(tube),
+            "--candidate", str(paths["candidate"]),
+            "--dyn", "dt=0.04,mass=1",
+            "--out", str(tmp_path / "proj.json"),
+        ],
+        capsys,
+    )
+    assert code == 2
+    assert err == "error: --dyn got unknown keys ['mass']\n"
+    assert not (tmp_path / "proj.json").exists()
+
+
 def test_project_roundtrip_on_dataset_member(scene, tmp_path, capsys):
     spec, paths, root = scene
     tube = build_natset_file(scene, capsys)
@@ -372,7 +391,7 @@ def test_project_roundtrip_on_dataset_member(scene, tmp_path, capsys):
             "project",
             "--natset", str(tube),
             "--candidate", str(member_csv),
-            "--dyn", f"dt={spec.dt},mass=1.0",
+            "--dyn", f"dt={spec.dt}",
             "--out", str(out),
         ],
         capsys,
@@ -503,7 +522,7 @@ def test_project_relax_initial_is_not_an_option(scene, tmp_path, capsys):
 
 @pytest.mark.parametrize(
     "dyn, name",
-    [("dt=nan", "dt"), ("dt=0.04,mass=nan", "mass"), ("dt=0.04,mass=inf", "mass")],
+    [("dt=nan", "dt"), ("dt=inf", "dt")],
 )
 def test_project_exit_2_names_non_finite_dynamics(scene, tmp_path, capsys, dyn, name):
     _, paths, _ = scene

@@ -404,7 +404,7 @@ def reference_filter(trajectories, start, end, min_speed):
         entry = next((i for i, s in enumerate(tr.states) if covers(start, s.position)), None)
         if entry is None or len(tr) - entry < 2 or not covers(end, tr.states[-1].position):
             continue
-        if max(s.speed for s in tr.states[entry:]) >= min_speed:
+        if max(np.hypot(*s.velocity) for s in tr.states[entry:]) >= min_speed:
             kept.append((tr.actor_id, tr.data[entry:]))
     return kept
 

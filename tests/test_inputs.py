@@ -8,7 +8,6 @@ import builtins
 import errno
 import json
 import os
-import warnings
 from pathlib import Path
 
 import numpy as np
@@ -44,11 +43,10 @@ def triangle_tube(dt):
     return stacked_tube([(poly, to_halfspaces(poly), 3)], dt)
 
 
-# every constructor that takes a step, mass or frame rate, and the name it
-# gives that value
+# every constructor that takes a step or frame rate, and the name it gives
+# that value
 SCALAR_TAKERS = {
     "double_integrator_dt": ("dt", lambda v: double_integrator(v)),
-    "double_integrator_mass": ("mass", lambda v: double_integrator(0.04, mass=v)),
     "Trajectory": ("frame_rate", lambda v: Trajectory("a", v, np.zeros((3, 7)))),
     "NaturalisticSet": ("dt", triangle_tube),
     "CandidateTrajectory": ("dt", lambda v: CandidateTrajectory(np.zeros((3, 4)), v)),
@@ -101,18 +99,20 @@ def test_task_file_must_hold_a_json_object(tmp_path, capsys, name):
 @pytest.mark.parametrize("value", [1e-300, 1e300, 0.04, 25])
 def test_small_and_large_scalars_with_finite_reciprocals_pass(value):
     positive("x", value)
-    double_integrator(0.04, mass=value)
+    double_integrator(value)
 
 
 @pytest.mark.parametrize("value", BAD_SCALARS)
 @pytest.mark.parametrize("key", ["dt", "mass"])
 def test_project_dyn_exits_2_naming_the_key(tmp_path, capsys, key, value):
-    dyn = f"dt={value!r}" if key == "dt" else f"dt=0.04,mass={value!r}"
+    # dt keeps the one rule; a mass is no key of the dynamics, whatever its value
+    dyn, cause = ((f"dt={value!r}", rule(key, value)) if key == "dt"
+                  else (f"dt=0.04,mass={value!r}", "--dyn got unknown keys ['mass']"))
     out = tmp_path / "proj.json"
     code, err = run(["project", "--natset", DEMO_OUT / "tube.json",
                      "--candidate", SCENE / "candidate.csv", "--dyn", dyn, "--out", out], capsys)
     assert code == 2
-    assert err == f"error: {rule(key, value)}\n"
+    assert err == f"error: {cause}\n"
     assert not out.exists()
 
 
@@ -140,50 +140,33 @@ def test_gen_dt_exits_2_naming_the_key(tmp_path, capsys, value):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("dt", [1e-300, 1e307])
-@pytest.mark.parametrize("kind", ["curved_road", "straight_road_with_stop"])
+@pytest.mark.parametrize("kind, dt", [
+    ("curved_road", 1e-300), ("curved_road", 1e307), ("curved_road", 1e-9),
+    ("straight_road_with_stop", 1e-300), ("straight_road_with_stop", 1e307),
+    ("straight_road_with_stop", 1e-8), ("straight_road_with_stop", 1e7),
+])
 def test_gen_dt_whose_scene_overflows_exits_2_naming_it(tmp_path, capsys, kind, dt):
-    # a finite dt with a finite reciprocal, whose velocities (1e-300) or
-    # positions (1e307) leave float range; a numpy warning fails the test
+    # a finite dt with a finite reciprocal, whose velocities (small dt: the
+    # position noise over dt) or positions (large dt) leave the bounds that
+    # `build` reads; a numpy warning fails the test
     out = tmp_path / "scene"
     code, err = run(["gen", "--kind", kind, "--dt", repr(dt), "--out-dir", out], capsys)
     assert code == 2
-    assert err == f"error: dt={dt!r} puts the generated states out of floating-point range\n"
+    assert err == (f"error: dt={dt!r} puts a generated position beyond 1e+09 m "
+                   "or velocity beyond 1e+07 m/s\n")
     assert not out.exists()
 
 
-def project_demo(tmp_path, capsys, mass):
-    """`natset project` of the demo candidate at ``mass``, with every warning
-    an error; returns the exit code, stderr and the output path."""
-    tmp_path.mkdir(exist_ok=True)
-    out = tmp_path / "proj.json"
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        code, err = run(["project", "--natset", DEMO_OUT / "tube.json",
-                         "--candidate", SCENE / "candidate.csv",
-                         "--dyn", f"dt=0.04,mass={mass!r}", "--out", out], capsys)
-    return code, err, out
-
-
-@pytest.mark.parametrize("mass", [1e300, 1e-300])
-def test_extreme_mass_certifies(tmp_path, capsys, mass):
-    # the mass stays out of the QP, so the states are the unit mass's and
-    # only the forces scale
-    at_1 = read_projection(project_demo(tmp_path / "1", capsys, 1.0)[2])
-    code, err, out = project_demo(tmp_path, capsys, mass)
+def test_gen_dt_within_the_bounds_builds(tmp_path, capsys):
+    # at 1e-8 s the noise's forward differences stay within SPEED_BOUND
+    scene = tmp_path / "scene"
+    assert run(["gen", "--kind", "curved_road", "--dt", "1e-08", "--out-dir", scene],
+               capsys) == (0, "")
+    out = tmp_path / "tube.json"
+    code, err = run(["build", "--tracks", scene / "tracks.csv", "--task", scene / "task.json",
+                     "--out", out], capsys)
     assert (code, err) == (0, "")
-    doc = read_projection(out)
-    assert doc["status"] == "Optimal"
-    assert np.array_equal(doc["states"], at_1["states"])
-    assert np.allclose(doc["controls"], mass * at_1["controls"], rtol=1e-11, atol=0.0)
-
-
-def test_mass_whose_forces_overflow_exits_2_naming_it(tmp_path, capsys):
-    # the demo's largest acceleration is 15.9 m/s^2: times 1e308 kg, no float
-    code, err, out = project_demo(tmp_path, capsys, 1e308)
-    assert (code, err) == (2, "error: mass=1e+308 puts the forces out of floating-point "
-                              "range: the largest acceleration is 15.8903 m/s^2\n")
-    assert not out.exists()
+    assert out.exists()
 
 
 @pytest.mark.parametrize("states", [np.zeros((0, 4)), np.zeros((1, 4))])

@@ -8,10 +8,8 @@ Each outcome is checked here with plain numpy on the hulls' G and h:
 * certified: the result starts at x_0, every state lies in its hull within
   FEAS_TOL, and the controls roll out to the states;
 * InitialStateOutsideTube: x_0 misses W_0 by more than FEAS_TOL;
-* SolverFailure: only when the zero-force step x_1 misses W_1 by more
+* SolverFailure: only when the zero-control step x_1 misses W_1 by more
   than FEAS_TOL, the same bound as at t = 0, and the message names t=1.
-
-Forces scale with the mass, so no outcome may depend on the mass unit.
 """
 
 import numpy as np
@@ -38,7 +36,6 @@ from natset.projection import FEAS_TOL
 from natset.synthetic import KINDS, default_spec, generate_scenario, straight_candidate
 
 HORIZONS = (60, 100, 150, 200)
-MASSES = (1e-6, 1.0, 1e14)
 
 
 def tube_of(spec):
@@ -108,22 +105,6 @@ def test_dense_curved_scene_whose_first_step_misses_w1():
     assert margin(ns.hulls[0], cand.states[0])[0] <= FEAS_TOL
     assert margin(ns.hulls[1], rollout(dyn, cand.states[0], np.zeros((1, 2)))[1])[0] > FEAS_TOL
     assert check_outcome(cand, ns, dyn)[0] != "certified"
-
-
-@pytest.mark.parametrize("seed", (1, 2))
-@pytest.mark.parametrize("kind", KINDS)
-def test_scene_grid_outcomes_do_not_depend_on_the_mass(kind, seed):
-    # only step 1 is out of every force's reach, whatever the mass
-    spec = default_spec(kind, count=40, seed=seed, horizon=100)
-    ns = tube_of(spec)
-    for tr in candidates_for(spec):
-        cand = CandidateTrajectory.from_trajectory(tr)
-        outcomes = {m: check_outcome(cand, ns, double_integrator(ns.dt, mass=m)) for m in MASSES}
-        kind_at_1, res_at_1 = outcomes[1.0]
-        for mass, (kind_at_m, res) in outcomes.items():
-            assert kind_at_m == kind_at_1, f"mass={mass:g}"
-            if res is not None:
-                assert res.active_constraints == res_at_1.active_constraints, f"mass={mass:g}"
 
 
 def shifted_members_and_tube(kind, shift, path):

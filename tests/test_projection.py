@@ -110,7 +110,7 @@ def two_step_tube():
 
 def test_two_step_reachable_projection():
     ns = two_step_tube()
-    dyn = double_integrator(dt=1.0, mass=1.0)
+    dyn = double_integrator(dt=1.0)
     cand = CandidateTrajectory([[t, 1.0, 0.5, 0.0] for t in range(3)], dt=1.0)
     res = project(cand, ns, dyn)
     assert res.objective == pytest.approx(2.0, abs=1e-6)
@@ -130,7 +130,7 @@ def test_two_step_matches_enumeration():
     assert np.allclose(exact.z, [-1.0, 0.0, 1.0, 0.0], atol=1e-10)
 
     ns = two_step_tube()
-    dyn = double_integrator(dt=1.0, mass=1.0)
+    dyn = double_integrator(dt=1.0)
     cand = CandidateTrajectory([[t, 1.0, 0.5, 0.0] for t in range(3)], dt=1.0)
     res = project(cand, ns, dyn)
     assert res.objective == pytest.approx(exact.objective, abs=1e-6)
@@ -141,7 +141,7 @@ def test_projection_idempotence_on_generators():
     dt = 0.1
     family = spread_family()
     ns, _ = tube_from_states(family, dt)
-    dyn = double_integrator(dt=dt, mass=1.0)
+    dyn = double_integrator(dt=dt)
     for st in family[:6]:
         cand = CandidateTrajectory(st, dt)
         res = project(cand, ns, dyn)
@@ -153,7 +153,7 @@ def test_output_is_feasible_and_dynamic():
     dt = 0.1
     family = spread_family(seed=3)
     ns, _ = tube_from_states(family, dt)
-    dyn = double_integrator(dt=dt, mass=1.0)
+    dyn = double_integrator(dt=dt)
     # straight dive across the family from a generator's start
     start = family[0][0]
     cand_states = euler_states(
@@ -179,7 +179,7 @@ def test_result_keeps_the_fresh_arrays_and_copies_writable_ones(monkeypatch):
     monkeypatch.setattr(natset.projection, "rollout", recorded)
     tube, spec = task_tube("curved_road")
     candidate = CandidateTrajectory.from_trajectory(straight_candidate(spec))
-    res = project(candidate, tube, double_integrator(tube.dt, 1.7))
+    res = project(candidate, tube, double_integrator(tube.dt))
     # project hands over its own arrays read-only, so the result keeps them
     assert len(returned) == 1 and res.states is returned[0]
     assert not (res.states.flags.writeable or res.controls.flags.writeable)
@@ -212,7 +212,7 @@ def test_objective_no_worse_than_any_shared_start_member():
     dt = 0.1
     family = spread_family(seed=29)
     ns, _ = tube_from_states(family, dt)
-    dyn = double_integrator(dt=dt, mass=1.0)
+    dyn = double_integrator(dt=dt)
     base = family[0]
     rng = np.random.default_rng(4)
     cand_states = euler_states(
@@ -231,7 +231,7 @@ def test_candidate_longer_than_tube():
     dt = 0.1
     family = spread_family(seed=7, steps=6)
     ns, _ = tube_from_states(family, dt)
-    dyn = double_integrator(dt=dt, mass=1.0)
+    dyn = double_integrator(dt=dt)
     start = family[0][0]
     cand = CandidateTrajectory(
         euler_states(
@@ -262,7 +262,7 @@ def test_initial_state_outside_tube():
         box_hull(0.0, 1.0, 0.0, 1.0),
     )
     ns = stacked_tube(hulls, dt=1.0)
-    dyn = double_integrator(dt=1.0, mass=1.0)
+    dyn = double_integrator(dt=1.0)
     cand = CandidateTrajectory([[t, 1.0, 0.5, 0.0] for t in range(3)], dt=1.0)
     with pytest.raises(InitialStateOutsideTube) as err:
         project(cand, ns, dyn)
@@ -278,7 +278,7 @@ def test_unreachable_fixed_step_is_solver_failure():
         box_hull(0.0, 1.0, 0.0, 1.0),
     )
     ns = stacked_tube(hulls, dt=1.0)
-    dyn = double_integrator(dt=1.0, mass=1.0)
+    dyn = double_integrator(dt=1.0)
     cand = CandidateTrajectory([[t, 1.0, 0.5, 0.0] for t in range(3)], dt=1.0)
     with pytest.raises(SolverFailure) as err:
         project(cand, ns, dyn)
@@ -380,7 +380,7 @@ def test_projection_json_round_trip(tmp_path):
     dt = 0.1
     family = spread_family(seed=19, steps=6)
     ns, _ = tube_from_states(family, dt)
-    dyn = double_integrator(dt=dt, mass=1.0)
+    dyn = double_integrator(dt=dt)
     start = family[0][0]
     cand = CandidateTrajectory(
         euler_states((start[0], start[2]), (start[1], start[3]), np.zeros((10, 2)), dt),
@@ -401,7 +401,7 @@ def test_projection_json_round_trip(tmp_path):
 
 def test_active_constraints_mark_touched_rows():
     ns = two_step_tube()
-    dyn = double_integrator(dt=1.0, mass=1.0)
+    dyn = double_integrator(dt=1.0)
     cand = CandidateTrajectory([[t, 1.0, 0.5, 0.0] for t in range(3)], dt=1.0)
     res = project(cand, ns, dyn)
     assert len(res.active_constraints) == 3
@@ -516,11 +516,11 @@ def test_solver_path_is_pinned():
 
 
 def dense_program(candidate, natset, dyn):
-    """Reference: the projection QP in dyn's forces, with P, q and A formed
-    densely from the planar matrix-power map of `condense_blockwise`, one
-    hull row at a time."""
+    """Reference: the projection QP in dyn's accelerations, with P, q and A
+    formed densely from the planar matrix-power map of `condense_blockwise`,
+    one hull row at a time."""
     H = candidate.horizon
-    Phi, Gamma = condense_blockwise(*planar_matrices(dyn.dt, dyn.mass), H)
+    Phi, Gamma = condense_blockwise(*planar_matrices(dyn.dt), H)
     free = Phi @ candidate.states[0]
     P = 2.0 * Gamma.T @ Gamma
     q = 2.0 * Gamma.T @ (free - candidate.states.ravel())
@@ -564,7 +564,6 @@ def test_hull_rows_and_block_objective_match_the_dense_program(horizon):
     candidate = CandidateTrajectory(states, dt)
     tube = random_tube_around(candidate, rng)
     qp = _program(candidate, tube, dt)
-    # the program's variables are accelerations: the forces of a unit mass
     P, q, A, b = dense_program(candidate, tube, double_integrator(dt))
     assert qp.n == 2 * horizon and qp.P.shape == (horizon, horizon)
     assert qp.A.shape == A.shape
@@ -608,41 +607,6 @@ def test_project_matches_the_dense_program_on_chords():
     assert compared == 8
 
 
-MASSES = (1.0, 1.3, 1e300, 1e-300)
-
-
-def mass_cases():
-    """The demo chord and one step-heavy stop-and-go candidate, each with its tube."""
-    tube, spec = task_tube("curved_road")
-    yield tube, CandidateTrajectory.from_trajectory(straight_candidate(spec))
-    tube = task_tube("straight_road_with_stop", 100)[0]
-    held_out, _ = generate_scenario(
-        default_spec("straight_road_with_stop", count=24, seed=1001, horizon=100))
-    yield tube, CandidateTrajectory(held_out[10].dyn_states, tube.dt)
-
-
-def test_states_do_not_depend_on_the_mass_and_controls_scale_with_it():
-    for tube, candidate in mass_cases():
-        at_1 = project(candidate, tube, double_integrator(tube.dt))
-        assert any(at_1.active_constraints)
-        for mass in MASSES:
-            res = project(candidate, tube, double_integrator(tube.dt, mass))
-            assert np.array_equal(res.states, at_1.states), mass
-            assert np.array_equal(res.controls, mass * at_1.controls), mass
-            assert (res.objective, res.active_constraints) == (
-                at_1.objective, at_1.active_constraints), mass
-
-
-def test_projection_at_a_mass_matches_the_program_in_its_forces():
-    # the dense oracle poses the QP in the forces of a 1.3 kg point mass
-    for tube, candidate in mass_cases():
-        dyn = double_integrator(tube.dt, 1.3)
-        res = project(candidate, tube, dyn)
-        dense = solve(QuadraticProgram(*dense_program(candidate, tube, dyn)))
-        assert dense.status is SolverStatus.OPTIMAL and dense.iterations > 0
-        assert_relative(res.controls, dense.z.reshape(-1, 2), 1e-10)
-
-
 @pytest.fixture(scope="module")
 def long_tube():
     """project_long's inputs: held-out tracks and a 200-track, 400-step tube."""
@@ -676,9 +640,9 @@ def exact_unconstrained_controls(candidate):
     """The unconstrained optimum in long double, by iterative refinement.
 
     Per axis the positions and velocities are free + Cp u and free + Cv u
-    with Cp[t, j] = (t-1-j) dt^2 / M and Cv[t, j] = dt / M for j < t (mass
-    M = 1), so the optimum solves (Cp'Cp + Cv'Cv) u = -(Cp' dp + Cv' dv)
-    for dp, dv the zero-control trajectory's offsets from the candidate.
+    with Cp[t, j] = (t-1-j) dt^2 and Cv[t, j] = dt for j < t, so the
+    optimum solves (Cp'Cp + Cv'Cv) u = -(Cp' dp + Cv' dv) for dp, dv the
+    zero-control trajectory's offsets from the candidate.
     Residuals are formed in long double; a double Cholesky factor makes
     each correction.
     """
