@@ -17,7 +17,6 @@ from natset import (
     Region,
     build_natset,
     default_spec,
-    double_integrator,
     filter_task,
     generate_scenario,
     naturalism_report,
@@ -44,8 +43,7 @@ before = naturalism_report(candidate, natset)
 worst_before = max(v for v in before if v is not None)
 print(f"candidate's worst hull violation before projection: {worst_before:.3f} m")
 
-dyn = double_integrator(spec.dt)
-result = project(candidate, natset, dyn)
+result = project(candidate, natset)
 print(f"solver status: {result.status.value}")
 print(f"objective (summed squared state change): {result.objective:.3f}")
 

@@ -87,7 +87,7 @@ def cmd_build(args):
 
 
 def cmd_project(args):
-    dyn = _parse_dyn(args.dyn)
+    dyn = None if args.dyn is None else _parse_dyn(args.dyn)
     _require(args, "natset", "candidate")
     with _io("read", "--natset", args.natset):
         natset = read_natset(args.natset)
@@ -176,7 +176,7 @@ def _build_parser():
     p_proj = sub.add_parser("project", help="project a candidate into a tube")
     p_proj.add_argument("--natset", required=True, type=Path)
     p_proj.add_argument("--candidate", required=True, type=Path)
-    p_proj.add_argument("--dyn", required=True)
+    p_proj.add_argument("--dyn")
     p_proj.add_argument("--out", required=True, type=Path)
 
     p_gen = sub.add_parser("gen", help="generate a synthetic scenario")

@@ -67,8 +67,8 @@ _BOUNDS = (("xCenter", COORD_BOUND, "m"), ("yCenter", COORD_BOUND, "m"),
 
 
 def _within_bounds(states):
-    """Whether a (T, 7) array of Trajectory.data rows, T >= 1, is finite with
-    every position within COORD_BOUND and every velocity within SPEED_BOUND."""
+    """Whether (T, 4) states or (T, 7) Trajectory.data rows, T >= 1, are finite
+    with every position within COORD_BOUND and every velocity within SPEED_BOUND."""
     return (np.isfinite(states).all() and np.abs(states[:, POSITIONS]).max() <= COORD_BOUND
             and np.abs(states[:, 1:4:2]).max() <= SPEED_BOUND)
 

@@ -16,8 +16,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import qpsolver
-from .data import ParseError, Trajectory, _float, _json_object, _numbers
-from .dynamics import POSITIONS, condense, positive, rollout
+from .data import (SPEED_BOUND, ParseError, Trajectory, _float, _json_object, _numbers,
+                   _within_bounds)
+from .dynamics import POSITIONS, condense, double_integrator, positive, rollout
 from .geometry import COORD_BOUND, _OUT_OF_BOUNDS, _freeze, margins, owners
 from .natset import _round12, _write_json, step_rows_within, step_violations
 from .qpsolver import QuadraticProgram, SolverStatus, solve
@@ -45,7 +46,8 @@ class SolverFailure(RuntimeError):
 
 @dataclass(frozen=True)
 class CandidateTrajectory:
-    """States to be naturalized, sampled every dt seconds."""
+    """States to be naturalized, sampled every dt seconds, within the
+    bounds that `load_trajectories` reads (`data._within_bounds`)."""
 
     states: np.ndarray
     dt: float
@@ -56,8 +58,10 @@ class CandidateTrajectory:
             raise ValueError(f"states must be (T+1, 4), got {arr.shape}")
         if arr.shape[0] < 2:
             raise ValueError(f"candidate must have at least 2 states, found {arr.shape[0]}")
-        if not np.all(np.isfinite(arr)):
-            raise ValueError("candidate contains non-finite states")
+        if not _within_bounds(arr):
+            t = next(t for t in range(len(arr)) if not _within_bounds(arr[t : t + 1]))
+            raise ValueError(f"candidate state at t={t} must be finite with |x|, |y| <= "
+                             f"{COORD_BOUND:g} m and |v_x|, |v_y| <= {SPEED_BOUND:g} m/s")
         positive("dt", self.dt)
         object.__setattr__(self, "states", arr)
 
@@ -126,16 +130,16 @@ class HullRows:
         return np.linalg.norm(self.G, axis=1) * np.linalg.norm(self.Cp, axis=1)[self.steps]
 
 
-def _program(candidate, natset, dt):
+def _program(candidate, natset):
     """The projection QP in the accelerations, from the condensed map of
-    one axis of the double integrator.
+    one axis of the double integrator at the tube's step.
 
     Per axis the stacked (position, velocity) trajectory is ``Phi x0 +
     Gamma a``, so the objective's block is 2 Gamma'Gamma = 2 (Cp'Cp +
     Cv'Cv) for Cp and Cv the position and velocity rows of Gamma, and
     each axis's part of the linear term is 2 Gamma'(Phi x0 - target).
     """
-    H = candidate.horizon
+    H, dt = candidate.horizon, natset.dt
     # row 2t + s of these stacks is step t's position (s = 0) or velocity
     # (s = 1); column c is the axis, matching the state order (p_x, v_x, p_y, v_y)
     target = candidate.states.reshape(H + 1, 2, 2).transpose(0, 2, 1).reshape(-1, 2)
@@ -163,8 +167,9 @@ def _program(candidate, natset, dt):
                          f"cannot be posed: {exc}") from None
 
 
-def project(candidate, natset, dyn):
-    """Solve the tube-constrained least-squares projection.
+def project(candidate, natset, dyn=None):
+    """Solve the tube-constrained least-squares projection for the double
+    integrator at the tube's step.
 
     The initial state is pinned, and FEAS_TOL judges both of its facts: a
     first position that misses the t = 0 hull by more raises
@@ -173,14 +178,14 @@ def project(candidate, natset, dyn):
     not Optimal, naming its steps and, for MaxIter, the cap or the
     certificate that stopped it.  The controls are the accelerations that
     solve the QP, and the states their rollout.  ValueError names a dt of
-    ``candidate`` or ``dyn`` that is not the tube's, or a projected position
-    beyond COORD_BOUND and its step.
+    ``candidate`` or of ``dyn``, which is optional, that is not the tube's,
+    or a projected position beyond COORD_BOUND and its step.
     """
     # a relative rule: tube files keep dt to 12 significant digits, and the
     # CLI samples a candidate at 1 / (1 / dt)
-    for name, dt in (("candidate", candidate.dt), ("dynamics", dyn.dt)):
-        if not math.isclose(dt, natset.dt, rel_tol=1e-9):
-            raise ValueError(f"{name} dt {dt!r} does not match tube dt {natset.dt!r}")
+    for name, given in (("candidate", candidate), ("dynamics", dyn)):
+        if given is not None and not math.isclose(given.dt, natset.dt, rel_tol=1e-9):
+            raise ValueError(f"{name} dt {given.dt!r} does not match tube dt {natset.dt!r}")
 
     report = naturalism_report(candidate, natset)
     if report[0] > FEAS_TOL:
@@ -188,7 +193,7 @@ def project(candidate, natset, dyn):
     x0 = candidate.states[0]
     # a tube of 1 hull has no t = 1 rows; an extreme dt or v_0 puts p_1 out of range
     with np.errstate(over="ignore"):
-        p1 = x0[POSITIONS] + dyn.dt * x0[1::2]
+        p1 = x0[POSITIONS] + natset.dt * x0[1::2]
     lo, hi = natset.start[1], natset.start[min(2, natset.horizon + 1)]
     miss = margins(natset.G[lo:hi], natset.h[lo:hi], p1)
     broken = np.flatnonzero(miss > FEAS_TOL)
@@ -197,7 +202,7 @@ def project(candidate, natset, dyn):
         raise SolverFailure(f"hull row {j} at t=1 is violated by {miss[j]:.6g} m "
                             "and no control input can change it")
 
-    sol = solve(_program(candidate, natset, dyn.dt))
+    sol = solve(_program(candidate, natset))
     steps = f"{sol.iterations} active-set steps"
     if sol.status is SolverStatus.INFEASIBLE:
         raise SolverFailure(f"solver returned Infeasible after {steps}")
@@ -207,7 +212,7 @@ def project(candidate, natset, dyn):
         raise SolverFailure(f"solver returned MaxIter: {why}")
 
     controls = sol.z.reshape(-1, 2)
-    states = rollout(dyn, x0, controls)
+    states = rollout(double_integrator(natset.dt), x0, controls)
     beyond = np.flatnonzero(~(np.abs(states[:, POSITIONS]) <= COORD_BOUND).all(axis=1))
     if beyond.size:
         x, y = states[beyond[0], POSITIONS]

@@ -26,11 +26,14 @@ from .data import (
     MIN_SPEED,
     REQUIRED_COLUMNS,
     SPEED_BOUND,
+    EmptyTask,
+    Region,
     Trajectory,
     _within_bounds,
+    filter_task,
 )
 from .dynamics import positive
-from .geometry import COORD_BOUND
+from .geometry import COORD_BOUND, quickhull
 from .natset import MIN_SUPPORT, _write_json
 
 # each kind's departures from ScenarioSpec's defaults; the stop scene runs longer
@@ -67,6 +70,8 @@ class ScenarioSpec:
         if self.horizon < 2:
             raise ValueError("horizon must be at least 2 steps")
         positive("dt", self.dt)
+        if not (isinstance(self.seed, (int, np.integer)) and self.seed >= 0):
+            raise ValueError(f"seed must be a non-negative integer, got {self.seed!r}")
 
 
 def default_spec(kind, **overrides):
@@ -241,8 +246,19 @@ def write_tracks_csv(trajectories, path):
 
 def write_scenario(spec, out_dir):
     """Write tracks.csv and task.json (plus candidate.csv on curved_road),
-    all generated before the directory is made."""
+    all generated before the directory is made; a scene whose task drops
+    any of its own tracks is a ValueError naming dt, horizon and the count
+    kept, and writes nothing."""
     trajs, task = generate_scenario(spec)
+    start, end = (Region(quickhull(np.asarray(task[key])))
+                  for key in ("start_polygon", "end_polygon"))
+    try:
+        kept = len(filter_task(trajs, start, end, task["min_speed"]).trajectories)
+    except EmptyTask:
+        kept = 0
+    if kept < len(trajs):
+        raise ValueError(f"dt={spec.dt!r} over horizon={spec.horizon} keeps {kept} of "
+                         f"{len(trajs)} generated tracks on their own task")
     candidate = straight_candidate(spec) if spec.kind == "curved_road" else None
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)

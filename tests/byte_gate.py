@@ -23,7 +23,10 @@ the same outputs when their records diff clean:
     diff old.jsonl new.jsonl
 
 Projection bytes depend on the BLAS thread count, so the script pins one
-OpenBLAS thread.  It writes only under WORK, and no bytecode cache.
+OpenBLAS thread.  Its project commands pass ``--dyn dt=<tube dt>``, which
+``natset project`` takes optionally and checks, so the script also runs
+against trees in which that option is still required.  It writes only
+under WORK, and no bytecode cache.
 """
 
 import os

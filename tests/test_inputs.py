@@ -169,11 +169,58 @@ def test_gen_dt_within_the_bounds_builds(tmp_path, capsys):
     assert out.exists()
 
 
+@pytest.mark.parametrize("dt, kept", [(1.0, 39), (1e3, 0), (1e7, 0)])
+def test_gen_dt_whose_task_drops_a_track_exits_2_naming_it(tmp_path, capsys, dt, kept):
+    # at 1 s and 10 s a track ends past the end region's sector; from 1e3 s
+    # every forward-difference speed is below the task's 0.5 m/s floor
+    out = tmp_path / "scene"
+    code, err = run(["gen", "--kind", "curved_road", "--dt", repr(dt), "--out-dir", out], capsys)
+    assert code == 2
+    assert err == (f"error: dt={dt!r} over horizon=60 keeps {kept} of 40 generated tracks "
+                   "on their own task\n")
+    assert not out.exists()
+
+
+def test_gen_dt_that_keeps_every_track_builds_them_all(tmp_path, capsys):
+    scene = tmp_path / "scene"
+    assert run(["gen", "--kind", "curved_road", "--dt", "0.9", "--out-dir", scene],
+               capsys) == (0, "")
+    out = tmp_path / "tube.json"
+    code = main([str(arg) for arg in ["build", "--tracks", scene / "tracks.csv",
+                                      "--task", scene / "task.json", "--out", out]])
+    assert code == 0
+    assert capsys.readouterr().out.startswith("trajectories: 40\n")
+
+
+def test_gen_seed_must_not_be_negative(tmp_path, capsys):
+    out = tmp_path / "scene"
+    code, err = run(["gen", "--kind", "curved_road", "--seed", "-1", "--out-dir", out], capsys)
+    assert (code, err) == (2, "error: seed must be a non-negative integer, got -1\n")
+    assert not out.exists()
+    with pytest.raises(ValueError, match="^seed must be a non-negative integer, got -5$"):
+        ScenarioSpec("curved_road", seed=-5)
+
+
 @pytest.mark.parametrize("states", [np.zeros((0, 4)), np.zeros((1, 4))])
 def test_candidate_needs_two_states(states):
     with pytest.raises(ValueError) as exc:
         CandidateTrajectory(states, 0.04)
     assert str(exc.value) == f"candidate must have at least 2 states, found {len(states)}"
+
+
+@pytest.mark.parametrize("column, value", [(1, 1e8), (3, -1e8), (0, 2e9), (2, -2e9),
+                                           (0, float("nan")), (3, float("inf"))])
+def test_candidate_keeps_the_bounds_that_the_reader_applies(column, value):
+    # the bounds of a candidate CSV, which `natset project` refuses at ingest
+    states = np.zeros((5, 4))
+    states[3, column] = value
+    with pytest.raises(ValueError) as exc:
+        CandidateTrajectory(states, 0.04)
+    assert str(exc.value) == ("candidate state at t=3 must be finite with |x|, |y| <= 1e+09 m "
+                              "and |v_x|, |v_y| <= 1e+07 m/s")
+    # at the bounds themselves it is admitted
+    states[3] = [1e9, -1e7, -1e9, 1e7]
+    assert CandidateTrajectory(states, 0.04).horizon == 4
 
 
 @pytest.mark.parametrize("min_speed", [float("nan"), float("inf"), float("-inf")])

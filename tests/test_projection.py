@@ -201,7 +201,7 @@ def test_program_keeps_the_arrays_it_is_given(monkeypatch):
     monkeypatch.setattr(natset.projection, "QuadraticProgram", recorded)
     tube, spec = task_tube("curved_road")
     candidate = CandidateTrajectory.from_trajectory(straight_candidate(spec))
-    qp = _program(candidate, tube, spec.dt)
+    qp = _program(candidate, tube)
     # _program hands over fresh read-only arrays, so the program copies none
     ((P, q, b),) = passed
     assert qp.P is P
@@ -337,14 +337,17 @@ def test_a_t1_miss_is_judged_by_feas_tol(tmp_path, capsys, outside, code):
         assert 0.4 * FEAS_TOL < states[1, 0] - 10.0 <= FEAS_TOL
 
 
-@pytest.mark.parametrize("speed", [0.0, 4.0])
-def test_a_step_2_miss_at_a_tiny_dt_is_posed_to_the_qp(speed):
+@pytest.mark.parametrize("shift", [0.0, 8.0])
+def test_a_step_2_miss_at_a_tiny_dt_is_posed_to_the_qp(shift):
     # dt^2 underflows, so no entry of the condensed position map is nonzero;
-    # at 4 m per step p_1 = 9 fits and the free p_2 = 13 misses by 3 m, but
-    # that is a program in accelerations, not a fact of the pinned start
+    # with the hulls of steps 2 on moved by 8 m, p_1 = p_0 fits the t=1 box
+    # and the free p_2 misses its hull by 3 m, but that is a program in
+    # accelerations, not a fact of the pinned start
     dt = 1e-200
+    hulls = [box_hull(0.0, 10.0, 0.0, 10.0, support=3)] * 2
+    hulls += [box_hull(shift, 10.0 + shift, 0.0, 10.0, support=3)] * 4
     with pytest.raises(ValueError) as err:
-        project(at_box_centre(6, speed / dt, dt), box_tube(6, dt), double_integrator(dt))
+        project(at_box_centre(6, SPEED_BOUND, dt), stacked_tube(hulls, dt))
     assert str(err.value) == ("the projection QP in accelerations for dt=1e-200 cannot be "
                               "posed: P is not positive definite; not strictly convex")
 
@@ -354,7 +357,7 @@ def test_demo_program_poses_the_hull_rows_of_steps_2_on():
     tube = natset.read_natset(demo / "tube.json")
     (track,) = natset.load_trajectories(demo / "scene" / "candidate.csv", frame_rate=1.0 / tube.dt)
     cand = CandidateTrajectory.from_trajectory(track)
-    qp = _program(cand, tube, tube.dt)
+    qp = _program(cand, tube)
     T = min(cand.horizon, tube.horizon)
     counts = [len(tube.hulls[t].halfspaces.h) for t in range(2, T + 1)]
     assert np.array_equal(qp.A.steps, np.repeat(np.arange(2, T + 1), counts))
@@ -374,6 +377,47 @@ def test_dt_mismatch_rejected():
     cand = CandidateTrajectory([[t, 1.0, 0.5, 0.0] for t in range(3)], dt=1e-13)
     with pytest.raises(ValueError, match="candidate dt"):
         project(cand, fine, double_integrator(dt=5e-13))
+
+
+def stop_and_go_400():
+    """The seed-7 stop-and-go tube at H=400 and a held-out track that
+    leaves it at hundreds of steps."""
+    tube, spec = task_tube("straight_road_with_stop", 400)
+    held_out, _ = generate_scenario(
+        default_spec("straight_road_with_stop", count=24, seed=1001, horizon=400))
+    return tube, held_out[10]
+
+
+@pytest.mark.parametrize("scene", ["demo", "stop_and_go_400"])
+def test_project_without_dyn_writes_what_dyn_at_the_tube_dt_writes(tmp_path, capsys, scene):
+    demo = Path(__file__).resolve().parents[1] / "demos" / "out"
+    tube_path, candidate_path = demo / "tube.json", demo / "scene" / "candidate.csv"
+    if scene == "stop_and_go_400":
+        tube, track = stop_and_go_400()
+        tube_path, candidate_path = tmp_path / "tube.json", tmp_path / "candidate.csv"
+        write_natset(tube, tube_path)
+        write_tracks_csv([track], candidate_path)
+    dyn = ["--dyn", f"dt={read_natset(tube_path).dt!r}"]
+    runs = []
+    for given in ([], dyn):
+        out = tmp_path / f"projection{len(given)}.json"
+        code = main(["project", "--natset", str(tube_path), "--candidate", str(candidate_path),
+                     *given, "--out", str(out)])
+        stdout = capsys.readouterr().out.replace(str(out), "<out>")
+        runs.append((code, stdout, out.read_bytes()))
+    assert runs[0][0] == 0
+    assert runs[0] == runs[1]
+
+
+def test_project_takes_the_step_from_the_tube():
+    tube, track = stop_and_go_400()
+    candidate = CandidateTrajectory.from_trajectory(track)
+    alone, given = project(candidate, tube), project(candidate, tube, double_integrator(tube.dt))
+    assert sum(map(len, alone.active_constraints)) > 0
+    for name in ("states", "controls"):
+        assert np.array_equal(getattr(alone, name), getattr(given, name))
+    for name in ("objective", "status", "active_constraints", "violation_report"):
+        assert getattr(alone, name) == getattr(given, name)
 
 
 def test_projection_json_round_trip(tmp_path):
@@ -422,7 +466,7 @@ def test_straight_candidate_demo_reproduces_committed_projection(tmp_path):
     end = Region(quickhull(np.asarray(task_cfg["end_polygon"])))
     ns = build_natset(filter_task(trajectories, start, end, task_cfg["min_speed"]))
     candidate = CandidateTrajectory.from_trajectory(straight_candidate(spec))
-    result = project(candidate, ns, double_integrator(spec.dt))
+    result = project(candidate, ns)
     write_projection(result, candidate, tmp_path / "projection.json")
     committed = Path(__file__).resolve().parents[1] / "demos" / "out" / "projection.json"
     assert (tmp_path / "projection.json").read_bytes() == committed.read_bytes()
@@ -496,7 +540,7 @@ def test_solver_path_is_pinned():
     # factor updates must not change which rows enter or leave
     tube, spec = task_tube("curved_road")
     candidate = CandidateTrajectory.from_trajectory(straight_candidate(spec))
-    sol = solve(_program(candidate, tube, spec.dt))
+    sol = solve(_program(candidate, tube))
     assert (sol.status, sol.iterations) == (SolverStatus.OPTIMAL, 9)
     assert np.flatnonzero(sol.lam).tolist() == [163, 190, 207, 215, 241, 250, 293]
     tubes = {}
@@ -508,7 +552,7 @@ def test_solver_path_is_pinned():
             default_spec("straight_road_with_stop", count=24, seed=seed, horizon=horizon)
         )
         candidate = CandidateTrajectory(held_out[idx].dyn_states, tube.dt)
-        sol = solve(_program(candidate, tube, tube.dt))
+        sol = solve(_program(candidate, tube))
         working = np.flatnonzero(sol.lam)
         key = (horizon, seed, idx)
         assert (sol.status, sol.iterations, working.size) == (SolverStatus.OPTIMAL, steps, size), key
@@ -563,7 +607,7 @@ def test_hull_rows_and_block_objective_match_the_dense_program(horizon):
     states = np.cumsum(rng.normal(0.0, 0.3, size=(horizon + 1, 4)), axis=0)
     candidate = CandidateTrajectory(states, dt)
     tube = random_tube_around(candidate, rng)
-    qp = _program(candidate, tube, dt)
+    qp = _program(candidate, tube)
     P, q, A, b = dense_program(candidate, tube, double_integrator(dt))
     assert qp.n == 2 * horizon and qp.P.shape == (horizon, horizon)
     assert qp.A.shape == A.shape
@@ -740,9 +784,9 @@ def test_projection_is_the_exact_kkt_point_of_its_working_set(case):
     tube = build_natset(filter_task(trajectories, start, end, task_cfg["min_speed"]))
     chord = straight_candidate(replace(spec, seed=seed))
     candidate = CandidateTrajectory(chord.dyn_states[:31], spec.dt)
-    working = np.flatnonzero(solve(_program(candidate, tube, spec.dt)).lam)
+    working = np.flatnonzero(solve(_program(candidate, tube)).lam)
     assert working.size == size
-    z, lam, margins = exact_kkt_point(_program(candidate, tube, spec.dt), working)
+    z, lam, margins = exact_kkt_point(_program(candidate, tube), working)
     assert min(lam) >= 0 and max(margins) <= 0
     assert all(margins[i] == 0 for i in working)
     res = project(candidate, tube, double_integrator(spec.dt))
@@ -776,7 +820,7 @@ def ladder_candidate(demo_files, v, length=None):
     return CandidateTrajectory(states, tube.dt)
 
 
-@pytest.mark.parametrize("v", [1e4, 1e6, SPEED_BOUND, 1e8])
+@pytest.mark.parametrize("v", [1e4, 1e6, SPEED_BOUND])
 def test_huge_candidate_velocities_certify_the_exact_optimum(demo_files, v):
     # the start point -P^{-1}q grows with v, and its rounding stays in the
     # answer, which the duality gap relative to the objective's terms
@@ -784,7 +828,7 @@ def test_huge_candidate_velocities_certify_the_exact_optimum(demo_files, v):
     # at one and at two OpenBLAS threads
     tube, _ = demo_files
     candidate = ladder_candidate(demo_files, v, 41)
-    qp = _program(candidate, tube, tube.dt)
+    qp = _program(candidate, tube)
     sol = solve(qp)
     assert sol.status is SolverStatus.OPTIMAL
     z, lam, margins = exact_kkt_point(qp, np.flatnonzero(sol.lam))
@@ -793,19 +837,25 @@ def test_huge_candidate_velocities_certify_the_exact_optimum(demo_files, v):
     assert exact_deviation(res, candidate, z) <= 1e-14 * v
 
 
-@pytest.mark.parametrize("v, cause", [
-    # the answer misses a hull row by 6.8e-7 m, past the feasibility tolerance
-    (1e10, "MaxIter: its answer after {} active-set steps fails the KKT certificate"),
-    (1e20, "Infeasible after {} active-set steps"),
+@pytest.mark.parametrize("status, steps, cause", [
+    pytest.param(SolverStatus.MAX_ITER, 18,
+                 "MaxIter: its answer after 18 active-set steps fails the KKT certificate",
+                 id="MaxIter"),
+    pytest.param(SolverStatus.INFEASIBLE, 146, "Infeasible after 146 active-set steps",
+                 id="Infeasible"),
 ])
-def test_exit_5_names_the_steps_and_why_the_solve_stopped(demo_files, v, cause):
-    tube, _ = demo_files
-    candidate = ladder_candidate(demo_files, v)
-    sol = solve(_program(candidate, tube, tube.dt))
-    assert sol.iterations < qpsolver._MAX_STEPS
+def test_exit_5_names_the_steps_and_why_the_solve_stopped(demo_files, monkeypatch, status, steps,
+                                                          cause):
+    # no candidate within CandidateTrajectory's bounds is known to reach
+    # either end, so the demo's solve is stubbed to return it
+    tube, states = demo_files
+    candidate = CandidateTrajectory(states, tube.dt)
+    sol = solve(_program(candidate, tube))
+    monkeypatch.setattr(natset.projection, "solve",
+                        lambda qp: replace(sol, status=status, iterations=steps))
     with pytest.raises(SolverFailure) as exc:
-        project(candidate, tube, double_integrator(tube.dt))
-    assert str(exc.value) == "solver returned " + cause.format(sol.iterations)
+        project(candidate, tube)
+    assert str(exc.value) == "solver returned " + cause
 
 
 def test_exit_5_names_the_step_cap(demo_files, monkeypatch):
@@ -823,7 +873,7 @@ def test_factor_and_start_point_equal_scipys_bit_for_bit(recorded_scenes, horizo
     # point's two dtrtrs solves give cho_solve's bits
     spec, trajectories, tube = recorded_scenes["curved_road"]
     candidate = CandidateTrajectory(trajectories[0].dyn_states[: horizon + 1], spec.dt)
-    qp = _program(candidate, tube, spec.dt)
+    qp = _program(candidate, tube)
     L = scipy.linalg.cholesky(qp.P, lower=True)
     assert np.array_equal(qp.L, L)
     # with no rows, solve returns its start point -P^{-1} q

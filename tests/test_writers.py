@@ -4,6 +4,7 @@ and lay the document out with json.dump(indent=2): the same bytes."""
 import numpy as np
 import pytest
 
+from natset.data import SPEED_BOUND
 from natset.dynamics import double_integrator
 from natset.geometry import quickhull, to_halfspaces
 from natset.natset import read_natset, write_natset
@@ -55,7 +56,7 @@ def awkward_result(states, tail, active):
 def test_projection_file_matches_the_reference(tmp_path, tail, active):
     states = np.reshape(AWKWARD, (3, 4))
     result = awkward_result(states, tail, active)
-    candidate = CandidateTrajectory(states[:, ::-1], 0.1)
+    candidate = CandidateTrajectory(np.clip(states[:, ::-1], -SPEED_BOUND, SPEED_BOUND), 0.1)
     text = same_bytes(tmp_path, write_projection, write_projection_reference, result, candidate)
     for shown in (b"-0.0,", b"-1e-05,", b"1e+16,", b" 10.0,", b"9.99999999999e-05,"):
         assert shown in text
@@ -65,7 +66,8 @@ def test_projection_file_with_non_finite_values_matches_the_reference(tmp_path):
     states = np.reshape(AWKWARD, (3, 4))
     states[1, 2], states[2, 0] = np.nan, -np.inf
     result = awkward_result(states, 1, [(), (3,), ()])
-    candidate = CandidateTrajectory(np.reshape(AWKWARD, (3, 4)), 0.1)
+    candidate = CandidateTrajectory(np.clip(np.reshape(AWKWARD, (3, 4)), -SPEED_BOUND, SPEED_BOUND),
+                                    0.1)
     text = same_bytes(tmp_path, write_projection, write_projection_reference, result, candidate)
     assert b"NaN" in text and b"-Infinity" in text
 
