@@ -14,7 +14,7 @@ import math
 from array import array
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain, islice
+from itertools import chain
 
 import numpy as np
 
@@ -48,9 +48,6 @@ REQUIRED_COLUMNS = (
 # dynamics state
 _DATA_COLUMNS = ("xCenter", "xVelocity", "yCenter", "yVelocity", "xAcceleration",
                  "yAcceleration", "heading")
-
-# CSV rows converted per batch; bounds the rows held as strings at once
-CHUNK_ROWS = 4096
 
 # defaults: inD's frame rate (Hz) and a task's speed floor (m/s)
 FRAME_RATE = 25.0
@@ -219,9 +216,56 @@ class TaskDataset:
         return out, horizons
 
 
+# a tracks record as `_fast` reads it: the trackId as text of any length,
+# the frame, and the _DATA_COLUMNS
+_RECORD = np.dtype([("trackId", object), ("frame", np.int64),
+                    ("data", float, (len(_DATA_COLUMNS),))])
+
+
+def _line_lengths(path):
+    """The length in bytes of each line of a file, without its end, where
+    lines end as csv.reader ends them, at "\r", "\n" or "\r\n"; a "\r\n"
+    adds an empty line between its two characters.  The file is read in
+    blocks, so no copy of it is held."""
+    ends, size = [[-1]], 0
+    with open(path, "rb") as fh:
+        while block := fh.read(1 << 16):
+            raw = np.frombuffer(block, np.uint8)
+            at = np.flatnonzero(raw < 14)
+            ends.append(size + at[(raw[at] == 10) | (raw[at] == 13)])
+            size += len(raw)
+    return np.diff(np.concatenate([*ends, [size]])) - 1
+
+
+def _fast(path, where):
+    """The columns `_scan` reads from a tracks file whose header is its
+    first line, read by one np.loadtxt pass, or None where loadtxt might
+    read them otherwise or they break a rule of `_scan`: when the file has
+    no data rows, when a line is longer than the csv module's field limit,
+    when a record spans lines, when loadtxt raises, or when a trackId is
+    empty, a frame negative or a value out of its bounds."""
+    lengths = _line_lengths(path)
+    rows = np.count_nonzero(lengths) - 1  # blank lines hold no record, the header one
+    if rows < 1 or lengths.max() > csv.field_size_limit():
+        return None
+    columns = [where[name] for name in ("trackId", "frame", *_DATA_COLUMNS)]
+    try:
+        table = np.loadtxt(path, _RECORD, delimiter=",", skiprows=1, usecols=columns,
+                           comments=None, quotechar='"', encoding="utf-8-sig", ndmin=1)
+    except ValueError:
+        return None
+    ids, frames, states = table["trackId"], table["frame"], table["data"]
+    if len(table) != rows or "" in set(ids) or frames.min() < 0 or not _within_bounds(states):
+        return None
+    return ids, frames, states
+
+
 def _scan(path, where):
-    """Read the file again and raise the ParseError naming its first malformed
-    record by its row and, if the csv module cannot read it, the line it begins on."""
+    """Read the file row by row with the csv module: its trackIds, int64
+    frames and (n, 7) _DATA_COLUMNS, or the ParseError naming its first
+    malformed record by its row and, if the csv module cannot read it,
+    the line it begins on."""
+    ids, frames, states = [], [], []
     with open(path, newline="", encoding="utf-8-sig") as fh:
         reader, row_num, line = csv.reader(fh), 0, 1  # rows read; the next record's line
         try:
@@ -255,9 +299,12 @@ def _scan(path, where):
                     if abs(values[name]) > bound:
                         raise ParseError(f"{at}: column {name!r} of trackId {cell['trackId']!r}"
                                          f" is beyond {bound:g} {unit}: {cell[name]!r}")
+                ids.append(cell["trackId"])
+                frames.append(frame)
+                states.extend(values[name] for name in _DATA_COLUMNS)
         except csv.Error as exc:
             raise ParseError(f"{path}: row {row_num + 1}: line {line}: {exc}") from None
-    raise ParseError(f"{path}: the file changed while it was read")
+    return ids, np.array(frames, np.int64), np.array(states).reshape(-1, len(_DATA_COLUMNS))
 
 
 def _not_utf8(path):
@@ -281,11 +328,12 @@ def load_trajectories(path, frame_rate=FRAME_RATE):
     columns (as in full inD tracks exports) are ignored.  Frames for each
     actor must form a contiguous range once sorted, every position must
     lie within COORD_BOUND and every velocity component within SPEED_BOUND.
-    Rows are converted by column in batches; on any fault `_scan` reads
-    the file again to name the first bad record.
+    `_fast` reads the file with one np.loadtxt pass; where it cannot vouch
+    for that read, `_scan` reads it row by row, as the csv module does, and
+    names the first bad record.
     """
     positive("frame_rate", frame_rate)
-    codes, parts, where = {}, [], {}  # trackId -> order of first appearance; batches; columns
+    where = {}  # column name -> index
     try:
         # a byte-order mark is not part of the first column's name
         with open(path, newline="", encoding="utf-8-sig") as fh:
@@ -298,28 +346,14 @@ def load_trajectories(path, frame_rate=FRAME_RATE):
                 raise ParseError(f"{path}: header is missing columns {missing}")
             # a repeated column name reads its last copy, as csv.DictReader does
             where = {name: i for i, name in enumerate(header) if name in REQUIRED_COLUMNS}
-            rows = filter(None, reader)  # blank lines are skipped and not counted
-            for batch in iter(lambda: list(islice(rows, CHUNK_ROWS)), []):
-                n = len(batch)
-                try:
-                    # zip stops at the shortest row, so a short row drops a column
-                    fields = list(zip(*batch))
-                    ids = fields[where["trackId"]]
-                    frames = np.fromiter(map(int, fields[where["frame"]]), np.int64, n)
-                    cells = chain.from_iterable(fields[where[c]] for c in _DATA_COLUMNS)
-                    states = np.fromiter(map(float, cells), float, 7 * n).reshape(7, n).T
-                    valid = "" not in ids and frames.min() >= 0 and _within_bounds(states)
-                except (IndexError, ValueError, OverflowError):
-                    valid = False
-                if not valid:
-                    _scan(path, where)
-                code = np.fromiter((codes.setdefault(a, len(codes)) for a in ids), np.int64, n)
-                parts.append((code, frames, states))
+            columns = _fast(path, where) if reader.line_num == 1 else None
+        ids, frames, states = columns or _scan(path, where)
     except UnicodeDecodeError:
         raise ParseError(_not_utf8(path)) from None
-    except csv.Error:  # e.g. a quote that runs a field past the csv module's limit
+    except csv.Error:  # e.g. a quote that runs the header past the csv module's limit
         _scan(path, where)
-    if not parts:
+        raise ParseError(f"{path}: the file changed while it was read") from None
+    if not len(frames):
         return []
 
     def sort_key(actor):
@@ -328,8 +362,9 @@ def load_trajectories(path, frame_rate=FRAME_RATE):
         except ValueError:
             return (1, 0, actor)
 
+    codes = {a: i for i, a in enumerate(dict.fromkeys(ids))}  # in order of first appearance
+    code = np.fromiter(map(codes.__getitem__, ids), np.int64, len(frames))
     actors = sorted(codes, key=sort_key)
-    code, frames, states = (np.concatenate(column) for column in zip(*parts))
     rank = np.argsort([codes[a] for a in actors])[code]  # each row's actor's place
     order = np.lexsort((frames, rank))
     rank, frames, states = rank[order], frames[order], states[order]

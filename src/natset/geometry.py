@@ -214,30 +214,109 @@ class HalfSpaceSet:
 
 
 def _line_dist(p: np.ndarray, q: np.ndarray, pts: np.ndarray) -> np.ndarray:
-    """Signed distance of each row of ``pts`` to the line p->q; > 0 is left."""
+    """Signed distance of each row of ``pts`` to the line p->q, where ``p``
+    and ``q`` are one point each or one per row; > 0 is left."""
     d = q - p
-    return (d[0] * (pts[:, 1] - p[1]) - d[1] * (pts[:, 0] - p[0])) / np.hypot(d[0], d[1])
+    return ((d[..., 0] * (pts[:, 1] - p[..., 1]) - d[..., 1] * (pts[:, 0] - p[..., 0]))
+            / np.hypot(d[..., 0], d[..., 1]))
 
 
-def _chain(pts: np.ndarray, i: int, j: int, cand: np.ndarray, dist: np.ndarray) -> list:
-    """Hull chain strictly left of pts[i]->pts[j], endpoints excluded.
+# why `hull_stack` finds no hull for a set, by its code in ``flat`` minus 1
+_DEGENERATE = ("fewer than 3 distinct points after deduplication",
+               "all points collinear within tolerance")
 
-    ``cand`` holds ascending original indices and ``dist`` their (positive)
-    distances to the line i->j; np.argmax takes the first maximum, so ties go
-    to the lowest index.
-    """
-    if cand.size == 0:
-        return []
-    k = int(cand[np.argmax(dist)])
-    d1 = _line_dist(pts[i], pts[k], pts[cand])
-    m1 = d1 > COLLINEAR_TOL
-    d2 = _line_dist(pts[k], pts[j], pts[cand])
-    m2 = d2 > COLLINEAR_TOL
-    return _chain(pts, i, k, cand[m1], d1[m1]) + [k] + _chain(pts, k, j, cand[m2], d2[m2])
+
+def _extreme(ufunc, fill, pts, heads, at):
+    """Per set of a stack, the row of its lexicographically least point
+    (``np.minimum`` with ``np.inf``) or greatest (``np.maximum`` with
+    ``-np.inf``), where ``at`` is each row's set and ``heads`` each set's
+    first row; no two points of a set may be equal."""
+    on = pts[:, 0] == ufunc.reduceat(pts[:, 0], heads)[at]
+    y = np.where(on, pts[:, 1], fill)
+    return np.flatnonzero(on & (y == ufunc.reduceat(y, heads)[at]))
+
+
+def hull_stack(points, start):
+    """Convex hulls of a stack of 2-D point sets, set i being rows
+    ``start[i]:start[i + 1]`` of ``points``, by quickhull on every set at
+    once, one level of chord splits at a time; a point beyond COORD_BOUND
+    is a ValueError.  Returns ``(vertices, vstart, flat)``: hull i is
+    ``vertices[vstart[i]:vstart[i + 1]]``, as `quickhull` describes it, or
+    empty when ``flat[i]`` is not 0 but 1 + the index in `_DEGENERATE` of
+    why set i has no hull."""
+    pts, start = np.asarray(points, dtype=float), np.asarray(start)
+    if not np.all(np.abs(pts) <= COORD_BOUND):
+        raise ValueError(f"input points {_OUT_OF_BOUNDS}")
+    owner = owners(start)
+    # exact-match dedup on the DEDUP_GRID lattice; first occurrence wins
+    keys = np.round(pts / DEDUP_GRID).astype(np.int64)
+    order = np.lexsort((keys[:, 1], keys[:, 0], owner))
+    first = np.ones(len(order), dtype=bool)
+    first[1:] = np.any(keys[order[1:]] != keys[order[:-1]], axis=1) | (np.diff(owner[order]) != 0)
+    keep = np.sort(order[first])
+    pts, owner = pts[keep], owner[keep]
+    flat = np.where(np.bincount(owner, minlength=len(start) - 1) < 3, 1, 0)
+    # the sets of 3 or more points, each from its lexicographic minimum a
+    # to its maximum b; off is each point's distance to its set's line a->b
+    live = flat[owner] == 0
+    pts, owner = pts[live], owner[live]
+    new = np.diff(owner, prepend=-1) != 0
+    heads, at = np.flatnonzero(new), np.cumsum(new) - 1  # each point's set among these
+    a = _extreme(np.minimum, np.inf, pts, heads, at)
+    b = _extreme(np.maximum, -np.inf, pts, heads, at)
+    off = _line_dist(pts[a][at], pts[b][at], pts)
+    if len(a):
+        collinear = np.maximum.reduceat(np.abs(off), heads) <= COLLINEAR_TOL
+        flat[owner[a[collinear]]] = 2
+    # chords src->dst, first a->b of each set with a hull, then b->a, and
+    # their candidates: the points left of them, with their distances, in
+    # order of chord and then of point.  Each chord i->j splits at its
+    # farthest candidate k, the first of equals; that links the CCW tour
+    # j -> k -> i and leaves chords i->k, in the split chords' order, then
+    # k->j, so the order holds
+    solid = flat[owner[a]] == 0
+    a, b = a[solid], b[solid]
+    nxt = np.arange(len(pts))
+    nxt[a], nxt[b] = b, a
+    src, dst = np.concatenate([a, b]), np.concatenate([b, a])
+    up, lo = np.flatnonzero(off > COLLINEAR_TOL), np.flatnonzero(off < -COLLINEAR_TOL)
+    rank = np.cumsum(solid) - 1  # each set's place among those with a hull
+    chord = np.concatenate([rank[at[up]], len(a) + rank[at[lo]]])
+    cand = np.concatenate([up, lo])
+    dist = np.concatenate([off[up], -off[lo]])
+    vertex = np.zeros(len(pts), dtype=bool)
+    vertex[a] = vertex[b] = True
+    while cand.size:
+        new = np.diff(chord, prepend=-1) != 0
+        heads, seg = np.flatnonzero(new), np.cumsum(new) - 1
+        top = np.maximum.reduceat(dist, heads)
+        hit = np.flatnonzero(dist == top[seg])
+        k = cand[hit[np.diff(seg[hit], prepend=-1) != 0]]  # each chord's first farthest
+        i, j = src[chord[heads]], dst[chord[heads]]
+        nxt[j], nxt[k] = k, i
+        vertex[k] = True
+        d1 = _line_dist(pts[i][seg], pts[k][seg], pts[cand])
+        d2 = _line_dist(pts[k][seg], pts[j][seg], pts[cand])
+        m1, m2 = d1 > COLLINEAR_TOL, d2 > COLLINEAR_TOL
+        src, dst = np.concatenate([i, k]), np.concatenate([k, j])
+        chord = np.concatenate([seg[m1], len(k) + seg[m2]])
+        cand = np.concatenate([cand[m1], cand[m2]])
+        dist = np.concatenate([d1[m1], d2[m2]])
+    # walk every tour from a, all sets one step at a time
+    size = np.bincount(at[vertex], minlength=len(solid))[solid]
+    tour = np.empty((len(a), np.max(size, initial=0)), dtype=np.int64)
+    cur = a
+    for step in range(tour.shape[1]):
+        tour[:, step] = cur
+        cur = nxt[cur]
+    counts = np.zeros(len(flat), dtype=np.int64)
+    counts[flat == 0] = size
+    vstart = np.concatenate([[0], np.cumsum(counts)])
+    return pts[tour[np.arange(tour.shape[1]) < size[:, None]]], vstart, flat
 
 
 def quickhull(points) -> ConvexPolygon:
-    """Convex hull of 2-D points by recursive farthest-point splitting.
+    """Convex hull of 2-D points: `hull_stack` of one set.
 
     Vertices are a subset of the input points, returned CCW starting from the
     lexicographically smallest vertex. Points within ``COLLINEAR_TOL`` of a
@@ -252,48 +331,29 @@ def quickhull(points) -> ConvexPolygon:
     pts = np.asarray(points, dtype=float)
     if pts.ndim != 2 or pts.shape[1] != 2:
         raise ValueError(f"input points must be an (n, 2) array, got shape {pts.shape}")
-    if not np.all(np.abs(pts) <= COORD_BOUND):
-        raise ValueError(f"input points {_OUT_OF_BOUNDS}")
+    vertices, _, (flat,) = hull_stack(pts, np.array([0, len(pts)]))
     if pts.shape[0] < 3:
         raise DegenerateInput(f"need at least 3 points, got {pts.shape[0]}")
+    if flat:
+        raise DegenerateInput(_DEGENERATE[flat - 1])
+    return ConvexPolygon(vertices)
 
-    # Exact-match dedup on the DEDUP_GRID lattice; first occurrence wins.
-    keys = np.round(pts / DEDUP_GRID).astype(np.int64)
-    _, first = np.unique(keys, axis=0, return_index=True)
-    pts = pts[np.sort(first)]
-    if pts.shape[0] < 3:
-        raise DegenerateInput("fewer than 3 distinct points after deduplication")
 
-    order = np.lexsort((pts[:, 1], pts[:, 0]))
-    a, b = int(order[0]), int(order[-1])
-    off = _line_dist(pts[a], pts[b], pts)
-    if np.max(np.abs(off)) <= COLLINEAR_TOL:
-        raise DegenerateInput("all points collinear within tolerance")
-
-    idx = np.arange(pts.shape[0])
-    up = off > COLLINEAR_TOL
-    lo = off < -COLLINEAR_TOL
-    # Upper then lower chain gives a CW tour; reverse for CCW and rotate the
-    # lexicographic minimum (a) back to the front for a canonical start.
-    cw = [a] + _chain(pts, a, b, idx[up], off[up]) + [b] + _chain(pts, b, a, idx[lo], -off[lo])
-    ccw = cw[::-1]
-    start = ccw.index(a)
-    hull = ccw[start:] + ccw[:start]
-    return ConvexPolygon(pts[hull])
+def edge_rows(v, start):
+    """``(G, h)`` of a stack of CCW polygons whose polygon i is rows
+    ``start[i]:start[i + 1]`` of ``v``: row j is the outward unit normal of
+    the edge from vertex j to its successor in its polygon, the edge
+    direction rotated -90 degrees, and ``h[j]`` its offset."""
+    e = v[_successors(start)] - v
+    G = np.stack([e[:, 1], -e[:, 0]], axis=1)
+    G /= np.hypot(G[:, 0], G[:, 1])[:, None]
+    return G, G[:, 0] * v[:, 0] + G[:, 1] * v[:, 1]
 
 
 def to_halfspaces(poly: ConvexPolygon) -> HalfSpaceSet:
-    """Exact half-space form of a polygon: one unit-normal row per edge.
-
-    Row i is the outward normal of edge ``v[i] -> v[i+1]``; for a CCW polygon
-    that is the edge direction rotated -90 degrees.
-    """
-    v = poly.vertices
-    e = np.roll(v, -1, axis=0) - v
-    G = np.stack([e[:, 1], -e[:, 0]], axis=1)
-    G /= np.hypot(G[:, 0], G[:, 1])[:, None]
-    h = np.sum(G * v, axis=1)
-    return HalfSpaceSet(G, h)
+    """Exact half-space form of a polygon: one unit-normal row per edge,
+    row i from edge ``v[i] -> v[i+1]`` (see `edge_rows`)."""
+    return HalfSpaceSet(*edge_rows(poly.vertices, np.array([0, len(poly)])))
 
 
 def margins(G, h, p):

@@ -13,13 +13,16 @@ vertices.  A tube file is checked in three layers, each rule once:
 `read_natset` checks the JSON type of every value but the supports, then
 the file's shape (one G row and one h entry per vertex, then time indices
 0, 1, ...); the constructor, the only maker of tubes, checks every hull's
-support and geometry in one pass over the stacks.  Building, reading, writing and projection use
-the stacks alone.  `hulls` is an inspection view of checked per-hull
-objects, whose removal waits on the benchmark reading the stacks (ROADMAP
-item 1).  Tubes serialize to JSON with 12 significant digits.  Each hull's
-vertices are checked against its rows to a tolerance that grows with the
-hull's distance from the origin, as that rounding error does, so every
-tube the package writes reads back.
+support and geometry in one pass over the stacks.  Building, reading,
+writing and projection use the stacks alone: a build hulls every step in
+one `geometry.hull_stack` call and computes every hull's rows in one
+`geometry.edge_rows` pass, and the constructor's pass is its only check.
+`hulls` is an inspection view of checked per-hull objects, whose removal
+waits on the benchmark reading the stacks (ROADMAP item 1).  Tubes
+serialize to JSON with 12 significant digits.  Each hull's vertices are
+checked against its rows to a tolerance that grows with the hull's
+distance from the origin, as that rounding error does, so every tube the
+package writes reads back.
 """
 
 import json
@@ -36,20 +39,21 @@ from .dynamics import NX, POSITIONS, positive
 from .geometry import (
     INSIDE_TOL,
     ConvexPolygon,
-    DegenerateInput,
     HalfSpaceSet,
     _HALFSPACE_SHAPE,
     _freeze,
     _successors,
+    edge_rows,
     first_fault,
     halfspace_faults,
+    hull_stack,
     margins,
     owners,
     padded,
     polygon_area,
     polygon_faults,
     quickhull,
-    to_halfspaces,
+    to_halfspaces,  # not called here: perfbench's tracer needs the name until ROADMAP item 1a
 )
 
 # minimum points for a 2-d hull; also the minimum per-time support
@@ -217,21 +221,16 @@ def _drop_isolated(points, k):
     return points[keep]
 
 
-def _hull_of(points):
-    try:
-        return quickhull(points)
-    except DegenerateInput:
-        return quickhull(_inflate(points))
-
-
 def build_natset(dataset, trim=0):
     """Assemble the tube from a filtered dataset.
 
     The horizon is the last t with at least three alive trajectories.
     trim > 0 removes that many most-isolated points from every slice
     before the hull is taken (off by default); a negative trim is a
-    ValueError.  Each step's hull vertices, edge rows and support are
-    stacked into the tube's arrays.
+    ValueError.  Every step is hulled in one `hull_stack` call; a step
+    whose points are degenerate (all collinear, or fewer than three
+    distinct) gets the hull of its points inflated by INFLATE_EPS.  The
+    edge rows of every hull come from one `edge_rows` pass.
     """
     if trim < 0:
         raise ValueError(f"trim must be >= 0, got trim={trim}")
@@ -240,18 +239,21 @@ def build_natset(dataset, trim=0):
         raise ValueError(f"mixed frame rates in dataset: {sorted(rates)}")
     dt = 1.0 / rates.pop()
 
-    hulls = []
+    slices = []
     for t in range(dataset.max_horizon + 1):
         pts = slice_at(dataset, t)
         if len(pts) < MIN_SUPPORT:
             break
-        if trim:
-            pts = _drop_isolated(pts, trim)
-        poly = _hull_of(pts)
-        rows = to_halfspaces(poly)
-        hulls.append((poly.vertices, rows.G, rows.h, len(pts)))
-    if not hulls:
+        slices.append(_drop_isolated(pts, trim) if trim else pts)
+    if not slices:
         raise InsufficientData(f"{len(dataset)} trajectories at t=0; need {MIN_SUPPORT} for a hull")
+    support = list(map(len, slices))
+    vertices, start, flat = hull_stack(np.concatenate(slices), np.cumsum([0, *support]))
+    if flat.any():
+        hulls = _cut(vertices, start)
+        for t in np.flatnonzero(flat).tolist():
+            hulls[t] = quickhull(_inflate(slices[t])).vertices
+        vertices, start = np.concatenate(hulls), np.cumsum([0, *map(len, hulls)])
 
     task = dataset.task
     provenance = {"trajectories": len(dataset), "trim": int(trim)}
@@ -259,9 +261,7 @@ def build_natset(dataset, trim=0):
         provenance["start_polygon"] = task.start.polygon.vertices.tolist()
         provenance["end_polygon"] = task.end.polygon.vertices.tolist()
         provenance["min_speed"] = task.min_speed
-    vertices, G, h, support = zip(*hulls)
-    return NaturalisticSet(*map(np.concatenate, (vertices, G, h)), np.cumsum([0, *map(len, h)]),
-                           support, dt, provenance)
+    return NaturalisticSet(vertices, *edge_rows(vertices, start), start, support, dt, provenance)
 
 
 def _flat_margins(natset, states):

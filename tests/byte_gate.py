@@ -11,7 +11,11 @@ the far scenes: the demo scene (curved_road, 40 tracks, seed 7) with every
 position moved by each offset of SHIFTS in x and in y, built into a tube,
 and each of its members, cut at its start-region entry, projected into
 that tube; a tube file's 12 digits move its hulls by about 1e-12 |x|.  Their
-records carry the offset in the seed field.  It runs
+records carry the offset in the seed field.  Then the demo scene's tracks
+and candidate are rewritten with quoted trackIds, a byte-order mark and
+CRLF line ends, once as they are and once with frame 10 spelled ``1_0``,
+which Python's int() reads and np.loadtxt does not, and built and
+projected into the demo tube.  It runs
 each input through ``natset.cli.main`` in this process and prints one
 JSON record per run: the exit code, the sha256 of the output file (null
 when none was written), and stdout and stderr with the output path
@@ -53,6 +57,9 @@ SEEDS = (1, 2, 3)
 LADDER = (1e2, 1e4, 1e5, 1e6, 1e7, 1e8, 1e9, 1e10, 1e11, 1e12, 1e20, 1e50)
 # offsets (m) of the far scenes, in x and in y
 SHIFTS = (1e4, 1e6)
+# how the rewritten demo files spell their records, beyond quoted trackIds,
+# a byte-order mark and CRLF line ends
+SPELLINGS = ("quoted", "underscored")
 
 
 def commands(workload, run_dir, manifest):
@@ -119,6 +126,33 @@ def far_scene(shift, run_dir):
     return inputs
 
 
+def rewritten(run_dir):
+    """(input id, command line without --out) of the build of the demo
+    scene's tracks and the projection of its candidate into the demo tube,
+    each file rewritten into run_dir in each of SPELLINGS."""
+    run_dir.mkdir(parents=True, exist_ok=True)
+    inputs = []
+    for spelling in SPELLINGS:
+        paths = {}
+        for name in ("tracks", "candidate"):
+            with open(DEMO / "scene" / f"{name}.csv", newline="", encoding="utf-8") as fh:
+                rows = list(csv.reader(fh))
+            track, frame = rows[0].index("trackId"), rows[0].index("frame")
+            for row in rows[1:]:
+                row[track] = f'"{row[track]}"'
+                if spelling == "underscored" and row[frame] == "10":
+                    row[frame] = "1_0"
+            paths[name] = run_dir / f"{name}-{spelling}.csv"
+            with open(paths[name], "w", newline="", encoding="utf-8-sig") as fh:
+                fh.writelines(",".join(row) + "\r\n" for row in rows)
+        inputs += [(f"tracks-{spelling}", ["build", "--tracks", str(paths["tracks"]),
+                                           "--task", str(DEMO / "scene" / "task.json")]),
+                   (f"candidate-{spelling}", ["project", "--natset", str(DEMO / "tube.json"),
+                                              "--candidate", str(paths["candidate"]),
+                                              "--dyn", "dt=0.04"])]
+    return inputs
+
+
 def run(main, argv, out, work):
     """One in-process run of the command line, as a JSON-ready record."""
     out.unlink(missing_ok=True)
@@ -152,6 +186,7 @@ def main(argv=None):
     for shift in SHIFTS:
         run_dir = args.work / f"far-{shift:.0e}"
         runs.append(("far", shift, run_dir, far_scene(shift, run_dir)))
+    runs.append(("rewritten", None, args.work / "rewritten", rewritten(args.work / "rewritten")))
     for workload, seed, run_dir, inputs in runs:
         (run_dir / "out").mkdir(exist_ok=True)
         for input_id, argv in inputs:

@@ -2,7 +2,10 @@
 
 Nothing here shares code with the package: the hull oracle is a plain O(n*k)
 gift-wrapping march, membership is even-odd ray casting, and both work from
-first principles on raw coordinate lists.  The per-point margin works one
+first principles on raw coordinate lists.  `recursive_quickhull` is the
+package's former one-set quickhull, recursion and all, kept as the bitwise
+reference of its batched successor; it borrows only the package's
+tolerances and its `DegenerateInput`.  The per-point margin works one
 half-space row at a time in plain floats.  The QP oracle enumerates active
 sets and only borrows the package's result type.  The exceptions are
 the tube reader's reference, which checks the file's shape and then hulls
@@ -22,7 +25,14 @@ from math import lcm
 
 import numpy as np
 
-from natset.geometry import ConvexPolygon, HalfSpaceSet
+from natset.geometry import (
+    COLLINEAR_TOL,
+    COORD_BOUND,
+    DEDUP_GRID,
+    ConvexPolygon,
+    DegenerateInput,
+    HalfSpaceSet,
+)
 from natset.natset import NaturalisticSet, hull_faults
 from natset.qpsolver import QPSolution, SolverStatus
 
@@ -64,6 +74,60 @@ def gift_wrap(points):
         hull.append(nxt)
         cur = nxt
     return pts[hull]
+
+
+def _line_dist(p, q, pts):
+    """Signed distance of each row of ``pts`` to the line p->q; > 0 is left."""
+    d = q - p
+    return (d[0] * (pts[:, 1] - p[1]) - d[1] * (pts[:, 0] - p[0])) / np.hypot(d[0], d[1])
+
+
+def _chain(pts, i, j, cand, dist):
+    """Hull chain strictly left of pts[i]->pts[j], endpoints excluded.
+
+    ``cand`` holds ascending original indices and ``dist`` their (positive)
+    distances to the line i->j; np.argmax takes the first maximum, so ties go
+    to the lowest index.
+    """
+    if cand.size == 0:
+        return []
+    k = int(cand[np.argmax(dist)])
+    d1 = _line_dist(pts[i], pts[k], pts[cand])
+    m1 = d1 > COLLINEAR_TOL
+    d2 = _line_dist(pts[k], pts[j], pts[cand])
+    m2 = d2 > COLLINEAR_TOL
+    return _chain(pts, i, k, cand[m1], d1[m1]) + [k] + _chain(pts, k, j, cand[m2], d2[m2])
+
+
+def recursive_quickhull(points):
+    """The hull vertices of one (n, 2) point set by recursive
+    farthest-point splitting, CCW from the lexicographically smallest, not
+    yet checked as a polygon; raises DegenerateInput as `quickhull` does."""
+    pts = np.asarray(points, dtype=float)
+    if not np.all(np.abs(pts) <= COORD_BOUND):
+        raise ValueError("input points beyond COORD_BOUND")
+    if pts.shape[0] < 3:
+        raise DegenerateInput(f"need at least 3 points, got {pts.shape[0]}")
+    # exact-match dedup on the DEDUP_GRID lattice; first occurrence wins
+    keys = np.round(pts / DEDUP_GRID).astype(np.int64)
+    _, first = np.unique(keys, axis=0, return_index=True)
+    pts = pts[np.sort(first)]
+    if pts.shape[0] < 3:
+        raise DegenerateInput("fewer than 3 distinct points after deduplication")
+    order = np.lexsort((pts[:, 1], pts[:, 0]))
+    a, b = int(order[0]), int(order[-1])
+    off = _line_dist(pts[a], pts[b], pts)
+    if np.max(np.abs(off)) <= COLLINEAR_TOL:
+        raise DegenerateInput("all points collinear within tolerance")
+    idx = np.arange(pts.shape[0])
+    up = off > COLLINEAR_TOL
+    lo = off < -COLLINEAR_TOL
+    # upper then lower chain gives a CW tour; reverse it for CCW and rotate
+    # the lexicographic minimum (a) back to the front
+    cw = [a] + _chain(pts, a, b, idx[up], off[up]) + [b] + _chain(pts, b, a, idx[lo], -off[lo])
+    ccw = cw[::-1]
+    start = ccw.index(a)
+    return pts[ccw[start:] + ccw[:start]]
 
 
 def in_polygon_raycast(vertices, p, edge_tol=1e-12):

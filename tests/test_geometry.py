@@ -4,16 +4,20 @@ import numpy as np
 import pytest
 
 from natset.geometry import (
+    COLLINEAR_TOL,
     COORD_BOUND,
+    DEDUP_GRID,
     ConvexPolygon,
     DegenerateInput,
     HalfSpaceSet,
+    _DEGENERATE,
     extent_along,
+    hull_stack,
     quickhull,
     signed_violations,
     to_halfspaces,
 )
-from oracles import gift_wrap, in_polygon_raycast, point_margin
+from oracles import gift_wrap, in_polygon_raycast, point_margin, recursive_quickhull
 
 UNIT_SQUARE = quickhull([(0, 0), (1, 0), (1, 1), (0, 1)])
 UNIT_SQUARE_HS = to_halfspaces(UNIT_SQUARE)
@@ -74,6 +78,83 @@ def test_quickhull_matches_gift_wrapping_oracle():
         ours = quickhull(pts)
         theirs = gift_wrap(pts)
         assert {tuple(v) for v in ours.vertices} == {tuple(v) for v in theirs}
+
+
+def hard_point_sets(rng, count):
+    """Point sets that test the hull's rules: points repeated on and near
+    the DEDUP_GRID lattice, points within COLLINEAR_TOL of a hull edge,
+    all-collinear sets, far-off sets, and sets of fewer than 3 points."""
+    sets = []
+    for i in range(count):
+        n = int(rng.integers(0, 30))
+        kind = i % 6
+        if kind == 0:  # a coarse grid: many exact repeats
+            pts = np.round(rng.normal(size=(n, 2)) * 2) / 2
+        elif kind == 1:  # repeats moved by less than the grid
+            pts = rng.normal(size=(n, 2))
+            pts = np.vstack([pts, pts + rng.uniform(-0.4, 0.4, pts.shape) * DEDUP_GRID])
+        elif kind == 2:  # on a line, up to the collinear tolerance off it
+            t = rng.normal(size=n)
+            wobble = rng.choice([0.0, 0.5, 1.0, -1.0], n) * COLLINEAR_TOL
+            pts = np.column_stack([t, 0.5 * t - 2.0 + wobble])
+        elif kind == 3:  # a triangle with points on and within tolerance of its edges
+            t = rng.uniform(0.0, 1.0, n)
+            near = rng.choice([0.0, 0.5, 1.0, 2.0, -0.5], n) * COLLINEAR_TOL
+            pts = np.vstack([[[0.0, 0.0], [1.0, 0.0], [0.5, 1.0]],
+                             np.column_stack([t, near]),
+                             np.column_stack([t / 2 - near, t])])
+        elif kind == 4:  # on a circle far from the origin: many extreme points
+            th = rng.uniform(0.0, 2.0 * np.pi, n)
+            pts = 1e6 + 50.0 * np.column_stack([np.cos(th), np.sin(th)])
+        else:  # few points
+            pts = rng.normal(size=(n % 4, 2))
+        sets.append(rng.permutation(pts))
+    return sets
+
+
+def reference_hull(pts):
+    """The recursive reference's vertices, or the DegenerateInput message."""
+    try:
+        return recursive_quickhull(pts)
+    except DegenerateInput as exc:
+        return str(exc)
+
+
+def test_hull_stack_matches_the_recursive_reference_bitwise():
+    rng = np.random.default_rng(23)
+    sets = hard_point_sets(rng, 600) + random_point_sets(rng, 60)
+    start = np.cumsum([0] + [len(pts) for pts in sets])
+    vertices, vstart, flat = hull_stack(np.concatenate(sets), start)
+    kinds = set()
+    for i, pts in enumerate(sets):
+        expected, got = reference_hull(pts), vertices[vstart[i]:vstart[i + 1]]
+        if isinstance(expected, str):
+            assert len(got) == 0
+            assert _DEGENERATE[flat[i] - 1] == expected or (len(pts) < 3 and flat[i] == 1)
+        else:
+            assert flat[i] == 0
+            assert got.tobytes() == expected.tobytes()
+        kinds.add(expected.split(",")[0] if isinstance(expected, str) else "hull")
+    assert len(kinds) == 4  # hulls, too few points, too few distinct, collinear
+
+
+def test_quickhull_matches_the_recursive_reference_bitwise():
+    rng = np.random.default_rng(29)
+    for pts in hard_point_sets(rng, 300):
+        expected = reference_hull(pts)
+        if isinstance(expected, str):
+            with pytest.raises(DegenerateInput) as err:
+                quickhull(pts)
+            assert str(err.value) == expected
+            continue
+        try:
+            expected = ConvexPolygon(expected).vertices
+        except ValueError as exc:  # the vertices break a polygon rule
+            with pytest.raises(ValueError) as err:
+                quickhull(pts)
+            assert str(err.value) == str(exc)
+            continue
+        assert quickhull(pts).vertices.tobytes() == expected.tobytes()
 
 
 def test_quickhull_containment_and_idempotence():

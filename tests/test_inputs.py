@@ -14,7 +14,14 @@ import numpy as np
 import pytest
 
 from natset.cli import _build_parser, main
-from natset.data import ParseError, Region, Trajectory, filter_task, load_task
+from natset.data import (
+    ParseError,
+    Region,
+    Trajectory,
+    filter_task,
+    load_task,
+    load_trajectories,
+)
 from natset.dynamics import NonPositiveParameter, double_integrator, positive
 from natset.geometry import quickhull, to_halfspaces
 from natset.natset import write_natset
@@ -447,6 +454,9 @@ BAD_RECORDS = {
                        "row 1: line 1: field larger than field limit (131072)"),
     "frame_beyond_int64": (6, frame_beyond_int64,
                            f"row 6: frame is beyond int64: '{2**64}'"),
+    # a well-formed field past the csv module's limit, which np.loadtxt would read
+    "long_field": (6, lambda text: "7" * 200_000 + text[text.index(","):],
+                   "row 6: line 6: field larger than field limit (131072)"),
 }
 
 
@@ -463,6 +473,18 @@ def test_bad_record_exits_2_naming_its_row(tmp_path, capsys, command, option, ki
     assert (code, err) == (2, f"error: {bad}: {cause}\n")
     assert not out.exists()
 
+
+@pytest.mark.filterwarnings("error")
+def test_header_only_tracks_read_as_no_tracks(tmp_path, capsys):
+    # np.loadtxt warns on a file without data rows; the reader must not
+    tracks = tmp_path / "tracks.csv"
+    tracks.write_text((SCENE / "tracks.csv").read_text().splitlines(keepends=True)[0])
+    assert load_trajectories(tracks) == []
+    out = tmp_path / "tube.json"
+    code, err = run(["build", "--tracks", tracks, "--task", SCENE / "task.json", "--out", out],
+                    capsys)
+    assert (code, err) == (3, "error: EmptyTask: no trajectory satisfies the task predicate\n")
+    assert not out.exists()
 
 
 def fail_reads(monkeypatch, path):
